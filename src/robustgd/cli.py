@@ -12,6 +12,7 @@ import configparser
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -155,13 +156,9 @@ def _echo_config(cfg, seed, parallelism):
 def cmd_run(args):
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
-        if args.methods:
-            cfg = ExperimentConfig(**{**cfg.__dict__,
-                                      "methods": _split_list(args.methods)})
-        if args.trials is not None:
-            cfg = ExperimentConfig(**{**cfg.__dict__, "trials": args.trials})
+        overrides = {"seed": args.seed, "trials": args.trials,
+                     "methods": _split_list(args.methods) if args.methods else None}
+        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,10 @@
 
 The location estimate soft-truncates outliers through a bounded, increasing
 influence function psi = rho'; the dispersion estimate is the root of a
-centered chi statistic.  Both are computed by damped fixed-point iteration
-with a bisection fallback (the root equations are monotone, so the fallback
-always succeeds).
+centered chi statistic.  Both root equations are monotone and bracketed, so
+one vectorised kernel solves them column by column: Newton steps that stay
+inside the shrinking bracket, bisection where a step would leave it.
+Location is solved in theta, dispersion in log sigma.
 """
 
 from dataclasses import dataclass
@@ -123,6 +124,12 @@ class ChiFunction:
             t = u * u
             return 1.0 - 1.0 / (1.0 + t) - self.c
 
+    def dchi(self, u):
+        u = np.asarray(u, dtype=float)
+        with np.errstate(over="ignore"):
+            w = 1.0 / (1.0 + u * u)
+            return 2.0 * u * w * w
+
     def __call__(self, u):
         return self.chi(u)
 
@@ -134,6 +141,8 @@ class ChiFunction:
 class FixedPointSettings:
     """Stopping controls for the location and dispersion iterations.
 
+    ``max_iters`` caps the Newton steps of each solve; columns still
+    unresolved at the cap finish by bisection and are flagged as fallbacks.
     ``rel_tolerance`` bounds the mean residual (the root equation divided by
     n).  ``sigma_floor`` is scaled by (1 + |pivot|) inside the dispersion
     solver so degenerate zero-spread columns return a harmless positive value.
@@ -154,79 +163,77 @@ class FixedPointSettings:
 
 DEFAULT_FP = FixedPointSettings()
 
-# consecutive non-improving residuals before the iteration is declared
-# oscillating and handed to bisection
-_STALL_LIMIT = 5
+# cap on the bisection steps that finish columns left open by the Newton phase
+_BISECT_STEPS = 200
+# relative bracket width at which a root is located to machine precision
+_WIDTH = 1e-15
 
 
-def _check_columns(x, name="data"):
+def _check_sample(x, ndim):
     x = np.asarray(x, dtype=float)
     if x.size == 0:
-        raise ValueError(f"{name} must contain at least one observation")
+        raise ValueError("data must contain at least one observation")
     if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("data contains non-finite entries")
+    if x.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D sample")
     return x
+
+
+def _solve_columns(residual, z, lo, hi, fp):
+    """Per-column roots of decreasing residuals, each bracketed by [lo, hi].
+
+    ``residual(z, cols)`` returns the mean residual of columns ``cols`` at
+    points ``z`` and its slope in z.  Each step shrinks the brackets to the
+    evaluated points, then takes the Newton step where it lands strictly
+    inside and bisects otherwise.  A column is resolved once its residual is
+    within ``fp.rel_tolerance`` or its bracket has collapsed; columns still
+    open after ``fp.max_iters`` steps finish by bisection and are flagged.
+    Updates z, lo and hi in place; returns (z, fell_back).
+    """
+    fell_back = np.zeros(z.shape, dtype=bool)
+    cols = np.arange(z.size)
+    for it in range(fp.max_iters + 1 + _BISECT_STEPS):
+        lc, hc = lo[cols], hi[cols]
+        cols = cols[hc - lc > _WIDTH * np.maximum(np.abs(lc), np.abs(hc))]
+        if it == fp.max_iters + 1:
+            fell_back[cols] = True
+        if cols.size == 0:
+            break
+        zc = z[cols]
+        f, slope = residual(zc, cols)
+        lc = lo[cols] = np.where(f > 0, zc, lo[cols])
+        hc = hi[cols] = np.where(f < 0, zc, hi[cols])
+        step = 0.5 * (lc + hc)
+        if it < fp.max_iters:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = zc - f / slope
+            step = np.where((lc < newton) & (newton < hc), newton, step)
+        still_open = np.abs(f) > fp.rel_tolerance
+        cols = cols[still_open]
+        z[cols] = step[still_open]
+    return z, fell_back
 
 
 def locate_columns(x, s, rho, fp=DEFAULT_FP):
     """Column-wise location M-estimates of an (n, k) sample matrix.
 
     Returns (theta, fell_back) where theta[j] solves
-    sum_i psi((x[i,j] - theta)/s[j]) = 0 and fell_back[j] marks columns the
-    fixed-point iteration handed to bisection.
+    sum_i psi((x[i,j] - theta)/s[j]) = 0, found from the column median by
+    safeguarded Newton steps on [min x[:,j], max x[:,j]].  fell_back[j]
+    marks columns still unresolved after ``fp.max_iters`` steps.
     """
-    x = _check_columns(x)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D (n, k) array")
-    n, k = x.shape
-    s = np.broadcast_to(np.asarray(s, dtype=float), (k,)).copy()
+    x = _check_sample(x, 2)
+    s = np.broadcast_to(np.asarray(s, dtype=float), x.shape[1:])
     if np.any(s <= 0) or not np.all(np.isfinite(s)):
         raise ValueError("scale s must be positive and finite")
 
-    lo = x.min(axis=0)
-    hi = x.max(axis=0)
-    theta = np.median(x, axis=0)
-    tol = fp.rel_tolerance
+    def residual(theta, cols):
+        u = (x[:, cols] - theta) / s[cols]
+        return rho.psi(u).mean(axis=0), -rho.dpsi(u).mean(axis=0) / s[cols]
 
-    stalled = np.zeros(k, dtype=int)
-    best = np.full(k, np.inf)
-    active = np.ones(k, dtype=bool)
-    for _ in range(fp.max_iters):
-        resid = rho.psi((x - theta) / s).mean(axis=0)
-        a = np.abs(resid)
-        done = a <= tol
-        stalled = np.where(a >= best, stalled + 1, 0)
-        best = np.minimum(best, a)
-        active &= ~done & (stalled < _STALL_LIMIT)
-        if not active.any():
-            break
-        theta[active] = theta[active] + s[active] * resid[active]
-        # the update cannot leave the data range while psi' <= 1, but guard
-        # against rounding at the edges
-        np.clip(theta, lo, hi, out=theta)
-
-    resid = rho.psi((x - theta) / s).mean(axis=0)
-    fell_back = np.abs(resid) > tol
-    if fell_back.any():
-        idx = np.flatnonzero(fell_back)
-        theta[idx] = _bisect_locate(x[:, idx], s[idx], rho, lo[idx], hi[idx])
-    return theta, fell_back
-
-
-def _bisect_locate(x, s, rho, lo, hi):
-    """Bisection on the monotone root equation; psi increasing makes the
-    mean-psi residual strictly decreasing in theta."""
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r = rho.psi((x - mid) / s).mean(axis=0)
-        pos = r > 0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-        if np.all(hi - lo <= 1e-15 * np.maximum(1.0, np.abs(lo))):
-            break
-    return 0.5 * (lo + hi)
+    return _solve_columns(residual, np.median(x, axis=0), x.min(axis=0),
+                          x.max(axis=0), fp)
 
 
 def locate(data, s, rho, fp=DEFAULT_FP):
@@ -236,9 +243,7 @@ def locate(data, s, rho, fp=DEFAULT_FP):
     result always lies in [min(data), max(data)].  With the quadratic test
     kind this is exactly the sample mean.
     """
-    data = _check_columns(data)
-    if data.ndim != 1:
-        raise ValueError("expected a 1-D sample")
+    data = _check_sample(data, 1)
     theta, _ = locate_columns(data[:, None], np.asarray([s], dtype=float), rho, fp)
     return float(theta[0])
 
@@ -249,81 +254,38 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, sigma0=None):
     Returns (sigma, fell_back).  sigma[j] >= floor_j solves
     sum_i chi((x[i,j] - pivot_j)/sigma) = 0 when such a root exists; columns
     whose spread sits below the floor (including exactly constant columns,
-    where the chi sum is negative for every sigma) return the floor.
-    ``sigma0`` overrides the default starting point (the residual standard
-    deviation); the root is a global attractor, so any positive start
-    converges to the same value.
+    where the chi sum is negative for every sigma) return the floor.  The
+    root is found in log sigma on [log floor_j, log(2 max_i |r_ij|)] by the
+    safeguarded Newton steps of ``locate_columns``, and fell_back means the
+    same.  ``sigma0`` overrides the starting point (the mean absolute
+    residual); any positive start reaches the same root.
     """
-    x = _check_columns(x)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D (n, k) array")
-    n, k = x.shape
-    pivots = np.broadcast_to(np.asarray(pivots, dtype=float), (k,))
+    x = _check_sample(x, 2)
+    pivots = np.broadcast_to(np.asarray(pivots, dtype=float), x.shape[1:])
     if not np.all(np.isfinite(pivots)):
         raise ValueError("pivot must be finite")
+    if sigma0 is not None and not np.all(np.asarray(sigma0) > 0):
+        raise ValueError("sigma0 must be positive")
     r = x - pivots
+    a = np.abs(r)
     floor = fp.sigma_floor * (1.0 + np.abs(pivots))
-    tol = fp.rel_tolerance
-    c = chi.c
+    lo = np.log(floor)
+    with np.errstate(divide="ignore", over="ignore"):
+        # every chi term is negative once sigma > 2 max|r|
+        hi = np.maximum(np.log(2.0) + np.log(a.max(axis=0)), lo)
+        start = np.log(a.mean(axis=0) if sigma0 is None else sigma0)
+    # as sigma -> 0 the mean chi tends to (1 - c) minus the share of zero
+    # residuals; where that is <= 0 there is no root and the floor is returned
+    no_root = (r == 0.0).mean(axis=0) >= 1.0 - chi.c
+    hi[no_root] = lo[no_root]
 
-    if sigma0 is None:
-        sigma = np.maximum(r.std(axis=0), floor)
-    else:
-        sigma = np.maximum(np.broadcast_to(
-            np.asarray(sigma0, dtype=float), (k,)).copy(), floor)
-        if np.any(sigma <= 0):
-            raise ValueError("sigma0 must be positive")
-    degenerate = np.all(r == 0.0, axis=0)
-    sigma[degenerate] = floor[degenerate]
+    def residual(z, cols):
+        with np.errstate(over="ignore"):
+            u = r[:, cols] * np.exp(-z)
+        return chi.chi(u).mean(axis=0), -(u * chi.dchi(u)).mean(axis=0)
 
-    active = ~degenerate
-    floored = degenerate.copy()
-    for _ in range(fp.max_iters):
-        h = chi.chi(r / sigma).mean(axis=0)
-        done = np.abs(h) <= tol
-        # a column pinned at its floor that still wants to shrink has no root
-        at_floor = (sigma <= floor) & (h < 0)
-        floored |= at_floor
-        active &= ~done & ~at_floor
-        if not active.any():
-            break
-        upd = np.sqrt(np.maximum(1.0 + h[active] / c, 0.0))
-        sigma[active] = np.maximum(sigma[active] * upd, floor[active])
-
-    h = chi.chi(r / sigma).mean(axis=0)
-    unresolved = (np.abs(h) > tol) & ~floored
-    if unresolved.any():
-        idx = np.flatnonzero(unresolved)
-        sigma[idx], still_floored = _bisect_rescale(r[:, idx], chi, floor[idx], tol)
-        floored[idx] |= still_floored
-    fell_back = unresolved
-    return sigma, fell_back
-
-
-def _bisect_rescale(r, chi, floor, tol):
-    """Bracketing bisection for the dispersion root; the mean-chi statistic is
-    non-increasing in sigma."""
-    k = r.shape[1]
-    lo = floor.copy()
-    hi = np.maximum(np.abs(r).max(axis=0), floor) * 4.0
-    # expand until the statistic is negative at hi (it tends to -c < 0)
-    for _ in range(200):
-        h_hi = chi.chi(r / hi).mean(axis=0)
-        if np.all(h_hi <= 0):
-            break
-        hi = np.where(h_hi > 0, hi * 4.0, hi)
-    h_lo = chi.chi(r / lo).mean(axis=0)
-    no_root = h_lo < 0  # negative even at the floor: spread below floor
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        h = chi.chi(r / mid).mean(axis=0)
-        pos = h > 0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-        if np.all(hi - lo <= 1e-15 * hi):
-            break
-    sigma = np.where(no_root, floor, 0.5 * (lo + hi))
-    return sigma, no_root
+    z, fell_back = _solve_columns(residual, np.clip(start, lo, hi), lo, hi, fp)
+    return np.maximum(np.exp(z), floor), fell_back
 
 
 def rescale(data, pivot, chi, fp=DEFAULT_FP, sigma0=None):
@@ -332,9 +294,7 @@ def rescale(data, pivot, chi, fp=DEFAULT_FP, sigma0=None):
     The estimate is scale-equivariant (rescale(c*x, c*pivot) = c*rescale(x,
     pivot)) and equals the floor when the residuals carry no spread.
     """
-    data = _check_columns(data)
-    if data.ndim != 1:
-        raise ValueError("expected a 1-D sample")
+    data = _check_sample(data, 1)
     sigma, _ = rescale_columns(data[:, None], np.asarray([pivot], dtype=float),
                                chi, fp, sigma0=sigma0)
     return float(sigma[0])

@@ -12,12 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import loss_and_grad_rows
-from .robust_grad import (
-    column_scales,
-    robust_gradient,
-    robust_gradient_known_variance,
-    robust_gradient_subset,
-)
+from .robust_grad import column_scales, robust_gradient, robust_gradient_subset
 
 
 @dataclass
@@ -172,12 +167,12 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
     """Robust gradient descent: each step summarizes the per-row gradient
     matrix by coordinate-wise location estimates and descends on those.
 
-    Variant dispatch follows the config: coordinate subsets when
-    ``cfg.coordinate_subset_size`` is set (requires ``rng``), prior-variance
-    scaling when ``cfg.known_variance`` is set, the full estimator otherwise.
-    ``batch_size`` draws a random row subset per step (requires ``rng``);
-    ``cfg.scale_refresh_every`` re-estimates truncation scales only every k
-    steps.  Per-column solver fallbacks are tallied, never raised.
+    Coordinate subsets are robustified when ``cfg.coordinate_subset_size``
+    is set (requires ``rng``); otherwise every step estimates the column
+    scales (the dispersion root, or the prior variance when
+    ``cfg.known_variance`` is set) and locates every column.  ``batch_size``
+    draws a random row subset per step (requires ``rng``).  Per-column solver
+    fallbacks are tallied, never raised.
     """
     stop = stop or StoppingRule(max_iters=100)
     n = dataset.n
@@ -191,7 +186,6 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
     step_cost = n if batch_size is None else batch_size
 
     diag = {"locate_fallbacks": 0, "scale_fallbacks": 0}
-    cached_scale = {"s": None, "age": 0}
 
     def grad_fn(w, t):
         m = model.with_weights(w)
@@ -201,20 +195,12 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
         _, G = loss_and_grad_rows(m, ds)
         if cfg.coordinate_subset_size is not None:
             theta, info = robust_gradient_subset(G, cfg, rng, full_output=True)
-        elif cfg.known_variance is not None:
-            theta, info = robust_gradient_known_variance(G, cfg, full_output=True)
+            diag["scale_fallbacks"] += int(info["scale_fallback"].sum())
         else:
-            s = cached_scale["s"]
-            if s is None or cached_scale["age"] >= cfg.scale_refresh_every:
-                _, s, scale_fb = column_scales(G, cfg)
-                diag["scale_fallbacks"] += int(scale_fb.sum())
-                cached_scale["s"] = s
-                cached_scale["age"] = 0
-            cached_scale["age"] += 1
+            _, s, scale_fb = column_scales(G, cfg)
+            diag["scale_fallbacks"] += int(scale_fb.sum())
             theta, info = robust_gradient(G, cfg, scale=s, full_output=True)
         diag["locate_fallbacks"] += int(info["locate_fallback"].sum())
-        if "scale_fallback" in info and cfg.coordinate_subset_size is not None:
-            diag["scale_fallbacks"] += int(info["scale_fallback"].sum())
         return theta
 
     traj = _batch_descent(grad_fn, step_cost, state, constraint, stop, record_every)

@@ -17,9 +17,7 @@ from .mest import (
     FixedPointSettings,
     RhoFunction,
     confidence_scale,
-    locate,
     locate_columns,
-    rescale,
     rescale_columns,
 )
 
@@ -29,11 +27,11 @@ class RobustConfig:
     """Knobs of the robust gradient estimator.
 
     ``delta`` is the confidence parameter of the scale multiplier; ``C`` the
-    curvature constant of the influence-function envelope, used only by the
-    known-variance path.  ``coordinate_subset_size`` switches on the
+    curvature constant of the influence-function envelope, used only with
+    ``known_variance``.  ``coordinate_subset_size`` switches on the
     randomized partial robustification, ``known_variance`` the prior-variance
-    scaling.  ``scale_refresh_every`` lets descent loops reuse column scales
-    for k steps instead of re-estimating each iteration.
+    scaling sigma_j = sqrt(C * var_j) in place of the dispersion estimate.
+    ``fp`` controls the Newton/bisection root solves of both M-estimates.
     """
 
     rho: RhoFunction = field(default_factory=RhoFunction)
@@ -43,7 +41,6 @@ class RobustConfig:
     fp: FixedPointSettings = field(default_factory=FixedPointSettings)
     coordinate_subset_size: int | None = None
     known_variance: np.ndarray | None = None
-    scale_refresh_every: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
@@ -57,8 +54,6 @@ class RobustConfig:
             if kv.ndim != 1 or np.any(kv <= 0) or not np.all(np.isfinite(kv)):
                 raise ValueError("known_variance must be a 1-D positive vector")
             self.known_variance = kv
-        if self.scale_refresh_every < 1:
-            raise ValueError("scale_refresh_every must be >= 1")
 
 
 def _check_gradient_sample(D):
@@ -96,11 +91,12 @@ def column_scales(D, cfg):
 def robust_gradient(D, cfg, scale=None, full_output=False):
     """Coordinate-wise robust location estimate of the gradient sample rows.
 
-    ``scale`` may carry precomputed per-column truncation scales s (from
-    ``column_scales``) to skip the dispersion step.  With ``full_output`` a
+    The truncation scales come from ``column_scales``: the dispersion root,
+    or the prior variance when ``cfg.known_variance`` is set.  ``scale`` may
+    carry precomputed per-column scales s instead.  With ``full_output`` a
     diagnostics dict (sigma, s, per-column fallback flags) is returned too;
-    estimation never raises on a hard column, it falls back to bisection and
-    flags it.
+    estimation never raises on a hard column: a root still open after
+    ``cfg.fp.max_iters`` Newton steps is finished by bisection and flagged.
     """
     D = _check_gradient_sample(D)
     n, d = D.shape
@@ -138,24 +134,6 @@ def robust_gradient_subset(D, cfg, rng, full_output=False):
     theta[idx] = sub
     if full_output:
         info["subset"] = idx
-        return theta, info
-    return theta
-
-
-def robust_gradient_known_variance(D, cfg, full_output=False):
-    """Robust gradient with truncation scales from prior variance knowledge.
-
-    Uses sigma_j = sqrt(C * var_j) in place of the dispersion estimate; the
-    confidence multiplier is unchanged.
-    """
-    if cfg.known_variance is None:
-        raise ValueError("known_variance must be set in the config for this variant")
-    D = _check_gradient_sample(D)
-    sigma, s, _ = column_scales(D, cfg)
-    theta, loc_fb = locate_columns(D, s, cfg.rho, cfg.fp)
-    if full_output:
-        info = {"sigma": sigma, "s": s, "locate_fallback": loc_fb,
-                "scale_fallback": np.zeros(D.shape[1], dtype=bool)}
         return theta, info
     return theta
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from robustgd.datagen import gen_classification
 from robustgd.mest import (
     GEMAN_C,
     ChiFunction,
@@ -20,6 +21,7 @@ from robustgd.mest import (
     rescale,
     rescale_columns,
 )
+from robustgd.models import LogisticModel, loss_and_grad_rows
 
 from oracles import locate_oracle
 
@@ -30,6 +32,15 @@ ROBUST_KINDS = ("gudermannian", "log_cosh", "pseudo_huber")
 TIGHT = FixedPointSettings(max_iters=200, rel_tolerance=1e-13)
 
 samples = st.lists(st.floats(-100, 100), min_size=1, max_size=40).map(np.asarray)
+
+
+def logistic_minibatch_rows(seed=2):
+    """Per-row gradients of a 10-row mini-batch of 3-class logistic
+    regression on 20 features: a 10x40 matrix with many near-tied values."""
+    rng = np.random.default_rng(seed)
+    ds = gen_classification(10, 20, 3, rng, label_noise=0.05)
+    model = LogisticModel(3, 20, rng.normal(size=40), reg_strength=0.001)
+    return loss_and_grad_rows(model, ds)[1]
 
 
 class TestRhoFamily:
@@ -109,6 +120,13 @@ class TestChiFamily:
         assert chi_eval(1e9, CHI) == pytest.approx(1 - CHI.c, abs=1e-12)
         assert np.allclose(CHI.chi(u), CHI.chi(-u))
 
+    def test_dchi_is_derivative_of_chi(self):
+        u = np.array([-30.0, -2.0, -0.5, 0.0, 0.3, 1.0, 7.0])
+        h = 1e-6
+        fd = (CHI.chi(u + h) - CHI.chi(u - h)) / (2 * h)
+        assert np.allclose(CHI.dchi(u), fd, atol=1e-9)
+        assert CHI.dchi(1e200) == 0.0
+
     def test_centering_constant_from_integration(self):
         val, _ = integrate.quad(
             lambda x: x * x / (1 + x * x) * np.exp(-x * x / 2) / np.sqrt(2 * np.pi),
@@ -182,10 +200,22 @@ class TestLocate:
         assert not fb.any()
 
     def test_tiny_scale_converges_via_fallback(self):
-        # s far below the data spread stalls the fixed point; bisection takes over
-        x = np.array([-3.0, -1.0, 0.0, 2.0, 50.0])
-        got = locate(x, 0.01, GUD, FixedPointSettings(max_iters=5))
-        assert got == pytest.approx(locate_oracle(x, 0.01, GUD), abs=1e-8)
+        # s far below the data spread: the two points near the median are
+        # unsaturated, so one Newton step leaves the column open and
+        # bisection finishes it
+        x = np.array([-3.0, -1.0, 0.0, 0.004, 0.01, 2.0, 50.0])
+        theta, fb = locate_columns(x[:, None], 0.01, GUD,
+                                   FixedPointSettings(max_iters=1))
+        assert fb.tolist() == [True]
+        assert theta[0] == pytest.approx(locate_oracle(x, 0.01, GUD), abs=1e-8)
+
+    def test_default_settings_flag_nothing_on_minibatch_gradients(self):
+        G = logistic_minibatch_rows()
+        sigma, _ = rescale_columns(G, G.mean(axis=0), CHI)
+        s = confidence_scale(sigma, G.shape[0], 0.005)
+        theta, fb = locate_columns(G, s, GUD)
+        assert not fb.any()
+        assert np.all(np.abs(GUD.psi((G - theta) / s).mean(axis=0)) <= 1e-8)
 
 
 class TestRescale:
@@ -194,12 +224,26 @@ class TestRescale:
         got = rescale([7.0, 7.0, 7.0], 7.0, CHI, fp)
         assert got == pytest.approx(fp.sigma_floor * (1 + 7.0))
 
-    def test_scale_equivariance(self):
+    @pytest.mark.parametrize("factor", [2.0, 1e160])
+    def test_scale_equivariance(self, factor):
+        # at 1e160 the squared residuals overflow, so the solver must never
+        # form them
         rng = np.random.default_rng(6)
         x = rng.lognormal(0, 1, 60)
         piv = x.mean()
-        assert rescale(2 * x, 2 * piv, CHI) == pytest.approx(
-            2 * rescale(x, piv, CHI), rel=1e-7)
+        got = rescale(factor * x, factor * piv, CHI)
+        assert np.isfinite(got)
+        assert got == pytest.approx(factor * rescale(x, piv, CHI), rel=1e-7)
+
+    def test_overflowing_spread_stays_finite(self):
+        # squared residuals overflow at this scale; the estimate must still
+        # be finite, unflagged and equivariant
+        rng = np.random.default_rng(12)
+        X = rng.lognormal(0, 1.75, size=(100, 2))
+        piv = X.mean(axis=0)
+        sig, fb = rescale_columns(1e160 * X, 1e160 * piv, CHI)
+        assert np.all(np.isfinite(sig)) and not fb.any()
+        assert np.allclose(sig, 1e160 * rescale_columns(X, piv, CHI)[0], rtol=1e-7)
 
     def test_standard_normal_dispersion_is_one(self):
         rng = np.random.default_rng(7)
@@ -231,6 +275,21 @@ class TestRescale:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rescale([], 0.0, CHI)
+
+    def test_capped_column_falls_back(self):
+        x = np.array([-3.0, -1.0, 0.0, 0.004, 0.01, 2.0, 50.0])
+        fp = FixedPointSettings(max_iters=1)
+        sig, fb = rescale_columns(x[:, None], x.mean(), CHI, fp)
+        assert fb.tolist() == [True]
+        assert abs(CHI.chi((x - x.mean()) / sig[0]).mean()) <= fp.rel_tolerance
+        assert sig[0] == pytest.approx(rescale(x, x.mean(), CHI, TIGHT), rel=1e-7)
+
+    def test_default_settings_flag_nothing_on_minibatch_gradients(self):
+        G = logistic_minibatch_rows()
+        piv = G.mean(axis=0)
+        sig, fb = rescale_columns(G, piv, CHI)
+        assert not fb.any()
+        assert np.all(np.abs(CHI.chi((G - piv) / sig).mean(axis=0)) <= 1e-8)
 
     def test_columns_match_scalar(self):
         rng = np.random.default_rng(10)

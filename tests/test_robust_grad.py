@@ -8,7 +8,6 @@ from robustgd.robust_grad import (
     RobustConfig,
     column_scales,
     robust_gradient,
-    robust_gradient_known_variance,
     robust_gradient_subset,
     robust_risk,
 )
@@ -155,7 +154,7 @@ class TestKnownVarianceVariant:
         D = heavy_matrix()
         cfg = RobustConfig(rho=RhoFunction("quadratic_test_only"), delta=0.1,
                            fp=TIGHT, known_variance=D.var(axis=0))
-        assert np.allclose(robust_gradient_known_variance(D, cfg),
+        assert np.allclose(robust_gradient(D, cfg),
                            D.mean(axis=0), atol=1e-10)
 
     def test_zero_dispersion_column_returns_common_value(self):
@@ -164,7 +163,7 @@ class TestKnownVarianceVariant:
         D[:, 1] = -1.5
         cfg = RobustConfig(rho=RhoFunction("gudermannian"), delta=0.1, fp=TIGHT,
                            known_variance=np.array([4.0, 9.0]))
-        assert np.allclose(robust_gradient_known_variance(D, cfg),
+        assert np.allclose(robust_gradient(D, cfg),
                            [3.25, -1.5], atol=1e-12)
 
     def test_heavy_tailed_column_matches_oracle_with_prior_scale(self):
@@ -180,14 +179,10 @@ class TestKnownVarianceVariant:
         C = 2.0
         cfg = RobustConfig(rho=RhoFunction("gudermannian"), delta=0.1, C=C,
                            fp=TIGHT, known_variance=np.array([var]))
-        theta = robust_gradient_known_variance(col[:, None], cfg)[0]
+        theta = robust_gradient(col[:, None], cfg)[0]
         s = np.sqrt(C * var) * np.sqrt(40 / np.log(2 / 0.1))
         assert theta == pytest.approx(
             locate_oracle(col, s, RhoFunction("gudermannian")), abs=1e-8)
-
-    def test_missing_variance_rejected(self):
-        with pytest.raises(ValueError):
-            robust_gradient_known_variance(heavy_matrix(), GUD_CFG)
 
 
 class TestRobustRisk:
@@ -231,5 +226,3 @@ class TestColumnScales:
             RobustConfig(C=-1.0)
         with pytest.raises(ValueError):
             RobustConfig(known_variance=np.array([1.0, -2.0]))
-        with pytest.raises(ValueError):
-            RobustConfig(scale_refresh_every=0)
