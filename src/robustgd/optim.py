@@ -1,6 +1,6 @@
-"""First-order descent loops and robust aggregation baselines.
+"""First-order descent methods and robust aggregation baselines.
 
-All loops share the same contract: start from an initial state, apply
+Every method runs one loop: start from an initial state, apply
 projected steps w <- pi(w - alpha * g_hat) with a method-specific gradient
 estimate g_hat, and record the visited iterates together with a running
 count of per-row gradient evaluations.  A budget is never exceeded: a step
@@ -103,63 +103,48 @@ class Trajectory:
         return self.stop_reason == "diverged"
 
 
-class _Recorder:
-    def __init__(self, state, record_every):
-        self.every = max(1, int(record_every))
-        self.steps = [state.t]
-        self.iterates = [state.w.copy()]
-        self.evals = [state.grad_evals]
-
-    def record(self, t, w, evals, force=False):
-        if force or (t % self.every == 0):
-            if self.steps and self.steps[-1] == t:
-                return
-            self.steps.append(t)
-            self.iterates.append(np.array(w, dtype=float))
-            self.evals.append(evals)
-
-    def done(self, reason, alpha, diagnostics=None):
-        return Trajectory(
-            steps=np.asarray(self.steps, dtype=int),
-            iterates=np.asarray(self.iterates, dtype=float),
-            grad_evals=np.asarray(self.evals, dtype=int),
-            stop_reason=reason,
-            alpha=alpha,
-            diagnostics=diagnostics or {},
-        )
-
-
-def _project(w, constraint):
-    return w if constraint is None else constraint.project(w)
-
-
 def _batch_descent(grad_fn, step_cost, state, constraint, stop, record_every):
-    """Shared loop for methods whose step consumes ``step_cost`` evaluations.
+    """The descent loop every method runs.
 
-    ``grad_fn(w, t)`` returns the gradient estimate used for the update.
+    ``grad_fn(w, t)`` returns the gradient estimate for update ``t`` and
+    ``step_cost(t)`` the evaluations it consumes, known before the budget
+    check.  Iterates are recorded every ``record_every`` updates and once
+    more at the stop, whatever its reason.
     """
+    every = max(1, int(record_every))
     w = state.w.copy()
     t, evals = state.t, state.grad_evals
-    rec = _Recorder(state, record_every)
+    records = [(t, w, evals)]
     reason = "max_iters"
     while t - state.t < stop.max_iters:
-        if stop.budget is not None and evals + step_cost > stop.budget:
+        cost = step_cost(t)
+        if stop.budget is not None and evals + cost > stop.budget:
             reason = "budget"
             break
         g = grad_fn(w, t)
-        evals += step_cost
+        evals += cost
         if stop.grad_norm_tol > 0 and np.max(np.abs(g)) < stop.grad_norm_tol:
             reason = "grad_tol"
-            rec.record(t, w, evals, force=True)
             break
-        w = _project(w - state.alpha * g, constraint)
+        w = w - state.alpha * g
+        if constraint is not None:
+            w = constraint.project(w)
         t += 1
         if not np.all(np.isfinite(w)):
-            rec.record(t, w, evals, force=True)
-            return rec.done("diverged", state.alpha)
-        rec.record(t, w, evals)
-    rec.record(t, w, evals, force=True)
-    return rec.done(reason, state.alpha)
+            reason = "diverged"
+            break
+        if t % every == 0:
+            records.append((t, w, evals))
+    if records[-1][0] != t:
+        records.append((t, w, evals))
+    steps, iterates, spent = zip(*records)
+    return Trajectory(
+        steps=np.asarray(steps, dtype=int),
+        iterates=np.asarray(iterates, dtype=float),
+        grad_evals=np.asarray(spent, dtype=int),
+        stop_reason=reason,
+        alpha=state.alpha,
+    )
 
 
 def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
@@ -183,16 +168,18 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
             raise ValueError("mini-batch runs need an rng")
     if cfg.coordinate_subset_size is not None and rng is None:
         raise ValueError("coordinate subset runs need an rng")
-    step_cost = n if batch_size is None else batch_size
+    cost = n if batch_size is None else batch_size
 
     diag = {"locate_fallbacks": 0, "scale_fallbacks": 0}
 
     def grad_fn(w, t):
-        m = model.with_weights(w)
         ds = dataset
         if batch_size is not None:
             ds = dataset.subset(rng.choice(n, size=batch_size, replace=False))
-        _, G = loss_and_grad_rows(m, ds)
+        _, G = loss_and_grad_rows(model.with_weights(w), ds)
+        g_mean = G.mean(axis=0)
+        if not np.all(np.isfinite(g_mean)):
+            return g_mean  # the loop stops this run as "diverged"
         if cfg.coordinate_subset_size is not None:
             theta, info = robust_gradient_subset(G, cfg, rng, full_output=True)
             diag["scale_fallbacks"] += int(info["scale_fallback"].sum())
@@ -203,7 +190,8 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
         diag["locate_fallbacks"] += int(info["locate_fallback"].sum())
         return theta
 
-    traj = _batch_descent(grad_fn, step_cost, state, constraint, stop, record_every)
+    traj = _batch_descent(grad_fn, lambda t: cost, state, constraint, stop,
+                          record_every)
     traj.diagnostics.update(diag)
     return traj
 
@@ -216,14 +204,15 @@ def erm_gd_run(model, dataset, state, constraint=None, stop=None, record_every=1
         _, G = loss_and_grad_rows(model.with_weights(w), dataset)
         return G.mean(axis=0)
 
-    return _batch_descent(grad_fn, dataset.n, state, constraint, stop, record_every)
+    return _batch_descent(grad_fn, lambda t: dataset.n, state, constraint, stop,
+                          record_every)
 
 
 def oracle_gd_run(grad, state, constraint=None, stop=None, record_every=1):
     """Descent on an exact gradient map ``grad(w)``; consumes no evaluations."""
     stop = stop or StoppingRule(max_iters=100)
-    return _batch_descent(lambda w, t: grad(w), 0, state, constraint, stop,
-                          record_every)
+    return _batch_descent(lambda w, t: grad(w), lambda t: 0, state, constraint,
+                          stop, record_every)
 
 
 def sgd_run(model, dataset, state, stop, rng, constraint=None, batch_size=1,
@@ -236,8 +225,8 @@ def sgd_run(model, dataset, state, stop, rng, constraint=None, batch_size=1,
         _, G = loss_and_grad_rows(model.with_weights(w), dataset.subset(idx))
         return G.mean(axis=0)
 
-    return _batch_descent(grad_fn, batch_size, state, constraint, stop,
-                          record_every)
+    return _batch_descent(grad_fn, lambda t: batch_size, state, constraint,
+                          stop, record_every)
 
 
 def svrg_run(model, dataset, state, stop, rng, constraint=None,
@@ -245,51 +234,29 @@ def svrg_run(model, dataset, state, stop, rng, constraint=None,
     """Variance-reduced stochastic descent: full-gradient snapshots (n
     evaluations each) anchor inner loops of single-sample corrected steps
     (1 evaluation each), repeated until the budget or iteration cap.
+
+    A snapshot is charged together with the first inner step it anchors,
+    so the budget never pays for a snapshot that no step uses.
     """
     n = dataset.n
-    inner_len = n // 2 if inner_steps is None else int(inner_steps)
-    inner_len = max(1, inner_len)
-    w = state.w.copy()
-    t, evals = state.t, state.grad_evals
-    rec = _Recorder(state, record_every)
-    reason = "max_iters"
-    running = True
-    while running:
-        if t - state.t >= stop.max_iters:
-            break
-        if stop.budget is not None and evals + n > stop.budget:
-            reason = "budget"
-            break
-        m_snap = model.with_weights(w.copy())
-        _, G = loss_and_grad_rows(m_snap, dataset)
-        g_snap = G.mean(axis=0)
-        evals += n
-        for _ in range(inner_len):
-            if t - state.t >= stop.max_iters:
-                running = False
-                break
-            if stop.budget is not None and evals + 1 > stop.budget:
-                reason = "budget"
-                running = False
-                break
-            i = int(rng.integers(n))
-            row = dataset.subset([i])
-            _, gi = loss_and_grad_rows(model.with_weights(w), row)
-            _, gi_snap = loss_and_grad_rows(m_snap, row)
-            g = gi[0] - gi_snap[0] + g_snap
-            evals += 1
-            if stop.grad_norm_tol > 0 and np.max(np.abs(g)) < stop.grad_norm_tol:
-                reason = "grad_tol"
-                running = False
-                break
-            w = _project(w - state.alpha * g, constraint)
-            t += 1
-            if not np.all(np.isfinite(w)):
-                rec.record(t, w, evals, force=True)
-                return rec.done("diverged", state.alpha)
-            rec.record(t, w, evals)
-    rec.record(t, w, evals, force=True)
-    return rec.done(reason, state.alpha)
+    inner_len = max(1, n // 2 if inner_steps is None else int(inner_steps))
+    snap = {}
+
+    def epoch_start(t):
+        return (t - state.t) % inner_len == 0
+
+    def grad_fn(w, t):
+        if epoch_start(t):
+            snap["model"] = model.with_weights(w.copy())
+            _, G = loss_and_grad_rows(snap["model"], dataset)
+            snap["grad"] = G.mean(axis=0)
+        row = dataset.subset([int(rng.integers(n))])
+        _, gi = loss_and_grad_rows(model.with_weights(w), row)
+        _, gi_snap = loss_and_grad_rows(snap["model"], row)
+        return gi[0] - gi_snap[0] + snap["grad"]
+
+    return _batch_descent(grad_fn, lambda t: n + 1 if epoch_start(t) else 1,
+                          state, constraint, stop, record_every)
 
 
 def geometric_median(points, tol=1e-10, max_iters=1000):
@@ -368,4 +335,5 @@ def median_of_means_gd_run(model, dataset, partitions, state, constraint=None,
         means = np.stack([G[lo:hi].mean(axis=0) for lo, hi in bounds])
         return geometric_median(means, tol=median_tol)
 
-    return _batch_descent(grad_fn, n, state, constraint, stop, record_every)
+    return _batch_descent(grad_fn, lambda t: n, state, constraint, stop,
+                          record_every)

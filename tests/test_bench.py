@@ -102,10 +102,13 @@ class TestRunExperiment:
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergent_trial_recorded_not_raised(self):
-        res = run_experiment(small_cfg(methods=("erm",), alpha=1e8, trials=2,
-                                       iters=60))
-        assert res.n_aborted == 2
+        # at this step size rgd's gradient rows overflow before its iterate
+        # does; that must end as "diverged", not as an error for the trial
+        res = run_experiment(small_cfg(methods=("erm", "rgd"), alpha=1e6,
+                                       trials=2, iters=60))
+        assert res.n_aborted == 4
         assert res.rows() == []
+        assert all(t.note == "diverged" for t in res.trials if t.aborted)
 
     def test_oracle_dominates_estimated_methods(self):
         cfg = small_cfg(task="quadratic_poc", methods=("oracle", "erm", "rgd"),

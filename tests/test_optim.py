@@ -75,11 +75,17 @@ class TestRgdRun:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
-    def test_divergence_flagged(self):
+    @pytest.mark.parametrize("run", [
+        erm_gd_run,
+        lambda model, ds, state, stop: rgd_run(model, ds, RobustConfig(fp=TIGHT),
+                                               state, stop=stop),
+    ], ids=["erm_gd_run", "rgd_run"])
+    def test_divergence_flagged(self, run):
         ds, w_star, rng = regression_problem(seed=7)
         w0 = w_star + 1.0
-        traj = erm_gd_run(LinearModel(w0), ds, OptimState(w0.copy(), 1e6),
-                          stop=StoppingRule(max_iters=200))
+        # at this step size rgd's gradient rows overflow before its iterate does
+        traj = run(LinearModel(w0), ds, OptimState(w0.copy(), 1e3),
+                   stop=StoppingRule(max_iters=200))
         assert traj.stop_reason == "diverged"
 
     def test_grad_tol_stops_early(self):
@@ -138,19 +144,21 @@ class TestStochasticLoops:
                            stop=StoppingRule(max_iters=5))
         assert np.allclose(t_sgd.iterates, t_erm.iterates, atol=1e-14)
 
-    def test_svrg_correction_at_snapshot_equals_full_gradient(self):
-        # algebraic identity: at w == w_snapshot the corrected estimate is
-        # exactly the snapshot gradient whichever row is drawn
-        ds, w_star, rng = regression_problem(seed=6)
-        w = w_star + 0.3
-        model = LinearModel(w)
-        _, G = loss_and_grad_rows(model, ds)
-        g_full = G.mean(axis=0)
-        for i in (0, 5, 59):
-            row = ds.subset([i])
-            _, gi = loss_and_grad_rows(model, row)
-            corrected = gi[0] - gi[0] + g_full
-            assert np.allclose(corrected, g_full, atol=0)
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    def test_svrg_one_step_epochs_equal_erm(self, n):
+        # with one inner step per epoch every step sits at its snapshot, so
+        # the corrected estimate is exactly the full gradient whichever row
+        # is drawn; each step pays for its snapshot and its row
+        ds, w_star, rng = regression_problem(n=n, seed=6)
+        w0 = w_star + 0.3
+        steps = 9
+        t_svrg = svrg_run(LinearModel(w0), ds, OptimState(w0.copy(), 0.05),
+                          StoppingRule(max_iters=steps), np.random.default_rng(0),
+                          inner_steps=1)
+        t_erm = erm_gd_run(LinearModel(w0), ds, OptimState(w0.copy(), 0.05),
+                           stop=StoppingRule(max_iters=steps))
+        assert np.array_equal(t_svrg.iterates, t_erm.iterates)
+        assert t_svrg.grad_evals[-1] == steps * (n + 1)
 
     def test_svrg_budget_accounting(self):
         ds, w_star, rng = regression_problem(n=40, seed=10)
@@ -162,6 +170,20 @@ class TestStochasticLoops:
         assert traj.grad_evals[-1] <= budget
         # snapshot (n) + inner (n/2) per cycle: 40 + 20 = 60 per cycle
         assert traj.grad_evals[-1] == budget - budget % 60
+        assert traj.stop_reason == "budget"
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_svrg_stops_before_a_snapshot_it_cannot_use(self, record_every):
+        # room for the next snapshot but not for the inner step it anchors:
+        # the snapshot is not taken, whether or not the last step was recorded
+        n, k = 40, 3
+        ds, w_star, rng = regression_problem(n=n, seed=10)
+        w0 = w_star + 0.5
+        traj = svrg_run(LinearModel(w0), ds, OptimState(w0.copy(), 0.05),
+                        StoppingRule(max_iters=10 ** 9,
+                                     budget=k * (n + n // 2) + n),
+                        np.random.default_rng(1), record_every=record_every)
+        assert traj.grad_evals[-1] == k * (n + n // 2)
         assert traj.stop_reason == "budget"
 
     def test_sgd_budget_exact(self):
