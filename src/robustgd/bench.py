@@ -4,8 +4,10 @@ benchmark protocols as declarative configurations.
 Every trial k draws its own dataset and starting point from seed
 ``cfg.seed + k`` (datasets and initial points are shared by all methods
 within the trial; method-internal randomness uses a method-tagged derived
-seed).  Results come back as long-format rows (experiment, method, trial,
-step, metric, value) plus mean/variance aggregates over completed trials.
+seed).  A method that raises or diverges is aborted on its own, with a note;
+the trial's other methods keep their results.  Results come back as
+long-format rows (experiment, method, trial, step, metric, value) plus
+mean/variance aggregates over completed trials.
 """
 
 from dataclasses import dataclass, field, replace
@@ -49,6 +51,12 @@ TASKS = (
 )
 
 TRACE_METRICS = ("excess_risk", "excess_empirical_risk", "param_distance")
+
+# method kinds each task's trial setup can run
+_REGRESSION_KINDS = ("oracle", "erm", "rgd", "rgd_mb", "rgd_sub", "mom", "sgd", "svrg")
+_TASK_KINDS = {task: _REGRESSION_KINDS for task in TASKS}
+_TASK_KINDS["regression_grid"] = ("ols",) + _REGRESSION_KINDS
+_TASK_KINDS["classification_budget"] = ("erm", "rgd", "rgd_mb", "rgd_sub", "sgd", "svrg")
 
 # stable codes for method-tagged rng derivation
 _METHOD_CODES = {"oracle": 0, "erm": 1, "rgd": 2, "mom": 3, "sgd": 4,
@@ -127,7 +135,8 @@ class ExperimentConfig:
         if not self.methods:
             self.methods = _default_methods(self.task)
         for m in self.methods:
-            _parse_method(m)
+            if _parse_method(m)[0] not in _TASK_KINDS[self.task]:
+                raise ValueError(f"method {m!r} not available on task {self.task!r}")
         if self.grad_norm_tol is None:
             self.grad_norm_tol = 1e-3 if self.task == "regression_grid" else 0.0
         if self.trial_seeds is not None and len(self.trial_seeds) != self.trials:
@@ -235,15 +244,6 @@ class ExperimentResult:
             out[key] = {"mean": float(arr.mean()), "var": var, "count": arr.size}
         return out
 
-    def mean_trace(self, method, metric, condition=""):
-        """Across-trial mean of a metric trace, ordered by step."""
-        agg = self.aggregate()
-        steps = sorted({k[2] for k in agg
-                        if k[0] == method and k[1] == condition and k[3] == metric
-                        and k[2] != "terminal"})
-        return steps, np.array([agg[(method, condition, s, metric)]["mean"]
-                                for s in steps])
-
 
 def excess_rmse(w_hat, w_star, test):
     """Root-mean-square test error of w_hat minus that of the target w*."""
@@ -279,27 +279,20 @@ def _regression_traces(traj, ds, risk, w_star, rhat_star):
                    "param_distance": dist}
 
 
-def _run_regression_method(name, cfg, ds, risk, w0, stop, trial_seed,
-                           record_every=1):
+def _run_method(name, cfg, model, ds, w0, stop, trial_seed, record_every,
+                risk=None):
+    """Run one method from w0 on the trial's data; ``risk`` gives the oracle
+    its exact gradient.  ``ols`` needs no descent and returns None."""
     kind, param = _parse_method(name)
+    if kind == "ols":
+        return None
     state = OptimState(w0.copy(), cfg.alpha)
-    model = LinearModel(w0.copy())
     rng = _method_rng(trial_seed, kind, param)
     if kind == "oracle":
         return oracle_gd_run(risk.exact_gradient, state, stop=stop,
                              record_every=record_every)
     if kind == "erm":
         return erm_gd_run(model, ds, state, stop=stop, record_every=record_every)
-    if kind == "rgd":
-        return rgd_run(model, ds, cfg.robust_config(), state, stop=stop,
-                       record_every=record_every)
-    if kind == "rgd_mb":
-        return rgd_run(model, ds, cfg.robust_config(), state, stop=stop, rng=rng,
-                       batch_size=param, record_every=record_every)
-    if kind == "rgd_sub":
-        rc = replace(cfg.robust_config(), coordinate_subset_size=min(param, len(w0)))
-        return rgd_run(model, ds, rc, state, stop=stop, rng=rng,
-                       record_every=record_every)
     if kind == "mom":
         return median_of_means_gd_run(model, ds, default_partition_count(ds.n, len(w0)),
                                       state, stop=stop, record_every=record_every)
@@ -307,114 +300,77 @@ def _run_regression_method(name, cfg, ds, risk, w0, stop, trial_seed,
         return sgd_run(model, ds, state, stop, rng, record_every=record_every)
     if kind == "svrg":
         return svrg_run(model, ds, state, stop, rng, record_every=record_every)
-    raise ValueError(f"method {name!r} not available on regression tasks")
+    if kind == "rgd":
+        return rgd_run(model, ds, cfg.robust_config(), state, stop=stop,
+                       record_every=record_every)
+    if kind == "rgd_mb":
+        return rgd_run(model, ds, cfg.robust_config(), state, stop=stop, rng=rng,
+                       batch_size=param, record_every=record_every)
+    rc = replace(cfg.robust_config(), coordinate_subset_size=min(param, len(w0)))
+    return rgd_run(model, ds, rc, state, stop=stop, rng=rng,
+                   record_every=record_every)
 
 
-def _regression_trial(cfg, condition, overrides, trial):
-    """One seeded trial of a quadratic-risk task; all methods share the
-    dataset and the starting point."""
-    n = overrides.get("n", cfg.n)
+@dataclass
+class _TrialSetup:
+    """What every method of one trial shares, and how the task scores a
+    method: ``record_every(name)`` is its record cadence and ``score(traj)``
+    gives (steps, metrics, terminal) of its trajectory (None for ``ols``)."""
+
+    model: object
+    ds: object
+    w0: np.ndarray
+    stop: StoppingRule
+    record_every: callable
+    score: callable
+    risk: SyntheticRisk | None = None
+
+
+def _regression_setup(cfg, overrides, trial_seed):
+    """A quadratic-risk trial.  Trace tasks start every method from a drawn
+    initial point and score each recorded iterate; the grid draws a held-out
+    test set, starts from the least-squares fit and scores the final one."""
     d = overrides.get("d", cfg.d)
     noise = overrides.get("noise", cfg.noise)
-    init_delta = overrides.get("init_delta", cfg.init_delta)
-    trial_seed = _trial_seed(cfg, trial)
+    grid = cfg.task == "regression_grid"
     data_rng, init_rng = _trial_rngs(trial_seed)
 
     w_star = gen_w_star(d, data_rng)
-    ds, _ = gen_regression(n, d, noise, data_rng, w_star=w_star)
-    sd = noise_sd(noise)
-    risk = SyntheticRisk(w_star, noise_second_moment=sd * sd if np.isfinite(sd) else np.nan)
-    w0 = datagen.initial_point(w_star, init_delta, init_rng)
-    w_ols = _ols_weights(ds)
-    rhat_star = empirical_risk(LinearModel(w_ols), ds)
-    stop = StoppingRule(max_iters=cfg.iters, grad_norm_tol=cfg.grad_norm_tol)
-
-    results = []
-    for name in cfg.methods:
-        traj = _run_regression_method(name, cfg, ds, risk, w0, stop, trial_seed)
-        steps, metrics = _regression_traces(traj, ds, risk, w_star, rhat_star)
-        results.append(TrialResult(name, condition, trial, steps, metrics,
-                                   aborted=traj.diverged,
-                                   note=traj.stop_reason if traj.diverged else ""))
-    return results
-
-
-def _grid_trial(cfg, condition, overrides, trial):
-    """Terminal-metric trial of the regression grid: held-out excess RMSE."""
-    n = overrides["n"]
-    d = overrides["d"]
-    noise = overrides["noise"]
-    trial_seed = _trial_seed(cfg, trial)
-    data_rng, init_rng = _trial_rngs(trial_seed)
-
-    w_star = gen_w_star(d, data_rng)
-    train, _ = gen_regression(n, d, noise, data_rng, w_star=w_star)
-    test, _ = gen_regression(cfg.test_size, d, noise, data_rng, w_star=w_star)
+    train, _ = gen_regression(overrides.get("n", cfg.n), d, noise, data_rng,
+                              w_star=w_star)
+    if grid:
+        test, _ = gen_regression(cfg.test_size, d, noise, data_rng, w_star=w_star)
     sd = noise_sd(noise)
     risk = SyntheticRisk(w_star, noise_second_moment=sd * sd if np.isfinite(sd) else np.nan)
     w_ols = _ols_weights(train)
     rhat_star = empirical_risk(LinearModel(w_ols), train)
     stop = StoppingRule(max_iters=cfg.iters, grad_norm_tol=cfg.grad_norm_tol)
 
-    results = []
-    for name in cfg.methods:
-        kind, _ = _parse_method(name)
-        if kind == "ols":
-            w_hat = w_ols
-        else:
-            # descent methods start from the least-squares solution
-            traj = _run_regression_method(name, cfg, train, risk, w_ols, stop,
-                                          trial_seed, record_every=max(1, cfg.iters))
-            w_hat = traj.final_w
-        terminal = {
-            "excess_rmse": excess_rmse(w_hat, w_star, test),
-            "excess_risk": risk.exact_excess_risk(w_hat),
-            "param_distance": float(np.linalg.norm(w_hat - w_star)),
-        }
-        results.append(TrialResult(name, condition, trial, [], {}, terminal))
-    return results
+    if grid:
+        def score(traj):
+            w_hat = w_ols if traj is None else traj.final_w
+            return [], {}, {
+                "excess_rmse": excess_rmse(w_hat, w_star, test),
+                "excess_risk": risk.exact_excess_risk(w_hat),
+                "param_distance": float(np.linalg.norm(w_hat - w_star)),
+            }
+
+        return _TrialSetup(LinearModel(w_ols.copy()), train, w_ols, stop,
+                           lambda name: max(1, cfg.iters), score, risk)
+
+    w0 = datagen.initial_point(w_star, overrides.get("init_delta", cfg.init_delta),
+                               init_rng)
+
+    def score(traj):
+        return *_regression_traces(traj, train, risk, w_star, rhat_star), {}
+
+    return _TrialSetup(LinearModel(w0.copy()), train, w0, stop, lambda name: 1,
+                       score, risk)
 
 
-def _run_classification_method(name, cfg, train, w0, stop, trial_seed,
-                               budget):
-    kind, param = _parse_method(name)
-    d = (cfg.classes - 1) * cfg.features
-    model = LogisticModel(cfg.classes, cfg.features, w0.copy(),
-                          reg_strength=cfg.reg_strength)
-    state = OptimState(w0.copy(), cfg.alpha)
-    rng = _method_rng(trial_seed, kind, param)
-    n = train.n
-
-    def cadence(expected_steps):
-        # ~40 recorded checkpoints over the whole budget
-        return max(1, expected_steps // 40)
-
-    if kind == "sgd":
-        return sgd_run(model, train, state, stop, rng,
-                       record_every=cadence(budget))
-    if kind == "svrg":
-        # one update per inner step, budget/3 updates at snapshot cost n
-        return svrg_run(model, train, state, stop, rng,
-                        record_every=cadence(budget // 3))
-    if kind == "rgd_mb":
-        return rgd_run(model, train, cfg.robust_config(), state, stop=stop,
-                       rng=rng, batch_size=param,
-                       record_every=cadence(budget // param))
-    if kind == "rgd_sub":
-        rc = replace(cfg.robust_config(), coordinate_subset_size=min(param, d))
-        return rgd_run(model, train, rc, state, stop=stop, rng=rng,
-                       record_every=cadence(budget // n))
-    if kind == "rgd":
-        return rgd_run(model, train, cfg.robust_config(), state, stop=stop,
-                       record_every=cadence(budget // n))
-    if kind == "erm":
-        return erm_gd_run(model, train, state, stop=stop,
-                          record_every=cadence(budget // n))
-    raise ValueError(f"method {name!r} not available on the classification task")
-
-
-def _classification_trial(cfg, condition, overrides, trial):
-    trial_seed = _trial_seed(cfg, trial)
+def _classification_setup(cfg, overrides, trial_seed):
+    """A budgeted classification trial, scored by test misclassification at
+    every recorded iterate against the all-zero model's rate."""
     data_rng, init_rng = _trial_rngs(trial_seed)
     train = gen_classification(cfg.n, cfg.features, cfg.classes, data_rng,
                                separation=cfg.separation,
@@ -424,28 +380,30 @@ def _classification_trial(cfg, condition, overrides, trial):
                               label_noise=cfg.label_noise)
     d = (cfg.classes - 1) * cfg.features
     w0 = init_rng.uniform(-cfg.init_scale, cfg.init_scale, size=d)
+    model = LogisticModel(cfg.classes, cfg.features, w0.copy(),
+                          reg_strength=cfg.reg_strength)
     budget = cfg.budget_factor * cfg.n
     stop = StoppingRule(max_iters=10 ** 9, budget=budget)
     baseline = misclassification_rate(
         LogisticModel(cfg.classes, cfg.features, np.zeros(d)), test)
 
-    results = []
-    for name in cfg.methods:
-        traj = _run_classification_method(name, cfg, train, w0, stop,
-                                          trial_seed, budget)
-        model = LogisticModel(cfg.classes, cfg.features, w0,
-                              reg_strength=cfg.reg_strength)
+    def record_every(name):
+        # ~40 recorded checkpoints over the updates the budget pays for; an
+        # svrg update costs 3 evaluations on average (snapshot included)
+        kind, param = _parse_method(name)
+        per_update = {"sgd": 1, "svrg": 3, "rgd_mb": param}.get(kind, train.n)
+        return max(1, budget // per_update // 40)
+
+    def score(traj):
         rates = np.array([misclassification_rate(model.with_weights(w), test)
                           for w in traj.iterates[1:]])
-        steps = [int(e) for e in traj.grad_evals[1:]]
-        results.append(TrialResult(
-            name, condition, trial, steps, {"misclassification": rates},
-            terminal={
-                "misclassification": float(rates[-1]) if rates.size else baseline,
-                "budget_spent": float(traj.grad_evals[-1]),
-                "baseline_misclassification": baseline,
-            }))
-    return results
+        return [int(e) for e in traj.grad_evals[1:]], {"misclassification": rates}, {
+            "misclassification": float(rates[-1]) if rates.size else baseline,
+            "budget_spent": float(traj.grad_evals[-1]),
+            "baseline_misclassification": baseline,
+        }
+
+    return _TrialSetup(model, train, w0, stop, record_every, score)
 
 
 def _conditions(cfg):
@@ -474,21 +432,35 @@ def _conditions(cfg):
 
 
 def _trial_worker(cfg, condition, overrides, trial):
-    try:
-        if cfg.task == "classification_budget":
-            return _classification_trial(cfg, condition, overrides, trial)
-        if cfg.task == "regression_grid":
-            return _grid_trial(cfg, condition, overrides, trial)
-        return _regression_trial(cfg, condition, overrides, trial)
-    except Exception as exc:  # a broken trial must not sink the run
-        return [TrialResult(m, condition, trial, [], {}, aborted=True,
-                            note=f"{type(exc).__name__}: {exc}")
-                for m in cfg.methods]
+    """Every method of one seeded trial, on shared data.  A method that
+    raises or diverges is aborted with its own note and the others keep
+    their results.  A failed setup is retried, and fails again, for each
+    method, so every method aborts with its note."""
+    trial_seed = _trial_seed(cfg, trial)
+    make_setup = (_classification_setup if cfg.task == "classification_budget"
+                  else _regression_setup)
+    setup = None
+    results = []
+    for name in cfg.methods:
+        try:
+            setup = setup or make_setup(cfg, overrides, trial_seed)
+            traj = _run_method(name, cfg, setup.model, setup.ds, setup.w0, setup.stop,
+                               trial_seed, setup.record_every(name), setup.risk)
+            if traj is not None and traj.diverged:
+                note = traj.stop_reason
+            else:
+                results.append(TrialResult(name, condition, trial, *setup.score(traj)))
+                continue
+        except Exception as exc:  # one method's failure must not sink the others
+            note = f"{type(exc).__name__}: {exc}"
+        results.append(TrialResult(name, condition, trial, [], {}, aborted=True,
+                                   note=note))
+    return results
 
 
 def run_experiment(cfg, parallelism=1):
-    """Run all conditions x trials of the experiment; aborted trials are
-    recorded and excluded from aggregation."""
+    """Run all conditions x trials of the experiment; aborted (trial,
+    method) cells are recorded and excluded from aggregation."""
     cells = [(cond, ov, k) for cond, ov in _conditions(cfg)
              for k in range(cfg.trials)]
     trials = []

@@ -175,6 +175,11 @@ def cmd_run(args):
     if result is not None:
         lines.append(f"aborted_trials = {result.n_aborted}")
         lines.append(f"completed_trials = {len(result.completed())}")
+        for tr in result.trials:
+            if tr.aborted:
+                cond = f"{tr.condition}." if tr.condition else ""
+                lines.append(f"abort.{cond}{tr.trial}.{tr.method} = "
+                             f"{' '.join(tr.note.split())}")
     (run_dir / "manifest.echo").write_text("\n".join(lines) + "\n",
                                            encoding="utf-8")
     print(run_dir)

@@ -1,11 +1,15 @@
 """Experiment harness: trial orchestration, aggregation, metrics, coverage
 checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from robustgd import bench
 from robustgd.bench import (
     DISTRIBUTION_SETTINGS,
+    TASKS,
     ExperimentConfig,
     KnownSampler,
     concentration_check,
@@ -52,6 +56,79 @@ class TestConfig:
     def test_grid_tolerance_default(self):
         assert ExperimentConfig(task="regression_grid", trials=1).grad_norm_tol == 1e-3
         assert small_cfg().grad_norm_tol == 0.0
+
+    @pytest.mark.parametrize("task, method", [
+        ("classification_budget", "mom"), ("classification_budget", "oracle"),
+        ("classification_budget", "ols"), ("quadratic_poc", "ols"),
+        ("d_sweep", "ols")])
+    def test_method_not_available_on_task_rejected(self, task, method):
+        msg = f"method '{method}' not available on task '{task}'"
+        with pytest.raises(ValueError, match=msg):
+            ExperimentConfig(task=task, trials=1, methods=("erm", method))
+        # method overrides are applied with dataclasses.replace
+        with pytest.raises(ValueError, match=msg):
+            replace(ExperimentConfig(task=task, trials=1), methods=(method,))
+
+
+def _kind_method(kind):
+    return {"rgd_mb": "rgd_mb5", "rgd_sub": "rgd_sub1"}.get(kind, kind)
+
+
+# tiny settings per task, one condition each
+_TINY = {
+    "quadratic_poc": {}, "distribution_sweep": {}, "init_sweep": {"init_deltas": (2.5,)},
+    "n_sweep": {"n_values": (20,)}, "d_sweep": {"d_values": (2,)},
+    "regression_grid": {"families": ("normal",), "grid_n": (20,), "grid_d": (2,),
+                        "test_size": 20},
+    "classification_budget": {"features": 3, "budget_factor": 3, "test_size": 30},
+}
+
+
+class TestMethodOutcomes:
+    @pytest.mark.parametrize("task, kind", [(task, kind) for task in TASKS
+                                            for kind in bench._TASK_KINDS[task]])
+    def test_every_accepted_method_completes(self, task, kind):
+        method = _kind_method(kind)
+        cfg = ExperimentConfig(task=task, methods=(method,), n=20, d=2, iters=3,
+                               trials=1, seed=2, **_TINY[task])
+        res = run_experiment(cfg)
+        assert res.n_aborted == 0, [t.note for t in res.trials]
+        assert {r[1] for r in res.rows()} == {method}
+
+    def test_raising_method_aborts_alone(self, monkeypatch):
+        cfg = small_cfg(methods=("erm", "rgd", "mom"))
+        without_mom = run_experiment(replace(cfg, methods=("erm", "rgd"))).rows()
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr(bench, "median_of_means_gd_run", broken)
+        res = run_experiment(cfg)
+        assert [(t.method, t.note) for t in res.trials if t.aborted] == [
+            ("mom", "RuntimeError: solver exploded")] * 2
+        assert res.rows() == without_mom
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_grid_divergence_aborts_the_method(self):
+        cfg = ExperimentConfig(task="regression_grid", families=("normal",),
+                               grid_n=(25,), grid_d=(3,), alpha=1e3, iters=60,
+                               methods=("ols", "erm", "rgd", "mom"), trials=1)
+        res = run_experiment(cfg)
+        assert [(t.method, t.note) for t in res.trials if t.aborted] == [
+            ("mom", "diverged")]
+        assert {r[1] for r in res.rows()} == {"ols", "erm", "rgd"}
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_classification_divergence_aborts_the_method(self):
+        cfg = ExperimentConfig(task="classification_budget", n=200, features=5,
+                               classes=3, trials=1, test_size=300, budget_factor=5,
+                               alpha=1e4, methods=("sgd", "rgd_mb10"), seed=3)
+        res = run_experiment(cfg)
+        assert [(t.method, t.note) for t in res.trials if t.aborted] == [
+            ("sgd", "diverged")]
+        assert {r[1] for r in res.rows()} == {"rgd_mb10"}
 
 
 class TestRunExperiment:

@@ -93,6 +93,49 @@ class TestRun:
         assert rc == 2
         assert "sorcery" in capsys.readouterr().err
 
+    def test_method_unavailable_on_task_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[experiment]\ntask = classification_budget\n"
+                                     "trials = 1\nn = 30\nfeatures = 3\n")
+        out = tmp_path / "o"
+        rc = main(["run", "--config", str(cfg), "--out", str(out),
+                   "--methods", "sgd,mom"])
+        assert rc == 2
+        assert ("config error: method 'mom' not available on task "
+                "'classification_budget'") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_abort_notes_in_manifest(self, tmp_path):
+        text = MINIMAL_CONFIG.replace("trials = 2", "trials = 2\nalpha = 1e6")
+        text = text.replace("iters = 5", "iters = 60").replace("seed = 5", "seed = 11")
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        run_dir = tmp_path / "o" / "run-001"
+        manifest = dict(line.partition(" = ")[::2] for line in
+                        (run_dir / "manifest.echo").read_text().splitlines()
+                        if " = " in line)
+        assert manifest["status"] == "ok"
+        assert manifest["aborted_trials"] == "4"
+        assert manifest["completed_trials"] == "0"
+        aborts = {k: v for k, v in manifest.items() if k.startswith("abort.")}
+        assert aborts == {f"abort.{k}.{m}": "diverged"
+                          for k in (0, 1) for m in ("erm", "rgd")}
+        assert (run_dir / "results.csv").read_text().count("\n") == 1
+
+    def test_abort_note_keys_carry_the_condition(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("two\nlines")
+
+        monkeypatch.setattr("robustgd.bench.median_of_means_gd_run", broken)
+        text = MINIMAL_CONFIG.replace("quadratic_poc", "init_sweep\ninit_deltas = 2.5")
+        cfg = write_config(tmp_path, text.replace("erm, rgd", "erm, mom"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        lines = (tmp_path / "o" / "run-001" / "manifest.echo").read_text().splitlines()
+        assert [ln for ln in lines if ln.startswith("abort.")] == [
+            f"abort.del=2.5.{k}.mom = RuntimeError: two lines" for k in (0, 1)]
+        assert "aborted_trials = 2" in lines and "completed_trials = 2" in lines
+
     def test_cli_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
