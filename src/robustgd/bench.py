@@ -135,8 +135,16 @@ class ExperimentConfig:
         if not self.methods:
             self.methods = _default_methods(self.task)
         for m in self.methods:
-            if _parse_method(m)[0] not in _TASK_KINDS[self.task]:
+            kind, size = _parse_method(m)
+            if kind not in _TASK_KINDS[self.task]:
                 raise ValueError(f"method {m!r} not available on task {self.task!r}")
+            if size is not None and size < 1:
+                raise ValueError(f"method {m!r} needs a size of at least 1")
+            if kind == "rgd_mb":
+                n_min = min(o.get("n", self.n) for _, o in _conditions(self))
+                if size > n_min:
+                    raise ValueError(f"method {m!r} batch exceeds the smallest "
+                                     f"training n ({n_min})")
         if self.grad_norm_tol is None:
             self.grad_norm_tol = 1e-3 if self.task == "regression_grid" else 0.0
         if self.trial_seeds is not None and len(self.trial_seeds) != self.trials:

@@ -202,10 +202,6 @@ def noise_sd(spec):
     return float(np.sqrt(nu / (nu - 2))) if nu > 2 else np.inf
 
 
-def has_finite_sd(spec):
-    return np.isfinite(noise_sd(spec))
-
-
 def sample_noise(spec, rng, size):
     """Centered draws: raw family samples minus the analytic mean."""
     p = spec.params
@@ -253,17 +249,6 @@ def gen_w_star(d, rng, pool_size=500):
     uniformly sampled indices in [1, pool_size]."""
     idx = rng.integers(1, pool_size + 1, size=d)
     return w_star_sequence(idx)
-
-
-def signal_noise_ratio(w_star, noise):
-    """||w*||^2 over the noise variance; 0 when the variance diverges."""
-    sd = noise_sd(noise)
-    v = sd * sd
-    if not np.isfinite(v):
-        return 0.0
-    if v == 0:
-        return np.inf
-    return float(w_star @ w_star / v)
 
 
 def gen_regression(n, d, noise, rng, w_star=None):
@@ -358,13 +343,3 @@ class SyntheticRisk:
     def exact_risk(self, w):
         return self.exact_excess_risk(w) + 0.5 * self.noise_second_moment
 
-
-def make_spd(d, rng, kappa=1.0, lam=4.0):
-    """Random symmetric positive-definite matrix with eigenvalues spread
-    linearly over [kappa, lam] (both attained)."""
-    if not 0 < kappa <= lam:
-        raise ValueError("need 0 < kappa <= lam")
-    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    eigs = np.linspace(kappa, lam, d)
-    m = (q * eigs) @ q.T
-    return 0.5 * (m + m.T)

@@ -10,7 +10,6 @@ estimator can summarize them column-wise; the row mean always equals the
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 
 @dataclass
@@ -100,8 +99,32 @@ class LogisticModel:
 
     def scores(self, inputs):
         """(n, classes) decision scores; the reference class scores zero."""
-        z = inputs @ self.weight_matrix.T
-        return np.hstack([z, np.zeros((inputs.shape[0], 1))])
+        k = self.classes - 1
+        out = np.empty((inputs.shape[0], k + 1))
+        out[:, :k] = inputs @ self.weight_matrix.T
+        out[:, k] = 0.0
+        return out
+
+
+def _logsumexp_rows(a):
+    """log(sum(exp(a), axis=1)) for a 2-D float array, bit-identical to
+    ``scipy.special.logsumexp(a, axis=1)``: the row maxima are taken out of
+    the shifted exp-sum s and counted as m, giving log1p(s/m) + log(m) + max.
+    Rows whose result is not finite (an inf or nan score) take log(sum(exp))
+    directly, as scipy does."""
+    top = a.max(axis=1)
+    at_top = a == top[:, None]
+    # inf - inf and 0 / 0 only arise on rows that end in the fallback; an
+    # overflowing a - max is -inf, whose exp is 0 as in scipy
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        e = np.exp(a - top[:, None])
+        e[at_top] = 0.0
+        m = at_top.sum(axis=1)
+        out = np.log1p(e.sum(axis=1) / m) + np.log(m) + top
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
 
 
 def loss_and_grad_rows(model, dataset):
@@ -125,16 +148,13 @@ def loss_and_grad_rows(model, dataset):
             raise ValueError("classification targets must be integer class indices")
         if y.min() < 0 or y.max() >= model.classes:
             raise ValueError("class index out of range")
-        n = X.shape[0]
+        n, k = X.shape[0], model.classes - 1
         full = model.scores(X)
-        lse = logsumexp(full, axis=1)
+        lse = _logsumexp_rows(full)
         losses = lse - full[np.arange(n), y]
-        p = np.exp(full - lse[:, None])[:, : model.classes - 1]  # (n, C-1)
-        ind = np.zeros_like(p)
-        rows = y < model.classes - 1
-        ind[np.flatnonzero(rows), y[rows]] = 1.0
-        G = (p - ind)[:, :, None] * X[:, None, :]  # (n, C-1, F)
-        G = G.reshape(n, model.dim)
+        p = np.exp(full[:, :k] - lse[:, None])  # (n, C-1) class probabilities
+        p -= y[:, None] == np.arange(k)  # one-hot of y; the reference class has none
+        G = (p[:, :, None] * X[:, None, :]).reshape(n, model.dim)
         a = model.reg_strength
         if a > 0:
             losses = losses + a * model.weights @ model.weights

@@ -301,11 +301,6 @@ def geometric_median(points, tol=1e-10, max_iters=1000):
     return y
 
 
-def geometric_median_objective(m, points):
-    """Sum of Euclidean distances from m to the point set."""
-    return float(np.linalg.norm(np.asarray(points, dtype=float) - m, axis=1).sum())
-
-
 def default_partition_count(n, d):
     """Block count max(2, floor(n / (2 d))) used by the partition baseline."""
     return max(2, n // (2 * d))

@@ -8,6 +8,8 @@ reference implementations the fast paths are checked against.
 import numpy as np
 from scipy import optimize, special
 
+from robustgd.datagen import noise_sd
+
 LD = np.longdouble
 _PI_2 = LD("1.5707963267948966192313216916398")
 _CATALAN2 = LD("1.8319311883544380301092070298648")  # 2 * Catalan
@@ -167,7 +169,56 @@ def quadratic_descent_iterates(sigma, w_star, w0, alpha, T):
 
 
 def geometric_median_objective(m, points):
+    """Sum of Euclidean distances from m to the point set."""
     return float(np.linalg.norm(np.asarray(points, dtype=float) - m, axis=1).sum())
+
+
+def make_spd(d, rng, kappa=1.0, lam=4.0):
+    """Random symmetric positive-definite matrix with eigenvalues spread
+    linearly over [kappa, lam] (both attained)."""
+    if not 0 < kappa <= lam:
+        raise ValueError("need 0 < kappa <= lam")
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    eigs = np.linspace(kappa, lam, d)
+    m = (q * eigs) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def has_finite_sd(spec):
+    """Whether the noise family's standard deviation is finite."""
+    return np.isfinite(noise_sd(spec))
+
+
+def signal_noise_ratio(w_star, noise):
+    """||w*||^2 over the noise variance; 0 when the variance diverges."""
+    sd = noise_sd(noise)
+    v = sd * sd
+    if not np.isfinite(v):
+        return 0.0
+    if v == 0:
+        return np.inf
+    return float(w_star @ w_star / v)
+
+
+def logistic_rows_oracle(model, dataset):
+    """Reference per-row logistic losses and gradient rows, written the
+    direct way: scores stacked with the zero reference column,
+    ``scipy.special.logsumexp``, and a dense one-hot matrix."""
+    X, y = dataset.inputs, np.asarray(dataset.targets)
+    n, k = X.shape[0], model.classes - 1
+    full = np.hstack([X @ model.weight_matrix.T, np.zeros((n, 1))])
+    lse = special.logsumexp(full, axis=1)
+    losses = lse - full[np.arange(n), y]
+    p = np.exp(full - lse[:, None])[:, :k]
+    ind = np.zeros_like(p)
+    rows = y < k
+    ind[np.flatnonzero(rows), y[rows]] = 1.0
+    G = ((p - ind)[:, :, None] * X[:, None, :]).reshape(n, model.dim)
+    a = model.reg_strength
+    if a > 0:
+        losses = losses + a * model.weights @ model.weights
+        G = G + 2.0 * a * model.weights
+    return losses, G
 
 
 def geometric_median_oracle(points, restarts=6, seed=0):

@@ -32,7 +32,6 @@ from robustgd.datagen import (
     NoiseSpec,
     SyntheticRisk,
     gen_regression,
-    make_spd,
     sample_noise,
     target_sd,
 )
@@ -50,7 +49,6 @@ from robustgd.optim import (
     StoppingRule,
     erm_gd_run,
     geometric_median,
-    geometric_median_objective,
     oracle_gd_run,
     rgd_run,
 )
@@ -58,8 +56,10 @@ from robustgd.robust_grad import RobustConfig
 
 from oracles import (
     finite_difference_gradient,
+    geometric_median_objective,
     geometric_median_oracle,
     locate_oracle,
+    make_spd,
 )
 
 TIGHT = FixedPointSettings(max_iters=300, rel_tolerance=1e-12)

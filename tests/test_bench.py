@@ -69,6 +69,32 @@ class TestConfig:
         with pytest.raises(ValueError, match=msg):
             replace(ExperimentConfig(task=task, trials=1), methods=(method,))
 
+    @pytest.mark.parametrize("task, method", [
+        ("classification_budget", "rgd_mb0"), ("quadratic_poc", "rgd_mb0"),
+        ("classification_budget", "rgd_sub0"), ("quadratic_poc", "rgd_sub0")])
+    def test_zero_size_rejected(self, task, method):
+        msg = f"method '{method}' needs a size of at least 1"
+        with pytest.raises(ValueError, match=msg):
+            ExperimentConfig(task=task, trials=1, methods=("erm", method))
+        with pytest.raises(ValueError, match=msg):
+            replace(ExperimentConfig(task=task, trials=1), methods=(method,))
+
+    @pytest.mark.parametrize("task, settings, n_min", [
+        ("quadratic_poc", {"n": 30}, 30),
+        ("classification_budget", {"n": 25}, 25),
+        ("n_sweep", {"n_values": (40, 12, 160)}, 12),
+        ("regression_grid", {"grid_n": (50, 20)}, 20)])
+    def test_batch_above_smallest_training_n_rejected(self, task, settings, n_min):
+        ok = ExperimentConfig(task=task, trials=1, methods=(f"rgd_mb{n_min}",),
+                              **settings)
+        assert ok.methods == (f"rgd_mb{n_min}",)
+        method = f"rgd_mb{n_min + 1}"
+        msg = rf"method '{method}' batch exceeds the smallest training n \({n_min}\)"
+        with pytest.raises(ValueError, match=msg):
+            ExperimentConfig(task=task, trials=1, methods=(method,), **settings)
+        with pytest.raises(ValueError, match=msg):
+            replace(ok, methods=("rgd", method))
+
 
 def _kind_method(kind):
     return {"rgd_mb": "rgd_mb5", "rgd_sub": "rgd_sub1"}.get(kind, kind)

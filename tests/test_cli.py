@@ -104,6 +104,18 @@ class TestRun:
                 "'classification_budget'") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("methods, error", [
+        ("erm,rgd_mb0", "method 'rgd_mb0' needs a size of at least 1"),
+        ("erm,rgd_sub0", "method 'rgd_sub0' needs a size of at least 1"),
+        ("erm,rgd_mb41", "method 'rgd_mb41' batch exceeds the smallest training n (40)")])
+    def test_bad_method_size_exits_2(self, tmp_path, capsys, methods, error):
+        out = tmp_path / "o"
+        rc = main(["run", "--config", str(write_config(tmp_path)), "--out", str(out),
+                   "--methods", methods])
+        assert rc == 2
+        assert f"config error: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_abort_notes_in_manifest(self, tmp_path):

@@ -14,21 +14,23 @@ from robustgd.datagen import (
     gen_classification,
     gen_regression,
     gen_w_star,
-    has_finite_sd,
     initial_point,
-    make_spd,
     noise_mean,
     noise_sd,
     pareto_shape,
     sample_noise,
-    signal_noise_ratio,
     student_t_dof,
     target_sd,
     w_star_sequence,
 )
 from robustgd.models import LinearModel
 
-from oracles import finite_difference_gradient
+from oracles import (
+    finite_difference_gradient,
+    has_finite_sd,
+    make_spd,
+    signal_noise_ratio,
+)
 
 
 class TestLadderCalibration:

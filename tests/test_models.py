@@ -1,8 +1,15 @@
 """Loss models: hand-evaluated examples, finite-difference oracles, and
 convexity/regularizer consistency."""
 
+import ast
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from robustgd.models import (
     Dataset,
@@ -12,9 +19,10 @@ from robustgd.models import (
     loss_and_grad_rows,
     misclassification_rate,
     predict,
+    _logsumexp_rows,
 )
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, logistic_rows_oracle
 
 
 def random_logistic(seed=0, classes=3, features=2, n=20, reg=0.0):
@@ -120,6 +128,96 @@ class TestLogisticModel:
         ds = Dataset(np.ones((2, 2)), np.array([0, 3]))
         with pytest.raises(ValueError):
             loss_and_grad_rows(model, ds)
+
+
+def bits(a):
+    """The float64 bit patterns, so nan payloads and signed zeros count."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def lse_cases(n, C, seed):
+    """(n, C) score matrices cycling through hard row kinds: plain, ties and
+    all-equal rows, scores near +-700 and +-1e308, and rows holding inf,
+    -inf or nan."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(n, C))
+    kinds = [
+        base,
+        np.round(2.0 * base) / 2.0,
+        np.repeat(base[:, :1], C, axis=1),
+        700.0 + base,
+        -700.0 + base,
+        np.concatenate([700.0 + base[:, :1], -700.0 + base[:, 1:]], axis=1),
+        1e308 * np.clip(base, -1.7, 1.7),
+        np.concatenate([np.full((n, 1), 1.7e308), np.full((n, C - 1), -1.7e308)], axis=1),
+    ]
+    for special in (np.inf, -np.inf, np.nan):
+        a = base.copy()
+        a[np.arange(n), rng.integers(C, size=n)] = special
+        kinds.append(a)
+        kinds.append(np.full((n, C), special))
+    mixed = np.concatenate(kinds, axis=0)[rng.permutation(len(kinds) * n)]
+    return kinds + [mixed]
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("n", [1, 10, 2000])
+    @pytest.mark.parametrize("C", [2, 3, 4, 5])
+    def test_bit_identical_to_scipy(self, n, C):
+        for a in lse_cases(n, C, seed=100 * n + C):
+            with np.errstate(all="ignore"):
+                want = logsumexp(a, axis=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _logsumexp_rows(a)
+            assert np.array_equal(bits(got), bits(want))
+
+
+class TestLogisticKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 40), classes=st.integers(2, 5), features=st.integers(1, 6),
+           scale=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+           reg=st.one_of(st.just(0.0), st.floats(1e-8, 10.0)),
+           dtype=st.sampled_from([np.int64, np.int32, np.uint8]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bit_identical_to_oracle(self, n, classes, features, scale, reg, dtype, seed):
+        rng = np.random.default_rng(seed)
+        w = scale * rng.normal(size=(classes - 1) * features)
+        model = LogisticModel(classes, features, w, reg_strength=reg)
+        ds = Dataset(rng.normal(size=(n, features)),
+                     rng.integers(classes, size=n).astype(dtype))
+        losses, G = loss_and_grad_rows(model, ds)
+        want_losses, want_G = logistic_rows_oracle(model, ds)
+        assert np.array_equal(losses, want_losses)
+        assert np.array_equal(G, want_G)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weights_match_oracle(self, bad):
+        model, ds = random_logistic(seed=4, classes=4, features=3, n=30, reg=1e-3)
+        model.weights[[1, 4]] = bad
+        with np.errstate(all="ignore"):
+            got = loss_and_grad_rows(model, ds)
+            want = logistic_rows_oracle(model, ds)
+        for g, o in zip(got, want):
+            assert np.array_equal(bits(g), bits(o))
+
+    def test_validation_kept(self):
+        model, ds = random_logistic()
+        with pytest.raises(ValueError, match="feature count"):
+            loss_and_grad_rows(model, Dataset(np.ones((2, 3)), np.array([0, 1])))
+        with pytest.raises(ValueError, match="integer class indices"):
+            loss_and_grad_rows(model, Dataset(np.ones((2, 2)), np.array([0.0, 1.0])))
+        with pytest.raises(ValueError, match="out of range"):
+            loss_and_grad_rows(model, Dataset(np.ones((2, 2)), np.array([-1, 0])))
+
+    def test_models_module_does_not_import_scipy(self):
+        import robustgd.models as models
+        tree = ast.parse(Path(models.__file__).read_text())
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names]
+        imported += [node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)]
+        assert not [m for m in imported if m and m.split(".")[0] == "scipy"]
 
 
 class TestPrediction:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from robustgd.datagen import SyntheticRisk, gen_regression, make_spd, NoiseSpec
+from robustgd.datagen import SyntheticRisk, gen_regression, NoiseSpec
 from robustgd.mest import FixedPointSettings, RhoFunction
 from robustgd.models import Dataset, LinearModel, loss_and_grad_rows
 from robustgd.optim import (
@@ -13,7 +13,6 @@ from robustgd.optim import (
     default_partition_count,
     erm_gd_run,
     geometric_median,
-    geometric_median_objective,
     median_of_means_gd_run,
     oracle_gd_run,
     rgd_run,
@@ -22,7 +21,12 @@ from robustgd.optim import (
 )
 from robustgd.robust_grad import RobustConfig
 
-from oracles import geometric_median_oracle, quadratic_descent_iterates
+from oracles import (
+    geometric_median_objective,
+    geometric_median_oracle,
+    make_spd,
+    quadratic_descent_iterates,
+)
 
 TIGHT = FixedPointSettings(max_iters=300, rel_tolerance=1e-13)
 
