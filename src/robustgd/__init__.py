@@ -35,10 +35,12 @@ from .optim import (
     Trajectory,
     default_partition_count,
     erm_gd_run,
+    erm_gd_stacked_run,
     geometric_median,
     median_of_means_gd_run,
     oracle_gd_run,
     rgd_run,
+    rgd_stacked_run,
     sgd_run,
     svrg_run,
 )
@@ -70,9 +72,9 @@ __all__ = [
     "Dataset", "LinearModel", "LogisticModel", "empirical_risk",
     "loss_and_grad_rows", "misclassification_rate", "predict",
     "L2Ball", "OptimState", "StoppingRule", "Trajectory",
-    "default_partition_count", "erm_gd_run", "geometric_median",
-    "median_of_means_gd_run", "oracle_gd_run", "rgd_run", "sgd_run",
-    "svrg_run",
+    "default_partition_count", "erm_gd_run", "erm_gd_stacked_run",
+    "geometric_median", "median_of_means_gd_run", "oracle_gd_run", "rgd_run",
+    "rgd_stacked_run", "sgd_run", "svrg_run",
     "FAMILIES", "NoiseSpec", "SyntheticRisk", "calibrate_noise",
     "gen_classification", "gen_regression", "gen_w_star", "noise_sd",
     "sample_noise", "target_sd",

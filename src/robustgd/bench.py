@@ -37,9 +37,11 @@ from .optim import (
     StoppingRule,
     default_partition_count,
     erm_gd_run,
+    erm_gd_stacked_run,
     median_of_means_gd_run,
     oracle_gd_run,
     rgd_run,
+    rgd_stacked_run,
     sgd_run,
     svrg_run,
 )
@@ -57,6 +59,12 @@ _REGRESSION_KINDS = ("oracle", "erm", "rgd", "rgd_mb", "rgd_sub", "mom", "sgd", 
 _TASK_KINDS = {task: _REGRESSION_KINDS for task in TASKS}
 _TASK_KINDS["regression_grid"] = ("ols",) + _REGRESSION_KINDS
 _TASK_KINDS["classification_budget"] = ("erm", "rgd", "rgd_mb", "rgd_sub", "sgd", "svrg")
+
+# full-batch methods a chunk of regression trials runs as one stacked descent
+_STACKED = ("erm", "rgd")
+# gradient columns per chunk: a chunk holds max(1, _CHUNK_COLUMNS // d) trials
+# of one condition and is one stacked descent and one worker task
+_CHUNK_COLUMNS = 40
 
 # stable codes for method-tagged rng derivation
 _METHOD_CODES = {"oracle": 0, "erm": 1, "rgd": 2, "mom": 3, "sgd": 4,
@@ -439,49 +447,97 @@ def _conditions(cfg):
     return conds
 
 
-def _trial_worker(cfg, condition, overrides, trial):
-    """Every method of one seeded trial, on shared data.  A method that
-    raises or diverges is aborted with its own note and the others keep
-    their results.  A failed setup is retried, and fails again, for each
-    method, so every method aborts with its note."""
-    trial_seed = _trial_seed(cfg, trial)
-    make_setup = (_classification_setup if cfg.task == "classification_budget"
-                  else _regression_setup)
-    setup = None
-    results = []
-    for name in cfg.methods:
+def _outcome(name, condition, trial, setup, run):
+    """One method's result on one trial: ``run()`` gives its trajectory.  A
+    method that raises (a failed setup included) or diverges is aborted with
+    its own note."""
+    try:
+        if isinstance(setup, Exception):
+            raise setup
+        traj = run()
+        if traj is not None and traj.diverged:
+            note = traj.stop_reason
+        else:
+            return TrialResult(name, condition, trial, *setup.score(traj))
+    except Exception as exc:  # one method's failure must not sink the others
+        note = f"{type(exc).__name__}: {exc}"
+    return TrialResult(name, condition, trial, [], {}, aborted=True, note=note)
+
+
+def _run_stacked(name, cfg, setups):
+    """Full-batch rgd or erm over several trials' setups as one stacked
+    descent; each trajectory equals the trial's own run bit for bit."""
+    kind, _ = _parse_method(name)
+    first = setups[0]
+    state = OptimState(np.stack([su.w0 for su in setups]), cfg.alpha)
+    datasets = [su.ds for su in setups]
+    every = first.record_every(name)
+    if kind == "rgd":
+        return rgd_stacked_run(first.model, datasets, cfg.robust_config(), state,
+                               stop=first.stop, record_every=every)
+    return erm_gd_stacked_run(first.model, datasets, state, stop=first.stop,
+                              record_every=every)
+
+
+def _chunk_worker(cfg, condition, overrides, trials):
+    """Every method of a chunk of seeded trials of one condition, in (trial,
+    method) order.  On regression tasks rgd and erm run as one stacked
+    descent over the chunk's trials and every other method trial by trial;
+    if a stacked descent raises, its method is re-run trial by trial, so the
+    fault aborts only the trial it belongs to."""
+    regression = cfg.task != "classification_budget"
+    make_setup = _regression_setup if regression else _classification_setup
+    setups = []
+    for k in trials:
         try:
-            setup = setup or make_setup(cfg, overrides, trial_seed)
-            traj = _run_method(name, cfg, setup.model, setup.ds, setup.w0, setup.stop,
-                               trial_seed, setup.record_every(name), setup.risk)
-            if traj is not None and traj.diverged:
-                note = traj.stop_reason
-            else:
-                results.append(TrialResult(name, condition, trial, *setup.score(traj)))
-                continue
-        except Exception as exc:  # one method's failure must not sink the others
-            note = f"{type(exc).__name__}: {exc}"
-        results.append(TrialResult(name, condition, trial, [], {}, aborted=True,
-                                   note=note))
+            setups.append(make_setup(cfg, overrides, _trial_seed(cfg, k)))
+        except Exception as exc:  # aborts every method of this trial
+            setups.append(exc)
+    ready = [i for i, su in enumerate(setups) if not isinstance(su, Exception)]
+    runs = {}
+    for name in cfg.methods:
+        if not (regression and name in _STACKED and len(ready) > 1):
+            continue
+        try:
+            trajs = _run_stacked(name, cfg, [setups[i] for i in ready])
+        except Exception:  # re-run below, one trial at a time
+            continue
+        runs.update({(i, name): traj for i, traj in zip(ready, trajs)})
+    results = []
+    for i, (k, su) in enumerate(zip(trials, setups)):
+        for name in cfg.methods:
+            def run():
+                if (i, name) in runs:
+                    return runs[i, name]
+                return _run_method(name, cfg, su.model, su.ds, su.w0, su.stop,
+                                   _trial_seed(cfg, k), su.record_every(name),
+                                   su.risk)
+            results.append(_outcome(name, condition, k, su, run))
     return results
 
 
 def run_experiment(cfg, parallelism=1):
     """Run all conditions x trials of the experiment; aborted (trial,
-    method) cells are recorded and excluded from aggregation."""
-    cells = [(cond, ov, k) for cond, ov in _conditions(cfg)
-             for k in range(cfg.trials)]
+    method) cells are recorded and excluded from aggregation.  Each
+    condition's trials run in chunks of about ``_CHUNK_COLUMNS`` gradient
+    columns, each chunk in one worker process when ``parallelism`` > 1."""
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
+    chunks = []
+    for cond, ov in _conditions(cfg):
+        size = max(1, _CHUNK_COLUMNS // ov.get("d", cfg.d))
+        chunks += [(cond, ov, range(lo, min(lo + size, cfg.trials)))
+                   for lo in range(0, cfg.trials, size)]
     trials = []
     if parallelism > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(_trial_worker, cfg, cond, ov, k)
-                       for cond, ov, k in cells]
+            futures = [pool.submit(_chunk_worker, cfg, *chunk) for chunk in chunks]
             for fut in futures:
                 trials.extend(fut.result())
     else:
-        for cond, ov, k in cells:
-            trials.extend(_trial_worker(cfg, cond, ov, k))
+        for chunk in chunks:
+            trials.extend(_chunk_worker(cfg, *chunk))
     trials.sort(key=lambda t: (t.condition, t.trial,
                                list(cfg.methods).index(t.method)))
     return ExperimentResult(cfg, trials)

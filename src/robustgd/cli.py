@@ -159,6 +159,8 @@ def cmd_run(args):
         overrides = {"seed": args.seed, "trials": args.trials,
                      "methods": _split_list(args.methods) if args.methods else None}
         cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+        if args.parallel < 1:
+            raise ValueError(f"--parallel must be at least 1, got {args.parallel}")
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

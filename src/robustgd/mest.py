@@ -215,13 +215,32 @@ def _solve_columns(residual, z, lo, hi, fp):
     return z, fell_back
 
 
-def locate_columns(x, s, rho, fp=DEFAULT_FP):
+def column_means(a, width=None, cols=None):
+    """Column means of an (n, k) matrix.
+
+    With ``width``, the columns are the columns ``cols`` (default all) of a
+    stack of independent blocks of ``width`` columns, and each mean comes out
+    bit for bit as from its block's columns alone: numpy sums a lone column
+    pairwise but several columns row by row.
+    """
+    out = a.mean(axis=0)
+    if width is not None and width < out.size:
+        block = (np.arange(out.size) if cols is None else cols) // width
+        lone = np.bincount(block)[block] == 1
+        if lone.any():
+            out[lone] = a[:, lone].T.copy().mean(axis=1)
+    return out
+
+
+def locate_columns(x, s, rho, fp=DEFAULT_FP, width=None):
     """Column-wise location M-estimates of an (n, k) sample matrix.
 
     Returns (theta, fell_back) where theta[j] solves
     sum_i psi((x[i,j] - theta)/s[j]) = 0, found from the column median by
     safeguarded Newton steps on [min x[:,j], max x[:,j]].  fell_back[j]
-    marks columns still unresolved after ``fp.max_iters`` steps.
+    marks columns still unresolved after ``fp.max_iters`` steps.  ``width``
+    marks x as a stack of independent blocks of that many columns (one per
+    trial, say), each solved bit for bit as it would be alone.
     """
     x = _check_sample(x, 2)
     s = np.broadcast_to(np.asarray(s, dtype=float), x.shape[1:])
@@ -230,7 +249,8 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP):
 
     def residual(theta, cols):
         u = (x[:, cols] - theta) / s[cols]
-        return rho.psi(u).mean(axis=0), -rho.dpsi(u).mean(axis=0) / s[cols]
+        return (column_means(rho.psi(u), width, cols),
+                -column_means(rho.dpsi(u), width, cols) / s[cols])
 
     return _solve_columns(residual, np.median(x, axis=0), x.min(axis=0),
                           x.max(axis=0), fp)
@@ -248,7 +268,7 @@ def locate(data, s, rho, fp=DEFAULT_FP):
     return float(theta[0])
 
 
-def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, sigma0=None):
+def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, sigma0=None, width=None):
     """Column-wise dispersion estimates about per-column pivots.
 
     Returns (sigma, fell_back).  sigma[j] >= floor_j solves
@@ -258,7 +278,8 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, sigma0=None):
     root is found in log sigma on [log floor_j, log(2 max_i |r_ij|)] by the
     safeguarded Newton steps of ``locate_columns``, and fell_back means the
     same.  ``sigma0`` overrides the starting point (the mean absolute
-    residual); any positive start reaches the same root.
+    residual); any positive start reaches the same root.  ``width`` is that
+    of ``locate_columns``.
     """
     x = _check_sample(x, 2)
     pivots = np.broadcast_to(np.asarray(pivots, dtype=float), x.shape[1:])
@@ -273,7 +294,7 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, sigma0=None):
     with np.errstate(divide="ignore", over="ignore"):
         # every chi term is negative once sigma > 2 max|r|
         hi = np.maximum(np.log(2.0) + np.log(a.max(axis=0)), lo)
-        start = np.log(a.mean(axis=0) if sigma0 is None else sigma0)
+        start = np.log(column_means(a, width) if sigma0 is None else sigma0)
     # as sigma -> 0 the mean chi tends to (1 - c) minus the share of zero
     # residuals; where that is <= 0 there is no root and the floor is returned
     no_root = (r == 0.0).mean(axis=0) >= 1.0 - chi.c
@@ -282,7 +303,8 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, sigma0=None):
     def residual(z, cols):
         with np.errstate(over="ignore"):
             u = r[:, cols] * np.exp(-z)
-        return chi.chi(u).mean(axis=0), -(u * chi.dchi(u)).mean(axis=0)
+        return (column_means(chi.chi(u), width, cols),
+                -column_means(u * chi.dchi(u), width, cols))
 
     z, fell_back = _solve_columns(residual, np.clip(start, lo, hi), lo, hi, fp)
     return np.maximum(np.exp(z), floor), fell_back

@@ -104,47 +104,129 @@ class Trajectory:
 
 
 def _batch_descent(grad_fn, step_cost, state, constraint, stop, record_every):
-    """The descent loop every method runs.
+    """The descent loop every method runs, over T trials in lockstep.
 
-    ``grad_fn(w, t)`` returns the gradient estimate for update ``t`` and
-    ``step_cost(t)`` the evaluations it consumes, known before the budget
-    check.  Iterates are recorded every ``record_every`` updates and once
-    more at the stop, whatever its reason.
+    ``state.w`` holds the trials' starting points as rows (T, d).
+    ``grad_fn(W, t, live)`` returns the gradient estimates for update ``t``
+    of the trials ``live`` (indices) at their iterates ``W``, one row each,
+    and ``step_cost(t)`` the evaluations the update costs each trial, known
+    before the budget check.  Trials share the update count, the spend and
+    the record cadence; one that stops at ``grad_tol`` or ``diverged``
+    leaves the batch with the records it would have written alone.
+    Iterates are recorded every ``record_every`` updates and once more at
+    each trial's stop, whatever its reason.  Returns one Trajectory per trial.
     """
     every = max(1, int(record_every))
-    w = state.w.copy()
+    W = np.array(state.w, dtype=float)
     t, evals = state.t, state.grad_evals
-    records = [(t, w, evals)]
-    reason = "max_iters"
-    while t - state.t < stop.max_iters:
+    live = np.arange(W.shape[0])
+    records = [[(t, w, evals)] for w in W]
+    reasons = [None] * live.size
+
+    def leave(gone, reason):
+        for k, w in zip(live[gone], W[gone]):
+            reasons[k] = reason
+            if records[k][-1][0] != t:
+                records[k].append((t, w, evals))
+        return live[~gone], W[~gone]
+
+    while live.size and t - state.t < stop.max_iters:
         cost = step_cost(t)
         if stop.budget is not None and evals + cost > stop.budget:
-            reason = "budget"
+            live, W = leave(np.ones(live.size, dtype=bool), "budget")
             break
-        g = grad_fn(w, t)
+        G = grad_fn(W, t, live)
         evals += cost
-        if stop.grad_norm_tol > 0 and np.max(np.abs(g)) < stop.grad_norm_tol:
-            reason = "grad_tol"
-            break
-        w = w - state.alpha * g
+        if stop.grad_norm_tol > 0:
+            small = np.max(np.abs(G), axis=1) < stop.grad_norm_tol
+            if small.any():
+                live, W = leave(small, "grad_tol")
+                if not live.size:
+                    break
+                G = G[~small]
+        W = W - state.alpha * G
         if constraint is not None:
-            w = constraint.project(w)
+            W = np.array([constraint.project(w) for w in W])
         t += 1
-        if not np.all(np.isfinite(w)):
-            reason = "diverged"
-            break
+        if not np.isfinite(W).all():
+            live, W = leave(~np.isfinite(W).all(axis=1), "diverged")
         if t % every == 0:
-            records.append((t, w, evals))
-    if records[-1][0] != t:
-        records.append((t, w, evals))
-    steps, iterates, spent = zip(*records)
-    return Trajectory(
-        steps=np.asarray(steps, dtype=int),
-        iterates=np.asarray(iterates, dtype=float),
-        grad_evals=np.asarray(spent, dtype=int),
-        stop_reason=reason,
-        alpha=state.alpha,
-    )
+            for k, w in zip(live, W):
+                records[k].append((t, w, evals))
+    leave(np.ones(live.size, dtype=bool), "max_iters")
+    out = []
+    for rec, reason in zip(records, reasons):
+        steps, iterates, spent = zip(*rec)
+        out.append(Trajectory(
+            steps=np.asarray(steps, dtype=int),
+            iterates=np.asarray(iterates, dtype=float),
+            grad_evals=np.asarray(spent, dtype=int),
+            stop_reason=reason,
+            alpha=state.alpha,
+        ))
+    return out
+
+
+def _as_batch(state):
+    """One trial's state as a batch of one."""
+    return OptimState(state.w[None], state.alpha, state.t, state.grad_evals)
+
+
+def _descent(grad_fn, step_cost, state, constraint, stop, record_every):
+    """One trial's run of the loop; ``grad_fn(w, t)`` takes its iterate."""
+    traj, = _batch_descent(lambda W, t, live: grad_fn(W[0], t)[None], step_cost,
+                           _as_batch(state), constraint, stop, record_every)
+    return traj
+
+
+def _shared_n(datasets):
+    n = datasets[0].n
+    if any(ds.n != n for ds in datasets):
+        raise ValueError("stacked trials must share the number of rows")
+    return n
+
+
+def _robust_descent(rows, cfg, state, constraint, stop, record_every, cost,
+                    rng=None):
+    """Robust descent of the trials whose starting points are the rows of
+    ``state.w``; ``rows(k, w)`` gives trial k's gradient rows at w.
+
+    Each step stacks the rows of every live trial whose row mean is finite
+    into one (n, T d) matrix and solves all its columns in one call, each bit
+    for bit as alone; a trial whose row mean is not finite descends on it,
+    so the loop stops it as "diverged".  Per-column solver fallbacks are
+    tallied per trial, never raised.
+    """
+    d = state.w.shape[1]
+    diags = [{"locate_fallbacks": 0, "scale_fallbacks": 0} for _ in state.w]
+
+    def grad_fn(W, t, live):
+        blocks = [rows(k, w) for k, w in zip(live, W)]
+        g = np.array([G.mean(axis=0) for G in blocks])
+        ok = np.flatnonzero(np.isfinite(g).all(axis=1))
+        if not ok.size:
+            return g
+        D = blocks[ok[0]] if ok.size == 1 else np.hstack([blocks[i] for i in ok])
+        if cfg.coordinate_subset_size is not None:
+            theta, info = robust_gradient_subset(D, cfg, rng, full_output=True)
+        else:
+            width = d if ok.size > 1 else None
+            _, s, scale_fb = column_scales(D, cfg, width)
+            theta, info = robust_gradient(D, cfg, scale=s, full_output=True,
+                                          width=width)
+            info["scale_fallback"] = scale_fb
+        g[ok] = theta.reshape(ok.size, -1)
+        for key, mask in (("scale_fallbacks", info["scale_fallback"]),
+                          ("locate_fallbacks", info["locate_fallback"])):
+            for k, count in zip(live[ok], mask.reshape(ok.size, -1).sum(axis=1)):
+                diags[k][key] += int(count)
+        return g
+
+    trajs = _batch_descent(grad_fn, lambda t: cost, state, constraint, stop,
+                           record_every)
+    for traj, diag in zip(trajs, diags):
+        traj.diagnostics.update(diag)
+    return trajs
 
 
 def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
@@ -168,51 +250,62 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
             raise ValueError("mini-batch runs need an rng")
     if cfg.coordinate_subset_size is not None and rng is None:
         raise ValueError("coordinate subset runs need an rng")
-    cost = n if batch_size is None else batch_size
 
-    diag = {"locate_fallbacks": 0, "scale_fallbacks": 0}
-
-    def grad_fn(w, t):
+    def rows(k, w):
         ds = dataset
         if batch_size is not None:
             ds = dataset.subset(rng.choice(n, size=batch_size, replace=False))
-        _, G = loss_and_grad_rows(model.with_weights(w), ds)
-        g_mean = G.mean(axis=0)
-        if not np.all(np.isfinite(g_mean)):
-            return g_mean  # the loop stops this run as "diverged"
-        if cfg.coordinate_subset_size is not None:
-            theta, info = robust_gradient_subset(G, cfg, rng, full_output=True)
-            diag["scale_fallbacks"] += int(info["scale_fallback"].sum())
-        else:
-            _, s, scale_fb = column_scales(G, cfg)
-            diag["scale_fallbacks"] += int(scale_fb.sum())
-            theta, info = robust_gradient(G, cfg, scale=s, full_output=True)
-        diag["locate_fallbacks"] += int(info["locate_fallback"].sum())
-        return theta
+        return loss_and_grad_rows(model.with_weights(w), ds)[1]
 
-    traj = _batch_descent(grad_fn, lambda t: cost, state, constraint, stop,
-                          record_every)
-    traj.diagnostics.update(diag)
+    traj, = _robust_descent(rows, cfg, _as_batch(state), constraint, stop,
+                            record_every, n if batch_size is None else batch_size,
+                            rng)
     return traj
+
+
+def rgd_stacked_run(model, datasets, cfg, state, constraint=None, stop=None,
+                    record_every=1):
+    """Full-batch ``rgd_run`` of T trials at once, one stacked M-estimate per
+    step: trial k descends from row k of ``state.w`` on ``datasets[k]``, all
+    with ``model``'s loss and one shared n.  Returns one Trajectory per
+    trial, each bit for bit its own ``rgd_run``.  Coordinate subsets draw
+    per trial and run through ``rgd_run`` only.
+    """
+    if cfg.coordinate_subset_size is not None:
+        raise ValueError("coordinate subset runs do not stack")
+    stop = stop or StoppingRule(max_iters=100)
+    return _robust_descent(
+        lambda k, w: loss_and_grad_rows(model.with_weights(w), datasets[k])[1],
+        cfg, state, constraint, stop, record_every, _shared_n(datasets))
 
 
 def erm_gd_run(model, dataset, state, constraint=None, stop=None, record_every=1):
     """Gradient descent on the empirical risk (sample-mean gradient)."""
+    traj, = erm_gd_stacked_run(model, [dataset], _as_batch(state), constraint,
+                               stop, record_every)
+    return traj
+
+
+def erm_gd_stacked_run(model, datasets, state, constraint=None, stop=None,
+                       record_every=1):
+    """``erm_gd_run`` of T trials at once, as ``rgd_stacked_run`` stacks
+    ``rgd_run``."""
     stop = stop or StoppingRule(max_iters=100)
+    n = _shared_n(datasets)
 
-    def grad_fn(w, t):
-        _, G = loss_and_grad_rows(model.with_weights(w), dataset)
-        return G.mean(axis=0)
+    def grad_fn(W, t, live):
+        return np.array([loss_and_grad_rows(model.with_weights(w), datasets[k])[1]
+                         .mean(axis=0) for k, w in zip(live, W)])
 
-    return _batch_descent(grad_fn, lambda t: dataset.n, state, constraint, stop,
+    return _batch_descent(grad_fn, lambda t: n, state, constraint, stop,
                           record_every)
 
 
 def oracle_gd_run(grad, state, constraint=None, stop=None, record_every=1):
     """Descent on an exact gradient map ``grad(w)``; consumes no evaluations."""
     stop = stop or StoppingRule(max_iters=100)
-    return _batch_descent(lambda w, t: grad(w), lambda t: 0, state, constraint,
-                          stop, record_every)
+    return _descent(lambda w, t: grad(w), lambda t: 0, state, constraint, stop,
+                    record_every)
 
 
 def sgd_run(model, dataset, state, stop, rng, constraint=None, batch_size=1,
@@ -225,8 +318,8 @@ def sgd_run(model, dataset, state, stop, rng, constraint=None, batch_size=1,
         _, G = loss_and_grad_rows(model.with_weights(w), dataset.subset(idx))
         return G.mean(axis=0)
 
-    return _batch_descent(grad_fn, lambda t: batch_size, state, constraint,
-                          stop, record_every)
+    return _descent(grad_fn, lambda t: batch_size, state, constraint, stop,
+                    record_every)
 
 
 def svrg_run(model, dataset, state, stop, rng, constraint=None,
@@ -255,8 +348,8 @@ def svrg_run(model, dataset, state, stop, rng, constraint=None,
         _, gi_snap = loss_and_grad_rows(snap["model"], row)
         return gi[0] - gi_snap[0] + snap["grad"]
 
-    return _batch_descent(grad_fn, lambda t: n + 1 if epoch_start(t) else 1,
-                          state, constraint, stop, record_every)
+    return _descent(grad_fn, lambda t: n + 1 if epoch_start(t) else 1, state,
+                    constraint, stop, record_every)
 
 
 def geometric_median(points, tol=1e-10, max_iters=1000):
@@ -330,5 +423,4 @@ def median_of_means_gd_run(model, dataset, partitions, state, constraint=None,
         means = np.stack([G[lo:hi].mean(axis=0) for lo, hi in bounds])
         return geometric_median(means, tol=median_tol)
 
-    return _batch_descent(grad_fn, lambda t: n, state, constraint, stop,
-                          record_every)
+    return _descent(grad_fn, lambda t: n, state, constraint, stop, record_every)

@@ -16,6 +16,7 @@ from .mest import (
     ChiFunction,
     FixedPointSettings,
     RhoFunction,
+    column_means,
     confidence_scale,
     locate_columns,
     rescale_columns,
@@ -67,28 +68,31 @@ def _check_gradient_sample(D):
     return D
 
 
-def column_scales(D, cfg):
+def column_scales(D, cfg, width=None):
     """Per-column truncation scales (sigma_hat, s) for a gradient sample.
 
     Pivot is the column mean; sigma_hat the dispersion root (or sqrt(C * v)
     under known variance); s widens sigma_hat by sqrt(n / log(2/delta)).
-    Returns (sigma_hat, s, scale_fallback_mask).
+    ``width`` marks D as a stack of independent blocks of that many columns,
+    each estimated bit for bit as it would be alone (known variances then
+    describe one block).  Returns (sigma_hat, s, scale_fallback_mask).
     """
     D = _check_gradient_sample(D)
     n, d = D.shape
     if cfg.known_variance is not None:
-        if cfg.known_variance.shape[0] != d:
+        block = width or d
+        if cfg.known_variance.shape[0] != block or d % block:
             raise ValueError("known_variance length must match the number of columns")
-        sigma = np.sqrt(cfg.C * cfg.known_variance)
+        sigma = np.tile(np.sqrt(cfg.C * cfg.known_variance), d // block)
         fell_back = np.zeros(d, dtype=bool)
     else:
-        pivots = D.mean(axis=0)
-        sigma, fell_back = rescale_columns(D, pivots, cfg.chi, cfg.fp)
+        pivots = column_means(D, width)
+        sigma, fell_back = rescale_columns(D, pivots, cfg.chi, cfg.fp, width=width)
     s = confidence_scale(sigma, n, cfg.delta)
     return sigma, np.asarray(s, dtype=float), fell_back
 
 
-def robust_gradient(D, cfg, scale=None, full_output=False):
+def robust_gradient(D, cfg, scale=None, full_output=False, width=None):
     """Coordinate-wise robust location estimate of the gradient sample rows.
 
     The truncation scales come from ``column_scales``: the dispersion root,
@@ -97,17 +101,18 @@ def robust_gradient(D, cfg, scale=None, full_output=False):
     diagnostics dict (sigma, s, per-column fallback flags) is returned too;
     estimation never raises on a hard column: a root still open after
     ``cfg.fp.max_iters`` Newton steps is finished by bisection and flagged.
+    ``width`` is that of ``column_scales``.
     """
     D = _check_gradient_sample(D)
     n, d = D.shape
     if scale is None:
-        sigma, s, scale_fb = column_scales(D, cfg)
+        sigma, s, scale_fb = column_scales(D, cfg, width)
     else:
         s = np.broadcast_to(np.asarray(scale, dtype=float), (d,))
         if np.any(s <= 0):
             raise ValueError("scale must be positive")
         sigma, scale_fb = None, np.zeros(d, dtype=bool)
-    theta, loc_fb = locate_columns(D, s, cfg.rho, cfg.fp)
+    theta, loc_fb = locate_columns(D, s, cfg.rho, cfg.fp, width=width)
     if full_output:
         info = {"sigma": sigma, "s": s, "locate_fallback": loc_fb,
                 "scale_fallback": scale_fb}

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from robustgd import bench
+from robustgd import bench, optim
 from robustgd.bench import (
     DISTRIBUTION_SETTINGS,
     TASKS,
@@ -18,9 +18,13 @@ from robustgd.bench import (
     run_experiment,
 )
 from robustgd.datagen import NoiseSpec
-from robustgd.models import Dataset
+from robustgd.models import Dataset, loss_and_grad_rows
 
 from oracles import quadratic_descent_iterates
+
+
+# trials per chunk at d = 2
+CHUNK_D2 = bench._CHUNK_COLUMNS // 2
 
 
 def small_cfg(**kw):
@@ -227,10 +231,61 @@ class TestRunExperiment:
                 assert o <= cell["mean"] + se
 
     def test_parallel_matches_serial(self):
-        cfg = small_cfg(trials=3)
+        # two conditions, each crossing a chunk boundary
+        cfg = small_cfg(task="init_sweep", init_deltas=(2.5, 10.0),
+                        trials=CHUNK_D2 + 3)
         serial = run_experiment(cfg, parallelism=1)
         parallel = run_experiment(cfg, parallelism=2)
+        assert len({t.condition for t in serial.trials}) == 2
         assert serial.rows() == parallel.rows()
+
+    def test_parallelism_below_one_rejected(self):
+        with pytest.raises(ValueError, match="parallelism"):
+            run_experiment(small_cfg(), parallelism=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("task, extra", [
+        ("quadratic_poc", dict(methods=("oracle", "erm", "rgd", "mom"), iters=20)),
+        ("quadratic_poc", dict(methods=("erm", "rgd", "oracle"), n=4, alpha=5.0,
+                               iters=300)),
+        ("regression_grid", dict(methods=("ols", "rgd", "erm"), grid_n=(30,),
+                                 grid_d=(2,), families=("normal", "lognormal"),
+                                 iters=40)),
+    ])
+    def test_chunked_rows_equal_per_trial(self, monkeypatch, task, extra):
+        # a trial count that is not a multiple of the chunk size; at n = 4
+        # and step size 5 erm and rgd diverge in some trials, and on the grid
+        # some stop at grad_tol
+        cfg = small_cfg(task=task, trials=CHUNK_D2 + 3, **extra)
+        chunked = run_experiment(cfg)
+        monkeypatch.setattr(bench, "_CHUNK_COLUMNS", 1)
+        per_trial = run_experiment(cfg)
+        assert chunked.rows() == per_trial.rows()
+        assert ([(t.trial, t.method, t.note) for t in chunked.trials if t.aborted]
+                == [(t.trial, t.method, t.note) for t in per_trial.trials if t.aborted])
+        if cfg.alpha == 5.0:
+            assert 0 < chunked.n_aborted < cfg.trials
+
+    def test_stacked_fault_aborts_only_its_trial(self, monkeypatch):
+        cfg = small_cfg(trials=CHUNK_D2 + 3)
+        clean = run_experiment(cfg).rows()
+        faulty = 4
+        setup = bench._regression_setup(cfg, {}, bench._trial_seed(cfg, faulty))
+        marker = loss_and_grad_rows(setup.model, setup.ds)[1][0, 0]
+        solve = optim.robust_gradient
+
+        def fragile(D, *args, **kwargs):
+            # raises on the faulty trial's first gradient rows, stacked or not
+            if np.any(np.asarray(D)[0] == marker):
+                raise RuntimeError("solver exploded")
+            return solve(D, *args, **kwargs)
+
+        monkeypatch.setattr(optim, "robust_gradient", fragile)
+        res = run_experiment(cfg)
+        assert [(t.trial, t.method, t.note) for t in res.trials if t.aborted] == [
+            (faulty, "rgd", "RuntimeError: solver exploded")]
+        assert res.rows() == [r for r in clean if (r[1], r[2]) != ("rgd", faulty)]
 
 
 class TestSweeps:

@@ -116,6 +116,20 @@ class TestRun:
         assert f"config error: {error}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_parallel_below_one_exits_2(self, tmp_path, capsys, monkeypatch, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        out = tmp_path / "o"
+        rc = main(["run", "--config", str(write_config(tmp_path)), "--out", str(out),
+                   "--parallel", workers])
+        assert rc == 2
+        assert (f"config error: --parallel must be at least 1, got {workers}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_abort_notes_in_manifest(self, tmp_path):

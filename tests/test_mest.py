@@ -14,6 +14,7 @@ from robustgd.mest import (
     FixedPointSettings,
     RhoFunction,
     chi_eval,
+    column_means,
     confidence_scale,
     locate,
     locate_columns,
@@ -299,6 +300,50 @@ class TestRescale:
         for j in range(4):
             assert sig[j] == pytest.approx(rescale(X[:, j], piv[j], CHI, TIGHT),
                                            rel=1e-10)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestStackedBlocks:
+    """A matrix stacking independent blocks of ``width`` columns is solved
+    with each block's own reductions, so every block's estimates carry the
+    same bits as when the block is solved alone."""
+
+    @pytest.mark.parametrize("n", [5, 40, 300])
+    def test_column_means_follow_each_block(self, n):
+        # numpy sums a lone column pairwise but several columns row by row
+        rng = np.random.default_rng(n)
+        a = rng.lognormal(0, 1.75, size=(n, 12))
+        cols = np.array([0, 2, 3, 4, 5, 9, 10])  # blocks of 3: 1, 2, 1, 2 open
+        got = column_means(a[:, cols], 3, cols)
+        for b in range(4):
+            open_ = cols[cols // 3 == b]
+            assert np.array_equal(bits(got[cols // 3 == b]),
+                                  bits(a[:, open_].mean(axis=0)))
+        assert np.array_equal(bits(column_means(a, 1)),
+                              bits([a[:, [j]].mean(axis=0)[0] for j in range(12)]))
+        assert np.array_equal(bits(column_means(a)), bits(a.mean(axis=0)))
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_solvers_match_blocks_alone(self, width):
+        rng = np.random.default_rng(width)
+        blocks = 6
+        X = (rng.lognormal(0, 1.75, size=(90, blocks * width))
+             * rng.choice([-1.0, 1.0], size=(90, blocks * width)))
+        s = rng.uniform(0.5, 20.0, size=blocks * width)
+        theta, _ = locate_columns(X, s, GUD, width=width)
+        pivots = column_means(X, width)
+        sigma, _ = rescale_columns(X, pivots, CHI, width=width)
+        for b in range(blocks):
+            cols = slice(b * width, (b + 1) * width)
+            Xb = X[:, cols].copy()
+            assert np.array_equal(bits(theta[cols]),
+                                  bits(locate_columns(Xb, s[cols], GUD)[0]))
+            assert np.array_equal(bits(pivots[cols]), bits(Xb.mean(axis=0)))
+            assert np.array_equal(bits(sigma[cols]),
+                                  bits(rescale_columns(Xb, Xb.mean(axis=0), CHI)[0]))
 
 
 class TestConfidenceScale:

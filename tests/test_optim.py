@@ -12,10 +12,12 @@ from robustgd.optim import (
     StoppingRule,
     default_partition_count,
     erm_gd_run,
+    erm_gd_stacked_run,
     geometric_median,
     median_of_means_gd_run,
     oracle_gd_run,
     rgd_run,
+    rgd_stacked_run,
     sgd_run,
     svrg_run,
 )
@@ -37,6 +39,87 @@ def regression_problem(n=60, d=3, seed=0, heavy=False):
             if heavy else NoiseSpec("normal", params={"scale": 1.0}))
     ds, w_star = gen_regression(n, d, spec, rng)
     return ds, w_star, rng
+
+
+def mixed_batch(d=3, n=60, seed=0):
+    """Datasets and starts of four trials that stop differently at step size
+    0.1, 60 updates and grad_norm_tol 1e-3: one runs to the cap, one
+    diverges mid-run (inputs scaled up 3000-fold), one reaches grad_tol
+    (noiseless, started near the target) and one runs to the cap."""
+    rng = np.random.default_rng(seed)
+    w_star = rng.normal(size=d)
+    datasets, starts = [], []
+    for kind in ("run", "diverge", "grad_tol", "run"):
+        X = rng.normal(size=(n, d)) * (3000.0 if kind == "diverge" else 1.0)
+        y = X @ w_star
+        if kind != "grad_tol":
+            y = y + rng.lognormal(0.0, 1.75, size=n)
+        datasets.append(Dataset(X, y))
+        offset = 0.01 if kind == "grad_tol" else 5.0
+        starts.append(w_star + offset * rng.normal(size=d))
+    return datasets, np.array(starts)
+
+
+def assert_same_trajectory(a, b):
+    assert np.array_equal(a.steps, b.steps)
+    assert a.iterates.shape == b.iterates.shape
+    assert np.array_equal(a.iterates.view(np.int64), b.iterates.view(np.int64))
+    assert np.array_equal(a.grad_evals, b.grad_evals)
+    assert a.stop_reason == b.stop_reason
+    assert a.diagnostics == b.diagnostics
+
+
+class TestStackedRuns:
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("method", ["rgd", "erm"])
+    def test_stacked_equals_solo(self, method, seed, record_every):
+        datasets, W0 = mixed_batch(seed=seed)
+        stop = StoppingRule(max_iters=60, grad_norm_tol=1e-3)
+        model, cfg = LinearModel(np.zeros(3)), RobustConfig()
+        kw = dict(stop=stop, record_every=record_every)
+        if method == "rgd":
+            stacked = rgd_stacked_run(model, datasets, cfg, OptimState(W0, 0.1), **kw)
+            solo = [rgd_run(model, ds, cfg, OptimState(w, 0.1), **kw)
+                    for ds, w in zip(datasets, W0)]
+        else:
+            stacked = erm_gd_stacked_run(model, datasets, OptimState(W0, 0.1), **kw)
+            solo = [erm_gd_run(model, ds, OptimState(w, 0.1), **kw)
+                    for ds, w in zip(datasets, W0)]
+        assert [t.stop_reason for t in solo] == ["max_iters", "diverged",
+                                                 "grad_tol", "max_iters"]
+        assert 1 < solo[1].steps[-1] < 60 and 1 < solo[2].steps[-1] < 60
+        for a, b in zip(stacked, solo):
+            assert_same_trajectory(a, b)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_stacked_columns_solve_as_alone(self, d):
+        # a lone open column is summed pairwise by numpy, several row by row;
+        # the stacked solve must reproduce each trial's own reductions
+        datasets, w_star = [], np.ones(d)
+        for seed in range(6):
+            ds, _, _ = regression_problem(n=80, d=d, seed=seed, heavy=True)
+            datasets.append(ds)
+        W0 = np.stack([w_star + 3.0 * np.arange(1, d + 1) * (-1) ** k
+                       for k in range(6)])
+        cfg, stop = RobustConfig(), StoppingRule(max_iters=25)
+        stacked = rgd_stacked_run(LinearModel(w_star), datasets, cfg,
+                                  OptimState(W0, 0.2), stop=stop)
+        for ds, w, traj in zip(datasets, W0, stacked):
+            assert_same_trajectory(
+                traj, rgd_run(LinearModel(w_star), ds, cfg, OptimState(w, 0.2),
+                              stop=stop))
+
+    def test_stacked_trials_must_share_n(self):
+        a, _, _ = regression_problem(n=30)
+        b, _, _ = regression_problem(n=31)
+        state = OptimState(np.zeros((2, 3)), 0.1)
+        with pytest.raises(ValueError, match="share the number of rows"):
+            erm_gd_stacked_run(LinearModel(np.zeros(3)), [a, b], state)
+        with pytest.raises(ValueError, match="share the number of rows"):
+            rgd_stacked_run(LinearModel(np.zeros(3)), [a, b], RobustConfig(), state)
 
 
 class TestRgdRun:

@@ -217,6 +217,21 @@ class TestColumnScales:
         assert np.allclose(s, sigma * np.sqrt(60 / np.log(20)))
         assert not fb.any()
 
+    @pytest.mark.parametrize("kv", [None, np.array([1.0, 4.0])])
+    def test_stacked_blocks_match_blocks_alone(self, kv):
+        # three 2-column blocks; known variances describe one block
+        D = heavy_matrix(d=6)
+        cfg = RobustConfig(known_variance=kv)
+        stacked = robust_gradient(D, cfg, full_output=True, width=2)
+        for b in range(3):
+            cols = slice(2 * b, 2 * b + 2)
+            alone = robust_gradient(D[:, cols].copy(), cfg, full_output=True)
+            for key in ("s", "locate_fallback", "scale_fallback"):
+                assert np.array_equal(stacked[1][key][cols], alone[1][key])
+            assert np.array_equal(stacked[0][cols], alone[0])
+        with pytest.raises(ValueError, match="known_variance length"):
+            column_scales(D, RobustConfig(known_variance=np.ones(4)), width=2)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RobustConfig(delta=0.0)
