@@ -7,7 +7,7 @@ estimates barely move.
 
 import numpy as np
 
-from robustgd import RobustConfig, robust_gradient, robust_gradient_subset, robust_risk
+from robustgd import RobustConfig, robust_gradient, robust_risk
 
 rng = np.random.default_rng(3)
 
@@ -18,7 +18,7 @@ G = true_grad + rng.normal(scale=0.5, size=(n, d))
 G[:5] += 80.0 * rng.standard_t(1.3, size=(5, d))
 
 cfg = RobustConfig(delta=0.05)
-theta, info = robust_gradient(G, cfg, full_output=True)
+theta, info = robust_gradient(G, cfg)
 
 print("true gradient   :", np.round(true_grad, 3))
 print("column means    :", np.round(G.mean(axis=0), 3))
@@ -28,9 +28,9 @@ print("mean error      :", np.linalg.norm(G.mean(axis=0) - true_grad))
 print("robust error    :", np.linalg.norm(theta - true_grad))
 
 # Partial robustification: treat only 3 random coordinates, mean for rest.
-sub_cfg = RobustConfig(delta=0.05, coordinate_subset_size=3)
-theta_sub, sub_info = robust_gradient_subset(G, sub_cfg, rng, full_output=True)
-print("\nsubset coordinates:", sub_info["subset"])
+subset = np.sort(rng.choice(d, size=3, replace=False))
+theta_sub, _ = robust_gradient(G, cfg, cols=subset)
+print("\nsubset coordinates:", subset)
 print("subset estimate   :", np.round(theta_sub, 3))
 
 # The same machinery summarizes a scalar loss sample.

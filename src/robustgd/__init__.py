@@ -16,7 +16,6 @@ from .mest import (
 from .robust_grad import (
     RobustConfig,
     robust_gradient,
-    robust_gradient_subset,
     robust_risk,
 )
 from .models import (
@@ -68,7 +67,7 @@ from .bench import (
 __all__ = [
     "ChiFunction", "FixedPointSettings", "RhoFunction", "confidence_scale",
     "locate", "psi_eval", "chi_eval", "rescale",
-    "RobustConfig", "robust_gradient", "robust_gradient_subset", "robust_risk",
+    "RobustConfig", "robust_gradient", "robust_risk",
     "Dataset", "LinearModel", "LogisticModel", "empirical_risk",
     "loss_and_grad_rows", "misclassification_rate", "predict",
     "L2Ball", "OptimState", "StoppingRule", "Trajectory",

@@ -23,14 +23,7 @@ from .datagen import (
     gen_w_star,
     noise_sd,
 )
-from .mest import (
-    ChiFunction,
-    FixedPointSettings,
-    RhoFunction,
-    confidence_scale,
-    locate_columns,
-    rescale_columns,
-)
+from .mest import ChiFunction, FixedPointSettings, RhoFunction
 from .models import LinearModel, LogisticModel, empirical_risk, misclassification_rate
 from .optim import (
     OptimState,
@@ -45,7 +38,7 @@ from .optim import (
     sgd_run,
     svrg_run,
 )
-from .robust_grad import RobustConfig
+from .robust_grad import RobustConfig, robust_gradient
 
 TASKS = (
     "quadratic_poc", "init_sweep", "distribution_sweep", "n_sweep", "d_sweep",
@@ -574,30 +567,28 @@ def concentration_check(sampler, n, delta, trials, C=2.0, rho=None, chi=None,
                         fp=None, seed=0):
     """Empirical coverage of the location-estimate deviation bound.
 
-    Each trial draws n points, runs the full pipeline (mean pivot,
-    dispersion, confidence scale, locate) and tests
+    Each trial draws n points, runs ``robust_gradient`` on them as one
+    column (mean pivot, dispersion, confidence scale, locate) and tests
     |theta_hat - mean| <= 2 (C var / s + s log(2/delta) / n).
     When the sample-size sufficiency condition
     (C log(2/delta)/n)(1 + C) <= 1/4 fails (variance proxy for the
     dispersion estimate), the check is skipped and flagged: the bound is not
     guaranteed there.
     """
-    rho = rho or RhoFunction("gudermannian")
-    chi = chi or ChiFunction()
-    fp = fp or FixedPointSettings()
     precondition = (C * np.log(2.0 / delta) / n) * (1.0 + C)
     if precondition > 0.25:
         return ConcentrationResult(float("nan"), 0, True, precondition, float("nan"))
+    cfg = RobustConfig(rho=rho or RhoFunction("gudermannian"),
+                       chi=chi or ChiFunction(), delta=delta,
+                       fp=fp or FixedPointSettings())
     rng = np.random.default_rng(seed)
     violations = 0
     bounds = []
     log_term = np.log(2.0 / delta)
     for _ in range(trials):
-        x = sampler.draw(rng, n)[:, None]
-        sigma, _ = rescale_columns(x, np.array([x.mean()]), chi, fp)
-        s = confidence_scale(sigma, n, delta)
-        theta, _ = locate_columns(x, np.asarray(s), rho, fp)
-        bound = 2.0 * (C * sampler.var / s[0] + s[0] * log_term / n)
+        theta, info = robust_gradient(sampler.draw(rng, n)[:, None], cfg)
+        s = info["s"][0]
+        bound = 2.0 * (C * sampler.var / s + s * log_term / n)
         bounds.append(bound)
         if abs(theta[0] - sampler.mean) > bound:
             violations += 1

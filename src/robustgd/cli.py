@@ -293,6 +293,11 @@ def ingest(path, label_col, feature_cols=None, test_per_class=None,
     X = mat[:, fidx]
     y = mat[:, li]
 
+    if test_fraction is not None and not 0.0 <= test_fraction < 1.0:
+        raise ConfigError(f"test fraction must lie in [0, 1), got {test_fraction}")
+    for what, count in (("test", test_per_class), ("train", train_per_class)):
+        if count is not None and count < 0:
+            raise ConfigError(f"{what} rows per class must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     if test_per_class is not None:
         tr, te = _stratified_split(y, test_per_class, train_per_class, rng)
@@ -304,6 +309,8 @@ def ingest(path, label_col, feature_cols=None, test_per_class=None,
     else:
         tr = np.arange(len(y))
         te = np.array([], dtype=int)
+    if not tr.size:
+        raise ConfigError("the split leaves no training rows")
 
     X_train, X_test = min_max_normalize(X[tr], X[te] if te.size else None)
     train = Dataset(X_train, _as_labels(y[tr]))
@@ -358,6 +365,8 @@ def _read_column_file(path):
                 values.append(float(line))
             except ValueError:
                 raise ConfigError(f"line {lineno}: not a number: {line!r}") from None
+            if not np.isfinite(values[-1]):
+                raise ConfigError(f"line {lineno}: not a finite number: {line!r}")
     if not values:
         raise ConfigError("no numbers found in input file")
     return np.asarray(values)
@@ -367,6 +376,10 @@ def cmd_mest(args):
     try:
         x = _read_column_file(args.data)
         rho = RhoFunction(args.rho)
+        if not 0.0 < args.delta < 1.0:
+            raise ConfigError(f"--delta must lie in (0, 1), got {args.delta}")
+        if args.scale is not None and not 0.0 < args.scale < np.inf:
+            raise ConfigError(f"--scale must be positive and finite, got {args.scale}")
     except (ConfigError, ValueError) as exc:
         print(f"mest error: {exc}", file=sys.stderr)
         return 2

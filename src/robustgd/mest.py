@@ -240,9 +240,10 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP, width=None):
     safeguarded Newton steps on [min x[:,j], max x[:,j]].  fell_back[j]
     marks columns still unresolved after ``fp.max_iters`` steps.  ``width``
     marks x as a stack of independent blocks of that many columns (one per
-    trial, say), each solved bit for bit as it would be alone.
+    trial, say), each solved bit for bit as it would be alone.  x must be a
+    finite float array; callers check it once (``locate``,
+    ``robust_gradient``).
     """
-    x = _check_sample(x, 2)
     s = np.broadcast_to(np.asarray(s, dtype=float), x.shape[1:])
     if np.any(s <= 0) or not np.all(np.isfinite(s)):
         raise ValueError("scale s must be positive and finite")
@@ -279,9 +280,8 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, sigma0=None, width=None):
     safeguarded Newton steps of ``locate_columns``, and fell_back means the
     same.  ``sigma0`` overrides the starting point (the mean absolute
     residual); any positive start reaches the same root.  ``width`` is that
-    of ``locate_columns``.
+    of ``locate_columns``, and x must be checked as there.
     """
-    x = _check_sample(x, 2)
     pivots = np.broadcast_to(np.asarray(pivots, dtype=float), x.shape[1:])
     if not np.all(np.isfinite(pivots)):
         raise ValueError("pivot must be finite")

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import loss_and_grad_rows
-from .robust_grad import column_scales, robust_gradient, robust_gradient_subset
+# column_scales is unused here but stays importable: perfbench's tracer hooks it
+from .robust_grad import column_scales, robust_gradient
 
 
 @dataclass
@@ -187,14 +188,16 @@ def _shared_n(datasets):
 
 
 def _robust_descent(rows, cfg, state, constraint, stop, record_every, cost,
-                    rng=None):
+                    draw_cols=None):
     """Robust descent of the trials whose starting points are the rows of
     ``state.w``; ``rows(k, w)`` gives trial k's gradient rows at w.
 
     Each step stacks the rows of every live trial whose row mean is finite
-    into one (n, T d) matrix and solves all its columns in one call, each bit
-    for bit as alone; a trial whose row mean is not finite descends on it,
-    so the loop stops it as "diverged".  Per-column solver fallbacks are
+    into one (n, T d) matrix and solves all its columns in one
+    ``robust_gradient`` call, each bit for bit as alone; a trial whose row
+    mean is not finite descends on it, so the loop stops it as "diverged".
+    ``draw_cols()``, when given, draws a lone trial's coordinate subset for
+    each step that reaches the solver.  Per-column solver fallbacks are
     tallied per trial, never raised.
     """
     d = state.w.shape[1]
@@ -207,14 +210,9 @@ def _robust_descent(rows, cfg, state, constraint, stop, record_every, cost,
         if not ok.size:
             return g
         D = blocks[ok[0]] if ok.size == 1 else np.hstack([blocks[i] for i in ok])
-        if cfg.coordinate_subset_size is not None:
-            theta, info = robust_gradient_subset(D, cfg, rng, full_output=True)
-        else:
-            width = d if ok.size > 1 else None
-            _, s, scale_fb = column_scales(D, cfg, width)
-            theta, info = robust_gradient(D, cfg, scale=s, full_output=True,
-                                          width=width)
-            info["scale_fallback"] = scale_fb
+        width = d if ok.size > 1 else None
+        cols = None if draw_cols is None else draw_cols()
+        theta, info = robust_gradient(D, cfg, width, cols)
         g[ok] = theta.reshape(ok.size, -1)
         for key, mask in (("scale_fallbacks", info["scale_fallback"]),
                           ("locate_fallbacks", info["locate_fallback"])):
@@ -232,14 +230,14 @@ def _robust_descent(rows, cfg, state, constraint, stop, record_every, cost,
 def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
             batch_size=None, record_every=1):
     """Robust gradient descent: each step summarizes the per-row gradient
-    matrix by coordinate-wise location estimates and descends on those.
+    matrix by coordinate-wise location estimates (``robust_gradient``) and
+    descends on those.
 
-    Coordinate subsets are robustified when ``cfg.coordinate_subset_size``
-    is set (requires ``rng``); otherwise every step estimates the column
-    scales (the dispersion root, or the prior variance when
-    ``cfg.known_variance`` is set) and locates every column.  ``batch_size``
-    draws a random row subset per step (requires ``rng``).  Per-column solver
-    fallbacks are tallied, never raised.
+    With ``cfg.coordinate_subset_size`` = k set, each step draws k of the d
+    coordinates from ``rng`` (after the step's rows) and robustifies only
+    those; the rest take their plain mean.  ``batch_size`` draws a random
+    row subset per step (requires ``rng``).  Per-column solver fallbacks are
+    tallied, never raised.
     """
     stop = stop or StoppingRule(max_iters=100)
     n = dataset.n
@@ -248,8 +246,16 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
             raise ValueError("batch_size must lie in [1, n]")
         if rng is None:
             raise ValueError("mini-batch runs need an rng")
-    if cfg.coordinate_subset_size is not None and rng is None:
-        raise ValueError("coordinate subset runs need an rng")
+    draw_cols = None
+    if cfg.coordinate_subset_size is not None:
+        size, d = cfg.coordinate_subset_size, state.w.shape[0]
+        if rng is None:
+            raise ValueError("coordinate subset runs need an rng")
+        if size > d:
+            raise ValueError("coordinate_subset_size cannot exceed the number of columns")
+
+        def draw_cols():
+            return np.sort(rng.choice(d, size=size, replace=False))
 
     def rows(k, w):
         ds = dataset
@@ -259,7 +265,7 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
 
     traj, = _robust_descent(rows, cfg, _as_batch(state), constraint, stop,
                             record_every, n if batch_size is None else batch_size,
-                            rng)
+                            draw_cols)
     return traj
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mest import (
-    DEFAULT_FP,
     ChiFunction,
     FixedPointSettings,
     RhoFunction,
@@ -30,8 +29,10 @@ class RobustConfig:
     ``delta`` is the confidence parameter of the scale multiplier; ``C`` the
     curvature constant of the influence-function envelope, used only with
     ``known_variance``.  ``coordinate_subset_size`` switches on the
-    randomized partial robustification, ``known_variance`` the prior-variance
-    scaling sigma_j = sqrt(C * var_j) in place of the dispersion estimate.
+    randomized partial robustification (``rgd_run`` draws that many columns
+    per step and passes them to ``robust_gradient`` as ``cols``),
+    ``known_variance`` the prior-variance scaling sigma_j = sqrt(C * var_j)
+    in place of the dispersion estimate.
     ``fp`` controls the Newton/bisection root solves of both M-estimates.
     """
 
@@ -57,19 +58,9 @@ class RobustConfig:
             self.known_variance = kv
 
 
-def _check_gradient_sample(D):
-    D = np.asarray(D, dtype=float)
-    if D.ndim != 2:
-        raise ValueError("gradient sample must be an (n, d) matrix")
-    if D.shape[0] < 1 or D.shape[1] < 1:
-        raise ValueError("gradient sample must be non-empty")
-    if not np.all(np.isfinite(D)):
-        raise ValueError("gradient sample contains non-finite entries")
-    return D
-
-
 def column_scales(D, cfg, width=None):
-    """Per-column truncation scales (sigma_hat, s) for a gradient sample.
+    """Per-column truncation scales (sigma_hat, s) of a validated gradient
+    sample, the scale stage of ``robust_gradient``.
 
     Pivot is the column mean; sigma_hat the dispersion root (or sqrt(C * v)
     under known variance); s widens sigma_hat by sqrt(n / log(2/delta)).
@@ -77,7 +68,6 @@ def column_scales(D, cfg, width=None):
     each estimated bit for bit as it would be alone (known variances then
     describe one block).  Returns (sigma_hat, s, scale_fallback_mask).
     """
-    D = _check_gradient_sample(D)
     n, d = D.shape
     if cfg.known_variance is not None:
         block = width or d
@@ -92,55 +82,38 @@ def column_scales(D, cfg, width=None):
     return sigma, np.asarray(s, dtype=float), fell_back
 
 
-def robust_gradient(D, cfg, scale=None, full_output=False, width=None):
+def robust_gradient(D, cfg, width=None, cols=None):
     """Coordinate-wise robust location estimate of the gradient sample rows.
 
-    The truncation scales come from ``column_scales``: the dispersion root,
-    or the prior variance when ``cfg.known_variance`` is set.  ``scale`` may
-    carry precomputed per-column scales s instead.  With ``full_output`` a
-    diagnostics dict (sigma, s, per-column fallback flags) is returned too;
-    estimation never raises on a hard column: a root still open after
-    ``cfg.fp.max_iters`` Newton steps is finished by bisection and flagged.
-    ``width`` is that of ``column_scales``.
+    D is checked once (a finite, non-empty (n, d) matrix); the truncation
+    scales then come from ``column_scales``, the dispersion root or the
+    prior variance when ``cfg.known_variance`` is set, and every column is
+    located at its scale.  ``cols`` robustifies only those columns and gives
+    every other column its plain mean; numpy copies them column-major, so
+    all d columns agree with no ``cols`` to rounding, not bit for bit.
+    ``width`` is that of ``column_scales`` and does not combine with
+    ``cols``.  Returns
+    (theta, info): info holds sigma, s and the scale_fallback and
+    locate_fallback masks of the robustified columns.  Estimation never
+    raises on a hard column: a root still open after ``cfg.fp.max_iters``
+    Newton steps is finished by bisection and flagged.
     """
-    D = _check_gradient_sample(D)
-    n, d = D.shape
-    if scale is None:
-        sigma, s, scale_fb = column_scales(D, cfg, width)
-    else:
-        s = np.broadcast_to(np.asarray(scale, dtype=float), (d,))
-        if np.any(s <= 0):
-            raise ValueError("scale must be positive")
-        sigma, scale_fb = None, np.zeros(d, dtype=bool)
-    theta, loc_fb = locate_columns(D, s, cfg.rho, cfg.fp, width=width)
-    if full_output:
-        info = {"sigma": sigma, "s": s, "locate_fallback": loc_fb,
-                "scale_fallback": scale_fb}
-        return theta, info
-    return theta
-
-
-def robust_gradient_subset(D, cfg, rng, full_output=False):
-    """Robustify a random subset of coordinates, sample-mean for the rest.
-
-    The subset is drawn uniformly without replacement from ``rng`` at every
-    call; with subset size d this reproduces ``robust_gradient`` exactly.
-    """
-    D = _check_gradient_sample(D)
-    n, d = D.shape
-    k = cfg.coordinate_subset_size
-    if k is None:
-        raise ValueError("coordinate_subset_size must be set for the subset variant")
-    if k > d:
-        raise ValueError("coordinate_subset_size cannot exceed the number of columns")
-    idx = np.sort(rng.choice(d, size=k, replace=False))
-    theta = D.mean(axis=0)
-    sub, info = robust_gradient(D[:, idx], cfg, full_output=True)
-    theta[idx] = sub
-    if full_output:
-        info["subset"] = idx
-        return theta, info
-    return theta
+    D = np.asarray(D, dtype=float)
+    if D.ndim != 2 or D.size == 0:
+        raise ValueError("gradient sample must be a non-empty (n, d) matrix")
+    if not np.all(np.isfinite(D)):
+        raise ValueError("gradient sample contains non-finite entries")
+    if cols is not None and width is not None:
+        raise ValueError("a coordinate subset cannot be taken of stacked blocks")
+    sub = D if cols is None else D[:, cols]
+    sigma, s, scale_fb = column_scales(sub, cfg, width)
+    theta, loc_fb = locate_columns(sub, s, cfg.rho, cfg.fp, width=width)
+    if cols is not None:
+        full = D.mean(axis=0)
+        full[cols] = theta
+        theta = full
+    return theta, {"sigma": sigma, "s": s, "scale_fallback": scale_fb,
+                   "locate_fallback": loc_fb}
 
 
 def robust_risk(losses, cfg):
@@ -152,5 +125,5 @@ def robust_risk(losses, cfg):
     losses = np.asarray(losses, dtype=float)
     if losses.ndim != 1:
         raise ValueError("expected a 1-D loss sample")
-    theta = robust_gradient(losses[:, None], cfg)
+    theta, _ = robust_gradient(losses[:, None], cfg)
     return float(theta[0])

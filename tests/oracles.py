@@ -1,14 +1,23 @@
 """Independent verification oracles shared by the test suite.
 
-Everything here avoids the library's solvers on purpose: brute-force
-minimization, quadrature, finite differences and closed forms are the
-reference implementations the fast paths are checked against.
+Everything here but ``concentration_pipeline`` avoids the library's solvers
+on purpose: brute-force minimization, quadrature, finite differences and
+closed forms are the reference implementations the fast paths are checked
+against.  ``concentration_pipeline`` pins how the solver stages compose.
 """
 
 import numpy as np
 from scipy import optimize, special
 
 from robustgd.datagen import noise_sd
+from robustgd.mest import (
+    ChiFunction,
+    FixedPointSettings,
+    RhoFunction,
+    confidence_scale,
+    locate_columns,
+    rescale_columns,
+)
 
 LD = np.longdouble
 _PI_2 = LD("1.5707963267948966192313216916398")
@@ -240,3 +249,22 @@ def geometric_median_oracle(points, restarts=6, seed=0):
             best_val = res.fun
             best = res.x
     return best, best_val
+
+
+def concentration_pipeline(sampler, n, delta, trials, C=2.0, seed=0):
+    """``bench.concentration_check`` spelled out stage by stage: mean pivot,
+    ``rescale_columns``, ``confidence_scale``, ``locate_columns``.  Returns
+    (violation_rate, mean_bound)."""
+    rho, chi, fp = RhoFunction("gudermannian"), ChiFunction(), FixedPointSettings()
+    rng = np.random.default_rng(seed)
+    log_term = np.log(2.0 / delta)
+    violations, bounds = 0, []
+    for _ in range(trials):
+        x = sampler.draw(rng, n)[:, None]
+        sigma, _ = rescale_columns(x, np.array([x.mean()]), chi, fp)
+        s = confidence_scale(sigma, n, delta)
+        theta, _ = locate_columns(x, np.asarray(s), rho, fp)
+        bound = 2.0 * (C * sampler.var / s[0] + s[0] * log_term / n)
+        bounds.append(bound)
+        violations += int(abs(theta[0] - sampler.mean) > bound)
+    return violations / trials, float(np.mean(bounds))

@@ -20,7 +20,7 @@ from robustgd.bench import (
 from robustgd.datagen import NoiseSpec
 from robustgd.models import Dataset, loss_and_grad_rows
 
-from oracles import quadratic_descent_iterates
+from oracles import concentration_pipeline, quadratic_descent_iterates
 
 
 # trials per chunk at d = 2
@@ -402,6 +402,15 @@ class TestConcentrationCheck:
                                   C=2.0, seed=0)
         assert not res.skipped
         assert res.violation_rate <= 0.05
+
+    @pytest.mark.parametrize("n, C", [(12, 0.5), (57, 0.01), (500, 0.05), (500, 2.0)])
+    def test_matches_the_explicit_pipeline(self, n, C):
+        sampler = KnownSampler.from_noise(
+            NoiseSpec("lognormal", params={"log_loc": 0.0, "log_scale": 1.75}))
+        res = concentration_check(sampler, n=n, delta=0.05, trials=150, C=C, seed=3)
+        assert not res.skipped
+        assert (res.violation_rate, res.mean_bound) == concentration_pipeline(
+            sampler, n=n, delta=0.05, trials=150, C=C, seed=3)
 
     def test_small_n_flagged_as_skipped(self):
         sampler = KnownSampler.from_noise(NoiseSpec("normal", params={"scale": 1.0}))

@@ -256,6 +256,24 @@ class TestIngest:
         summary = json.loads(capsys.readouterr().out)
         assert summary["test_rows"] == 2
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--test-fraction", "-0.2"], "test fraction must lie in [0, 1)"),
+        (["--test-fraction", "1.5"], "test fraction must lie in [0, 1)"),
+        (["--test-fraction", "0.95"], "no training rows"),
+        (["--test-per-class", "-1"], "test rows per class must be >= 0"),
+        (["--test-per-class", "1", "--train-per-class", "-1"],
+         "train rows per class must be >= 0"),
+        (["--test-per-class", "1", "--train-per-class", "0"], "no training rows"),
+    ])
+    def test_cli_ingest_bad_split_exits_2(self, tmp_path, capsys, flags, error):
+        # five rows, two per class 0 and 1 and one of class 2
+        p = self.write_csv(tmp_path, [[1, 2, 0], [3, 4, 1], [5, 6, 0], [7, 8, 1],
+                                      [9, 10, 2]])
+        out = tmp_path / "ing"
+        assert main(["ingest", str(p), "--label", "y", "--out", str(out)] + flags) == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
     def test_min_max_normalize_helper(self):
         train = np.array([[0.0, 1.0], [10.0, 1.0]])
         test = np.array([[5.0, 1.0], [20.0, 1.0]])
@@ -304,6 +322,19 @@ class TestMest:
     def test_bad_file_exits_2(self, tmp_path, capsys):
         p = self.write_column(tmp_path, ["abc"])
         assert main(["mest", str(p)]) == 2
+
+    @pytest.mark.parametrize("values, flags, error", [
+        ([1, 2, 3], ["--delta", "1.5"], "--delta must lie in (0, 1)"),
+        ([1, 2, 3], ["--delta", "0"], "--delta must lie in (0, 1)"),
+        ([1, 2, 3], ["--scale", "-1"], "--scale must be positive and finite"),
+        ([1, 2, 3], ["--scale", "inf"], "--scale must be positive and finite"),
+        ([1, "nan", 3], [], "line 2: not a finite number"),
+    ])
+    def test_unusable_input_exits_2(self, tmp_path, capsys, values, flags, error):
+        p = self.write_column(tmp_path, values)
+        assert main(["mest", str(p)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mest error: ") and error in err
 
 
 class TestListing:

@@ -198,6 +198,19 @@ class TestRgdRun:
         assert np.array_equal(runs[0], runs[1])
 
 
+    def test_subset_validation(self):
+        ds, w_star, _ = regression_problem(d=3)
+        model, state = LinearModel(w_star), OptimState(w_star.copy(), 0.1)
+        with pytest.raises(ValueError, match="cannot exceed the number of columns"):
+            rgd_run(model, ds, RobustConfig(coordinate_subset_size=4), state,
+                    rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="need an rng"):
+            rgd_run(model, ds, RobustConfig(coordinate_subset_size=2), state)
+        with pytest.raises(ValueError, match="do not stack"):
+            rgd_stacked_run(model, [ds], RobustConfig(coordinate_subset_size=2),
+                            OptimState(w_star[None], 0.1))
+
+
 class TestProjection:
     def test_projection_nonexpansive_and_feasible(self):
         rng = np.random.default_rng(3)

@@ -8,7 +8,6 @@ from robustgd.robust_grad import (
     RobustConfig,
     column_scales,
     robust_gradient,
-    robust_gradient_subset,
     robust_risk,
 )
 
@@ -30,16 +29,16 @@ class TestRobustGradient:
     def test_identical_rows_return_the_row(self):
         v = np.array([1.5, -2.0, 0.25])
         D = np.tile(v, (7, 1))
-        assert np.allclose(robust_gradient(D, GUD_CFG), v, atol=1e-12)
+        assert np.allclose(robust_gradient(D, GUD_CFG)[0], v, atol=1e-12)
 
     def test_quadratic_rho_gives_column_means(self):
         D = heavy_matrix()
-        assert np.allclose(robust_gradient(D, QUAD_CFG), D.mean(axis=0),
+        assert np.allclose(robust_gradient(D, QUAD_CFG)[0], D.mean(axis=0),
                            atol=1e-10)
 
     def test_single_outlier_column_matches_oracle(self):
         col = np.array([0.0, 0.0, 0.0, 0.0, 100.0])
-        theta = robust_gradient(col[:, None], GUD_CFG)[0]
+        theta = robust_gradient(col[:, None], GUD_CFG)[0][0]
         sigma = rescale(col, col.mean(), ChiFunction(), TIGHT)
         s = confidence_scale(sigma, 5, 0.1)
         assert theta == pytest.approx(
@@ -50,26 +49,30 @@ class TestRobustGradient:
     def test_column_permutation_equivariance(self):
         D = heavy_matrix()
         perm = np.array([2, 0, 3, 1])
-        assert np.allclose(robust_gradient(D[:, perm], GUD_CFG),
-                           robust_gradient(D, GUD_CFG)[perm], atol=1e-12)
+        assert np.allclose(robust_gradient(D[:, perm], GUD_CFG)[0],
+                           robust_gradient(D, GUD_CFG)[0][perm], atol=1e-12)
 
     def test_row_permutation_invariance(self):
         D = heavy_matrix()
         rng = np.random.default_rng(1)
         shuffled = D[rng.permutation(D.shape[0])]
-        assert np.allclose(robust_gradient(shuffled, GUD_CFG),
-                           robust_gradient(D, GUD_CFG), atol=1e-11)
+        assert np.allclose(robust_gradient(shuffled, GUD_CFG)[0],
+                           robust_gradient(D, GUD_CFG)[0], atol=1e-11)
 
     def test_outlier_damping_versus_mean(self):
         # one huge outlier at fixed truncation scale: the estimate barely
         # moves while the mean scales with the outlier
         n = 10
+        # the prior variance that gives truncation scale s = 5
+        cfg = RobustConfig(rho=RhoFunction("gudermannian"), delta=0.1, fp=TIGHT,
+                           known_variance=np.array([25.0 * np.log(20.0) / (2.0 * n)]))
         theta = {}
         for M in (1e3, 1e6):
             col = np.zeros(n)
             col[-1] = M
-            theta[M] = robust_gradient(col[:, None], GUD_CFG,
-                                       scale=np.array([5.0]))[0]
+            est, info = robust_gradient(col[:, None], cfg)
+            assert info["s"][0] == pytest.approx(5.0)
+            theta[M] = est[0]
             assert abs(col.mean()) == M / n
         assert theta[1e6] <= 2.0 * theta[1e3]
         assert theta[1e6] > 0
@@ -81,17 +84,19 @@ class TestRobustGradient:
         for delta in (0.5, 0.1, 0.02):  # decreasing delta shrinks s
             cfg = RobustConfig(rho=RhoFunction("gudermannian"), delta=delta,
                                fp=TIGHT)
-            gaps.append(np.abs(robust_gradient(D, cfg) - means))
+            gaps.append(np.abs(robust_gradient(D, cfg)[0] - means))
         # larger delta (wider scale) sits closer to the sample mean
         assert np.all(gaps[0] <= gaps[1] + 1e-9)
         assert np.all(gaps[1] <= gaps[2] + 1e-9)
 
     def test_full_output_diagnostics(self):
         D = heavy_matrix()
-        theta, info = robust_gradient(D, GUD_CFG, full_output=True)
+        theta, info = robust_gradient(D, GUD_CFG)
+        assert theta.shape == (4,)
         assert info["s"].shape == (4,)
         assert info["sigma"].shape == (4,)
         assert info["locate_fallback"].dtype == bool
+        assert info["scale_fallback"].dtype == bool
         assert np.all(info["s"] > 0)
 
     def test_rejects_bad_input(self):
@@ -105,32 +110,28 @@ class TestRobustGradient:
 
 class TestSubsetVariant:
     def test_full_subset_matches_robust_gradient(self):
+        # numpy copies D[:, cols] column-major and sums each column of it
+        # pairwise, so the subset solves as the column-major matrix does,
+        # bit for bit, and as the row-major one does up to rounding
         D = heavy_matrix()
-        cfg = RobustConfig(rho=RhoFunction("gudermannian"), delta=0.1,
-                           fp=TIGHT, coordinate_subset_size=D.shape[1])
-        got = robust_gradient_subset(D, cfg, np.random.default_rng(0))
-        assert np.allclose(got, robust_gradient(D, cfg), atol=1e-12)
+        theta, info = robust_gradient(D, GUD_CFG, cols=np.arange(D.shape[1]))
+        f_theta, f_info = robust_gradient(np.asfortranarray(D), GUD_CFG)
+        assert theta.tobytes() == f_theta.tobytes()
+        for key in ("sigma", "s", "scale_fallback", "locate_fallback"):
+            assert info[key].tobytes() == f_info[key].tobytes()
+        assert np.allclose(theta, robust_gradient(D, GUD_CFG)[0], atol=1e-12)
 
     def test_full_subset_quadratic_gives_means(self):
         D = heavy_matrix()
-        cfg = RobustConfig(rho=RhoFunction("quadratic_test_only"), delta=0.1,
-                           fp=TIGHT, coordinate_subset_size=D.shape[1])
-        got = robust_gradient_subset(D, cfg, np.random.default_rng(0))
-        assert np.allclose(got, D.mean(axis=0), atol=1e-10)
+        theta, _ = robust_gradient(D, QUAD_CFG, cols=np.arange(D.shape[1]))
+        assert np.allclose(theta, D.mean(axis=0), atol=1e-10)
 
     def test_mixed_subset_composes_both_estimators(self):
         rng = np.random.default_rng(2)
         D = rng.normal(size=(12, 3))
         D[0, 1] = 500.0  # outlier in column 1 only
-        cfg = RobustConfig(rho=RhoFunction("gudermannian"), delta=0.1,
-                           fp=TIGHT, coordinate_subset_size=1)
-        # find a seed whose draw selects column 1
-        for seed in range(50):
-            if np.random.default_rng(seed).choice(3, size=1, replace=False)[0] == 1:
-                break
-        theta, info = robust_gradient_subset(D, cfg, np.random.default_rng(seed),
-                                             full_output=True)
-        assert list(info["subset"]) == [1]
+        theta, info = robust_gradient(D, GUD_CFG, cols=[1])
+        assert info["s"].shape == (1,)
         means = D.mean(axis=0)
         assert theta[0] == means[0] and theta[2] == means[2]
         sigma = rescale(D[:, 1], means[1], ChiFunction(), TIGHT)
@@ -139,14 +140,10 @@ class TestSubsetVariant:
             locate_oracle(D[:, 1], s, RhoFunction("gudermannian")), abs=1e-8)
 
     def test_subset_size_validation(self):
-        D = heavy_matrix()
         with pytest.raises(ValueError):
             RobustConfig(coordinate_subset_size=0)
-        cfg = RobustConfig(coordinate_subset_size=10)
-        with pytest.raises(ValueError):
-            robust_gradient_subset(D, cfg, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            robust_gradient_subset(D, GUD_CFG, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="stacked blocks"):
+            robust_gradient(heavy_matrix(d=4), GUD_CFG, width=2, cols=[0])
 
 
 class TestKnownVarianceVariant:
@@ -154,7 +151,7 @@ class TestKnownVarianceVariant:
         D = heavy_matrix()
         cfg = RobustConfig(rho=RhoFunction("quadratic_test_only"), delta=0.1,
                            fp=TIGHT, known_variance=D.var(axis=0))
-        assert np.allclose(robust_gradient(D, cfg),
+        assert np.allclose(robust_gradient(D, cfg)[0],
                            D.mean(axis=0), atol=1e-10)
 
     def test_zero_dispersion_column_returns_common_value(self):
@@ -163,7 +160,7 @@ class TestKnownVarianceVariant:
         D[:, 1] = -1.5
         cfg = RobustConfig(rho=RhoFunction("gudermannian"), delta=0.1, fp=TIGHT,
                            known_variance=np.array([4.0, 9.0]))
-        assert np.allclose(robust_gradient(D, cfg),
+        assert np.allclose(robust_gradient(D, cfg)[0],
                            [3.25, -1.5], atol=1e-12)
 
     def test_heavy_tailed_column_matches_oracle_with_prior_scale(self):
@@ -179,7 +176,7 @@ class TestKnownVarianceVariant:
         C = 2.0
         cfg = RobustConfig(rho=RhoFunction("gudermannian"), delta=0.1, C=C,
                            fp=TIGHT, known_variance=np.array([var]))
-        theta = robust_gradient(col[:, None], cfg)[0]
+        theta = robust_gradient(col[:, None], cfg)[0][0]
         s = np.sqrt(C * var) * np.sqrt(40 / np.log(2 / 0.1))
         assert theta == pytest.approx(
             locate_oracle(col, s, RhoFunction("gudermannian")), abs=1e-8)
@@ -222,13 +219,13 @@ class TestColumnScales:
         # three 2-column blocks; known variances describe one block
         D = heavy_matrix(d=6)
         cfg = RobustConfig(known_variance=kv)
-        stacked = robust_gradient(D, cfg, full_output=True, width=2)
+        theta, info = robust_gradient(D, cfg, width=2)
         for b in range(3):
             cols = slice(2 * b, 2 * b + 2)
-            alone = robust_gradient(D[:, cols].copy(), cfg, full_output=True)
+            theta_b, info_b = robust_gradient(D[:, cols].copy(), cfg)
             for key in ("s", "locate_fallback", "scale_fallback"):
-                assert np.array_equal(stacked[1][key][cols], alone[1][key])
-            assert np.array_equal(stacked[0][cols], alone[0])
+                assert np.array_equal(info[key][cols], info_b[key])
+            assert np.array_equal(theta[cols], theta_b)
         with pytest.raises(ValueError, match="known_variance length"):
             column_scales(D, RobustConfig(known_variance=np.ones(4)), width=2)
 
