@@ -315,7 +315,9 @@ def _run_method(name, cfg, model, ds, w0, stop, trial_seed, record_every,
     if kind == "rgd_mb":
         return rgd_run(model, ds, cfg.robust_config(), state, stop=stop, rng=rng,
                        batch_size=param, record_every=record_every)
-    rc = replace(cfg.robust_config(), coordinate_subset_size=min(param, len(w0)))
+    # a subset of all d columns is rgd, bit for bit, with no draws
+    rc = replace(cfg.robust_config(),
+                 coordinate_subset_size=param if param < len(w0) else None)
     return rgd_run(model, ds, rc, state, stop=stop, rng=rng,
                    record_every=record_every)
 

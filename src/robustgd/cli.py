@@ -192,8 +192,8 @@ def cmd_run(args):
 
 
 def _read_numeric_csv(path):
-    """Header + float matrix from a CSV file; missing or non-numeric cells
-    are reported with their row numbers."""
+    """Header + float matrix from a CSV file; missing, non-numeric and
+    non-finite cells are reported with their row numbers."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -204,6 +204,7 @@ def _read_numeric_csv(path):
         rows = []
         missing = []
         bad = []
+        nonfinite = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ConfigError(
@@ -218,14 +219,18 @@ def _read_numeric_csv(path):
                 try:
                     vals.append(float(cell))
                 except ValueError:
-                    bad.append((lineno, cell))
+                    bad.append(lineno)
                     vals.append(np.nan)
+                    continue
+                if not np.isfinite(vals[-1]):
+                    nonfinite.append(lineno)
             rows.append(vals)
     if missing:
         raise ConfigError(f"missing values in rows: {sorted(set(missing))}")
     if bad:
-        rows_ = sorted({r for r, _ in bad})
-        raise ConfigError(f"non-numeric values in rows: {rows_}")
+        raise ConfigError(f"non-numeric values in rows: {sorted(set(bad))}")
+    if nonfinite:
+        raise ConfigError(f"non-finite values in rows: {sorted(set(nonfinite))}")
     if not rows:
         raise ConfigError("CSV contains a header but no data rows")
     return header, np.asarray(rows, dtype=float)
@@ -319,7 +324,8 @@ def ingest(path, label_col, feature_cols=None, test_per_class=None,
 
 
 def _as_labels(y):
-    if np.allclose(y, np.round(y)):
+    """Whole-number labels as class indices; any other labels as they are."""
+    if np.all(y == np.round(y)):
         return np.round(y).astype(int)
     return y
 

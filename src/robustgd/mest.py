@@ -215,46 +215,38 @@ def _solve_columns(residual, z, lo, hi, fp):
     return z, fell_back
 
 
-def column_means(a, width=None, cols=None):
-    """Column means of an (n, k) matrix.
+def column_means(a):
+    """Column means of an (n, k) matrix, each column reduced alone.
 
-    With ``width``, the columns are the columns ``cols`` (default all) of a
-    stack of independent blocks of ``width`` columns, and each mean comes out
-    bit for bit as from its block's columns alone: numpy sums a lone column
-    pairwise but several columns row by row.
+    The columns are copied into the rows of a C-contiguous (k, n) array and
+    summed along them, so every mean has the bits of its column's own
+    pairwise sum, whatever the matrix's width or memory order.
     """
-    out = a.mean(axis=0)
-    if width is not None and width < out.size:
-        block = (np.arange(out.size) if cols is None else cols) // width
-        lone = np.bincount(block)[block] == 1
-        if lone.any():
-            out[lone] = a[:, lone].T.copy().mean(axis=1)
-    return out
+    return np.ascontiguousarray(a.T).mean(axis=1)
 
 
-def locate_columns(x, s, rho, fp=DEFAULT_FP, width=None):
+def locate_columns(x, s, rho, fp=DEFAULT_FP):
     """Column-wise location M-estimates of an (n, k) sample matrix.
 
     Returns (theta, fell_back) where theta[j] solves
     sum_i psi((x[i,j] - theta)/s[j]) = 0, found from the column median by
     safeguarded Newton steps on [min x[:,j], max x[:,j]].  fell_back[j]
-    marks columns still unresolved after ``fp.max_iters`` steps.  ``width``
-    marks x as a stack of independent blocks of that many columns (one per
-    trial, say), each solved bit for bit as it would be alone.  x must be a
-    finite float array; callers check it once (``locate``,
-    ``robust_gradient``).
+    marks columns still unresolved after ``fp.max_iters`` steps.  Every
+    reduction runs over one column alone (see ``column_means``), so theta[j]
+    depends on column j only, bit for bit.  x must be a finite float array;
+    callers check it once (``locate``, ``robust_gradient``).
     """
     s = np.broadcast_to(np.asarray(s, dtype=float), x.shape[1:])
     if np.any(s <= 0) or not np.all(np.isfinite(s)):
         raise ValueError("scale s must be positive and finite")
+    xt = np.ascontiguousarray(x.T)
 
     def residual(theta, cols):
-        u = (x[:, cols] - theta) / s[cols]
-        return (column_means(rho.psi(u), width, cols),
-                -column_means(rho.dpsi(u), width, cols) / s[cols])
+        u = (xt[cols] - theta[:, None]) / s[cols, None]
+        return rho.psi(u).mean(axis=1), -rho.dpsi(u).mean(axis=1) / s[cols]
 
-    return _solve_columns(residual, np.median(x, axis=0), x.min(axis=0),
-                          x.max(axis=0), fp)
+    return _solve_columns(residual, np.median(xt, axis=1), xt.min(axis=1),
+                          xt.max(axis=1), fp)
 
 
 def locate(data, s, rho, fp=DEFAULT_FP):
@@ -269,7 +261,7 @@ def locate(data, s, rho, fp=DEFAULT_FP):
     return float(theta[0])
 
 
-def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, sigma0=None, width=None):
+def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, sigma0=None):
     """Column-wise dispersion estimates about per-column pivots.
 
     Returns (sigma, fell_back).  sigma[j] >= floor_j solves
@@ -279,32 +271,31 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, sigma0=None, width=None):
     root is found in log sigma on [log floor_j, log(2 max_i |r_ij|)] by the
     safeguarded Newton steps of ``locate_columns``, and fell_back means the
     same.  ``sigma0`` overrides the starting point (the mean absolute
-    residual); any positive start reaches the same root.  ``width`` is that
-    of ``locate_columns``, and x must be checked as there.
+    residual); any positive start reaches the same root.  Columns are
+    reduced alone and x must be checked, both as in ``locate_columns``.
     """
     pivots = np.broadcast_to(np.asarray(pivots, dtype=float), x.shape[1:])
     if not np.all(np.isfinite(pivots)):
         raise ValueError("pivot must be finite")
     if sigma0 is not None and not np.all(np.asarray(sigma0) > 0):
         raise ValueError("sigma0 must be positive")
-    r = x - pivots
-    a = np.abs(r)
+    rt = np.ascontiguousarray(x.T) - pivots[:, None]
+    a = np.abs(rt)
     floor = fp.sigma_floor * (1.0 + np.abs(pivots))
     lo = np.log(floor)
     with np.errstate(divide="ignore", over="ignore"):
         # every chi term is negative once sigma > 2 max|r|
-        hi = np.maximum(np.log(2.0) + np.log(a.max(axis=0)), lo)
-        start = np.log(column_means(a, width) if sigma0 is None else sigma0)
+        hi = np.maximum(np.log(2.0) + np.log(a.max(axis=1)), lo)
+        start = np.log(a.mean(axis=1) if sigma0 is None else sigma0)
     # as sigma -> 0 the mean chi tends to (1 - c) minus the share of zero
     # residuals; where that is <= 0 there is no root and the floor is returned
-    no_root = (r == 0.0).mean(axis=0) >= 1.0 - chi.c
+    no_root = (rt == 0.0).mean(axis=1) >= 1.0 - chi.c
     hi[no_root] = lo[no_root]
 
     def residual(z, cols):
         with np.errstate(over="ignore"):
-            u = r[:, cols] * np.exp(-z)
-        return (column_means(chi.chi(u), width, cols),
-                -column_means(u * chi.dchi(u), width, cols))
+            u = rt[cols] * np.exp(-z)[:, None]
+        return chi.chi(u).mean(axis=1), -(u * chi.dchi(u)).mean(axis=1)
 
     z, fell_back = _solve_columns(residual, np.clip(start, lo, hi), lo, hi, fp)
     return np.maximum(np.exp(z), floor), fell_back

@@ -194,13 +194,13 @@ def _robust_descent(rows, cfg, state, constraint, stop, record_every, cost,
 
     Each step stacks the rows of every live trial whose row mean is finite
     into one (n, T d) matrix and solves all its columns in one
-    ``robust_gradient`` call, each bit for bit as alone; a trial whose row
+    ``robust_gradient`` call, which reduces every column alone, so each
+    trial's estimate has the bits of its own solve; a trial whose row
     mean is not finite descends on it, so the loop stops it as "diverged".
     ``draw_cols()``, when given, draws a lone trial's coordinate subset for
     each step that reaches the solver.  Per-column solver fallbacks are
     tallied per trial, never raised.
     """
-    d = state.w.shape[1]
     diags = [{"locate_fallbacks": 0, "scale_fallbacks": 0} for _ in state.w]
 
     def grad_fn(W, t, live):
@@ -210,9 +210,8 @@ def _robust_descent(rows, cfg, state, constraint, stop, record_every, cost,
         if not ok.size:
             return g
         D = blocks[ok[0]] if ok.size == 1 else np.hstack([blocks[i] for i in ok])
-        width = d if ok.size > 1 else None
         cols = None if draw_cols is None else draw_cols()
-        theta, info = robust_gradient(D, cfg, width, cols)
+        theta, info = robust_gradient(D, cfg, cols)
         g[ok] = theta.reshape(ok.size, -1)
         for key, mask in (("scale_fallbacks", info["scale_fallback"]),
                           ("locate_fallbacks", info["locate_fallback"])):
@@ -275,10 +274,11 @@ def rgd_stacked_run(model, datasets, cfg, state, constraint=None, stop=None,
     step: trial k descends from row k of ``state.w`` on ``datasets[k]``, all
     with ``model``'s loss and one shared n.  Returns one Trajectory per
     trial, each bit for bit its own ``rgd_run``.  Coordinate subsets draw
-    per trial and run through ``rgd_run`` only.
+    per trial and known variances describe one trial's columns, so both run
+    through ``rgd_run`` only.
     """
-    if cfg.coordinate_subset_size is not None:
-        raise ValueError("coordinate subset runs do not stack")
+    if cfg.coordinate_subset_size is not None or cfg.known_variance is not None:
+        raise ValueError("coordinate subset and known-variance runs do not stack")
     stop = stop or StoppingRule(max_iters=100)
     return _robust_descent(
         lambda k, w: loss_and_grad_rows(model.with_weights(w), datasets[k])[1],

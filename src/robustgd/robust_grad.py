@@ -32,7 +32,7 @@ class RobustConfig:
     randomized partial robustification (``rgd_run`` draws that many columns
     per step and passes them to ``robust_gradient`` as ``cols``),
     ``known_variance`` the prior-variance scaling sigma_j = sqrt(C * var_j)
-    in place of the dispersion estimate.
+    in place of the dispersion estimate, one variance per column.
     ``fp`` controls the Newton/bisection root solves of both M-estimates.
     """
 
@@ -58,41 +58,37 @@ class RobustConfig:
             self.known_variance = kv
 
 
-def column_scales(D, cfg, width=None):
+def column_scales(D, cfg):
     """Per-column truncation scales (sigma_hat, s) of a validated gradient
     sample, the scale stage of ``robust_gradient``.
 
     Pivot is the column mean; sigma_hat the dispersion root (or sqrt(C * v)
-    under known variance); s widens sigma_hat by sqrt(n / log(2/delta)).
-    ``width`` marks D as a stack of independent blocks of that many columns,
-    each estimated bit for bit as it would be alone (known variances then
-    describe one block).  Returns (sigma_hat, s, scale_fallback_mask).
+    under known variance, one variance per column of D); s widens sigma_hat
+    by sqrt(n / log(2/delta)).  Returns (sigma_hat, s, scale_fallback_mask).
     """
     n, d = D.shape
     if cfg.known_variance is not None:
-        block = width or d
-        if cfg.known_variance.shape[0] != block or d % block:
+        if cfg.known_variance.shape[0] != d:
             raise ValueError("known_variance length must match the number of columns")
-        sigma = np.tile(np.sqrt(cfg.C * cfg.known_variance), d // block)
+        sigma = np.sqrt(cfg.C * cfg.known_variance)
         fell_back = np.zeros(d, dtype=bool)
     else:
-        pivots = column_means(D, width)
-        sigma, fell_back = rescale_columns(D, pivots, cfg.chi, cfg.fp, width=width)
+        sigma, fell_back = rescale_columns(D, column_means(D), cfg.chi, cfg.fp)
     s = confidence_scale(sigma, n, cfg.delta)
     return sigma, np.asarray(s, dtype=float), fell_back
 
 
-def robust_gradient(D, cfg, width=None, cols=None):
+def robust_gradient(D, cfg, cols=None):
     """Coordinate-wise robust location estimate of the gradient sample rows.
 
     D is checked once (a finite, non-empty (n, d) matrix); the truncation
     scales then come from ``column_scales``, the dispersion root or the
     prior variance when ``cfg.known_variance`` is set, and every column is
-    located at its scale.  ``cols`` robustifies only those columns and gives
-    every other column its plain mean; numpy copies them column-major, so
-    all d columns agree with no ``cols`` to rounding, not bit for bit.
-    ``width`` is that of ``column_scales`` and does not combine with
-    ``cols``.  Returns
+    located at its scale.  Each column is reduced alone, so theta[j] carries
+    the same bits whatever other columns sit beside column j and whatever
+    D's memory order: a stack of blocks gives each block's own estimate.
+    ``cols`` robustifies only those columns and gives every other column
+    its plain mean; all d columns equal no ``cols``.  Returns
     (theta, info): info holds sigma, s and the scale_fallback and
     locate_fallback masks of the robustified columns.  Estimation never
     raises on a hard column: a root still open after ``cfg.fp.max_iters``
@@ -103,11 +99,9 @@ def robust_gradient(D, cfg, width=None, cols=None):
         raise ValueError("gradient sample must be a non-empty (n, d) matrix")
     if not np.all(np.isfinite(D)):
         raise ValueError("gradient sample contains non-finite entries")
-    if cols is not None and width is not None:
-        raise ValueError("a coordinate subset cannot be taken of stacked blocks")
     sub = D if cols is None else D[:, cols]
-    sigma, s, scale_fb = column_scales(sub, cfg, width)
-    theta, loc_fb = locate_columns(sub, s, cfg.rho, cfg.fp, width=width)
+    sigma, s, scale_fb = column_scales(sub, cfg)
+    theta, loc_fb = locate_columns(sub, s, cfg.rho, cfg.fp)
     if cols is not None:
         full = D.mean(axis=0)
         full[cols] = theta

@@ -239,6 +239,19 @@ class TestRunExperiment:
         assert len({t.condition for t in serial.trials}) == 2
         assert serial.rows() == parallel.rows()
 
+    @pytest.mark.parametrize("task, d, extra", [
+        ("quadratic_poc", 3, dict(d=3, trials=3, iters=8)),
+        ("classification_budget", 4, dict(n=40, features=2, classes=3, trials=2,
+                                          test_size=20, budget_factor=3)),
+    ])
+    def test_subset_of_every_column_is_rgd(self, task, d, extra):
+        cfg = ExperimentConfig(task=task, methods=("rgd",), seed=4, **extra)
+        rows = run_experiment(cfg).rows()
+        assert rows
+        for method in (f"rgd_sub{d}", f"rgd_sub{d + 3}"):
+            sub = run_experiment(replace(cfg, methods=(method,))).rows()
+            assert [r[:1] + ("rgd",) + r[2:] for r in sub] == rows
+
     def test_parallelism_below_one_rejected(self):
         with pytest.raises(ValueError, match="parallelism"):
             run_experiment(small_cfg(), parallelism=0)

@@ -245,6 +245,29 @@ class TestIngest:
             ingest(str(p), "y")
         assert "non-numeric" in str(exc.value)
 
+    @pytest.mark.parametrize("text, rows", [
+        ("x,y\n1,0\nnan,1\n2,0\n", "[3]"),
+        ("x,y\n1,0\n2,1\n-inf,0\n3,1\ninf,0\n", "[4, 6]"),
+        ("x,y\n1,0\n2,nan\n", "[3]"),
+    ], ids=["nan_feature", "inf_features", "nan_label"])
+    def test_cli_ingest_non_finite_exits_2(self, tmp_path, capsys, text, rows):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        out = tmp_path / "ing"
+        assert main(["ingest", str(p), "--label", "y", "--out", str(out)]) == 2
+        assert f"non-finite values in rows: {rows}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_real_labels_are_not_rounded(self, tmp_path):
+        p = self.write_csv(tmp_path, [[1, 2, 1000.001], [3, 4, 2000.002],
+                                      [5, 6, 3000.003]])
+        train, _, _ = ingest(str(p), "y")
+        assert train.targets.tolist() == [1000.001, 2000.002, 3000.003]
+        p = self.write_csv(tmp_path, [[1, 2, 0.0], [3, 4, 2.0], [5, 6, 1.0]])
+        train, _, _ = ingest(str(p), "y")
+        assert train.targets.dtype.kind == "i"
+        assert train.targets.tolist() == [0, 2, 1]
+
     def test_cli_ingest_writes_files(self, tmp_path, capsys):
         p = self.write_csv(tmp_path, [[1, 2, 0], [3, 4, 1], [5, 6, 0],
                                       [7, 8, 1]])

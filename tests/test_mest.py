@@ -307,43 +307,39 @@ def bits(a):
 
 
 class TestStackedBlocks:
-    """A matrix stacking independent blocks of ``width`` columns is solved
-    with each block's own reductions, so every block's estimates carry the
-    same bits as when the block is solved alone."""
+    """Every column is reduced alone, so any stack of blocks solved as one
+    matrix gives each block the bits it gets alone, in either memory order."""
 
     @pytest.mark.parametrize("n", [5, 40, 300])
     def test_column_means_follow_each_block(self, n):
-        # numpy sums a lone column pairwise but several columns row by row
         rng = np.random.default_rng(n)
         a = rng.lognormal(0, 1.75, size=(n, 12))
-        cols = np.array([0, 2, 3, 4, 5, 9, 10])  # blocks of 3: 1, 2, 1, 2 open
-        got = column_means(a[:, cols], 3, cols)
-        for b in range(4):
-            open_ = cols[cols // 3 == b]
-            assert np.array_equal(bits(got[cols // 3 == b]),
-                                  bits(a[:, open_].mean(axis=0)))
-        assert np.array_equal(bits(column_means(a, 1)),
-                              bits([a[:, [j]].mean(axis=0)[0] for j in range(12)]))
-        assert np.array_equal(bits(column_means(a)), bits(a.mean(axis=0)))
+        alone = np.array([a[:, j].copy().mean() for j in range(12)])
+        for got in (column_means(a), column_means(np.asfortranarray(a)),
+                    np.concatenate([column_means(a[:, lo:lo + 3].copy())
+                                    for lo in range(0, 12, 3)])):
+            assert np.array_equal(bits(got), bits(alone))
 
-    @pytest.mark.parametrize("width", [1, 2, 3])
-    def test_solvers_match_blocks_alone(self, width):
-        rng = np.random.default_rng(width)
-        blocks = 6
-        X = (rng.lognormal(0, 1.75, size=(90, blocks * width))
-             * rng.choice([-1.0, 1.0], size=(90, blocks * width)))
-        s = rng.uniform(0.5, 20.0, size=blocks * width)
-        theta, _ = locate_columns(X, s, GUD, width=width)
-        pivots = column_means(X, width)
-        sigma, _ = rescale_columns(X, pivots, CHI, width=width)
-        for b in range(blocks):
-            cols = slice(b * width, (b + 1) * width)
-            Xb = X[:, cols].copy()
-            assert np.array_equal(bits(theta[cols]),
-                                  bits(locate_columns(Xb, s[cols], GUD)[0]))
-            assert np.array_equal(bits(pivots[cols]), bits(Xb.mean(axis=0)))
-            assert np.array_equal(bits(sigma[cols]),
-                                  bits(rescale_columns(Xb, Xb.mean(axis=0), CHI)[0]))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solvers_match_blocks_alone(self, seed):
+        rng = np.random.default_rng(seed)
+        edges = np.cumsum([0, 1, 2, 3, 8, 2, 1])
+        X = (rng.lognormal(0, 1.75, size=(90, edges[-1]))
+             * rng.choice([-1.0, 1.0], size=(90, edges[-1])))
+        s = rng.uniform(0.5, 20.0, size=edges[-1])
+        theta, _ = locate_columns(X, s, GUD)
+        pivots = column_means(X)
+        sigma, _ = rescale_columns(X, pivots, CHI)
+        F = np.asfortranarray(X)
+        assert np.array_equal(bits(theta), bits(locate_columns(F, s, GUD)[0]))
+        assert np.array_equal(bits(sigma), bits(rescale_columns(F, pivots, CHI)[0]))
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            Xb = X[:, lo:hi].copy()
+            assert np.array_equal(bits(theta[lo:hi]),
+                                  bits(locate_columns(Xb, s[lo:hi], GUD)[0]))
+            assert np.array_equal(bits(pivots[lo:hi]), bits(column_means(Xb)))
+            assert np.array_equal(bits(sigma[lo:hi]),
+                                  bits(rescale_columns(Xb, column_means(Xb), CHI)[0]))
 
 
 class TestConfidenceScale:

@@ -96,8 +96,8 @@ class TestStackedRuns:
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_stacked_columns_solve_as_alone(self, d):
-        # a lone open column is summed pairwise by numpy, several row by row;
-        # the stacked solve must reproduce each trial's own reductions
+        # every column is reduced alone, so the stacked solve reproduces
+        # each trial's own, whatever d
         datasets, w_star = [], np.ones(d)
         for seed in range(6):
             ds, _, _ = regression_problem(n=80, d=d, seed=seed, heavy=True)
@@ -120,6 +120,13 @@ class TestStackedRuns:
             erm_gd_stacked_run(LinearModel(np.zeros(3)), [a, b], state)
         with pytest.raises(ValueError, match="share the number of rows"):
             rgd_stacked_run(LinearModel(np.zeros(3)), [a, b], RobustConfig(), state)
+
+    def test_known_variance_does_not_stack(self):
+        ds, w_star, _ = regression_problem(d=3)
+        cfg = RobustConfig(known_variance=np.ones(3))
+        with pytest.raises(ValueError, match="do not stack"):
+            rgd_stacked_run(LinearModel(w_star), [ds, ds], cfg,
+                            OptimState(np.stack([w_star, w_star]), 0.1))
 
 
 class TestRgdRun:
