@@ -10,7 +10,7 @@ long-format rows (experiment, method, trial, step, metric, value) plus
 mean/variance aggregates over completed trials.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .datagen import (
     gen_w_star,
     noise_sd,
 )
-from .mest import ChiFunction, FixedPointSettings, RhoFunction
+from .mest import RhoFunction
 from .models import LinearModel, LogisticModel, empirical_risk, misclassification_rate
 from .optim import (
     OptimState,
@@ -89,7 +89,8 @@ def poc_noise(kind="lognormal"):
 
 @dataclass
 class ExperimentConfig:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run; a value that no cell
+    of the run could use is rejected when the config is built."""
 
     task: str
     methods: tuple = ()
@@ -123,18 +124,40 @@ class ExperimentConfig:
     init_scale: float = 0.05
     # advanced overrides
     trial_seeds: tuple | None = None
-    fp: FixedPointSettings = field(default_factory=FixedPointSettings)
 
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task: {self.task!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.rho not in _PRODUCTION_RHO:
             raise ValueError(
                 f"rho must be one of {_PRODUCTION_RHO} in experiment configs")
         if not self.methods:
             self.methods = _default_methods(self.task)
+        if self.grad_norm_tol is None:
+            self.grad_norm_tol = 1e-3 if self.task == "regression_grid" else 0.0
+        # values that would abort every cell of the run fail here instead,
+        # through the run's own validators where they name the key
+        OptimState(np.zeros(1), self.alpha)
+        self.robust_config()
+        lows = {"trials": 1, "seed": 0, "iters": 1}
+        if self.task in ("regression_grid", "classification_budget"):
+            lows["test_size"] = 1
+        if self.task == "classification_budget":
+            lows.update(classes=2, features=1, budget_factor=1, reg_strength=0)
+        for key, low in lows.items():
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        StoppingRule(self.iters, self.grad_norm_tol)
+        if self.trial_seeds is not None:
+            if len(self.trial_seeds) != self.trials:
+                raise ValueError("trial_seeds must have one entry per trial")
+            if min(self.trial_seeds) < 0:
+                raise ValueError("trial_seeds must be >= 0")
+        sizes = [(o.get("n", self.n), o.get("d", self.d)) for _, o in _conditions(self)]
+        for key, values in zip(("n", "d"), zip(*sizes)):
+            if min(values) < 1:
+                raise ValueError(f"training {key} must be >= 1 in every condition, "
+                                 f"got {min(values)}")
         for m in self.methods:
             kind, size = _parse_method(m)
             if kind not in _TASK_KINDS[self.task]:
@@ -142,17 +165,13 @@ class ExperimentConfig:
             if size is not None and size < 1:
                 raise ValueError(f"method {m!r} needs a size of at least 1")
             if kind == "rgd_mb":
-                n_min = min(o.get("n", self.n) for _, o in _conditions(self))
+                n_min = min(n for n, _ in sizes)
                 if size > n_min:
                     raise ValueError(f"method {m!r} batch exceeds the smallest "
                                      f"training n ({n_min})")
-        if self.grad_norm_tol is None:
-            self.grad_norm_tol = 1e-3 if self.task == "regression_grid" else 0.0
-        if self.trial_seeds is not None and len(self.trial_seeds) != self.trials:
-            raise ValueError("trial_seeds must have one entry per trial")
 
     def robust_config(self):
-        return RobustConfig(rho=RhoFunction(self.rho), delta=self.delta, fp=self.fp)
+        return RobustConfig(rho=RhoFunction(self.rho), delta=self.delta)
 
 
 def _default_methods(task):
@@ -316,9 +335,8 @@ def _run_method(name, cfg, model, ds, w0, stop, trial_seed, record_every,
         return rgd_run(model, ds, cfg.robust_config(), state, stop=stop, rng=rng,
                        batch_size=param, record_every=record_every)
     # a subset of all d columns is rgd, bit for bit, with no draws
-    rc = replace(cfg.robust_config(),
-                 coordinate_subset_size=param if param < len(w0) else None)
-    return rgd_run(model, ds, rc, state, stop=stop, rng=rng,
+    return rgd_run(model, ds, cfg.robust_config(), state, stop=stop, rng=rng,
+                   coordinate_subset_size=param if param < len(w0) else None,
                    record_every=record_every)
 
 
@@ -565,8 +583,7 @@ class ConcentrationResult:
     mean_bound: float
 
 
-def concentration_check(sampler, n, delta, trials, C=2.0, rho=None, chi=None,
-                        fp=None, seed=0):
+def concentration_check(sampler, n, delta, trials, C=2.0, seed=0):
     """Empirical coverage of the location-estimate deviation bound.
 
     Each trial draws n points, runs ``robust_gradient`` on them as one
@@ -580,9 +597,7 @@ def concentration_check(sampler, n, delta, trials, C=2.0, rho=None, chi=None,
     precondition = (C * np.log(2.0 / delta) / n) * (1.0 + C)
     if precondition > 0.25:
         return ConcentrationResult(float("nan"), 0, True, precondition, float("nan"))
-    cfg = RobustConfig(rho=rho or RhoFunction("gudermannian"),
-                       chi=chi or ChiFunction(), delta=delta,
-                       fp=fp or FixedPointSettings())
+    cfg = RobustConfig(delta=delta)
     rng = np.random.default_rng(seed)
     violations = 0
     bounds = []

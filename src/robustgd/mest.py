@@ -22,7 +22,10 @@ _CATALAN = 0.915965594177219015
 GEMAN_C = 0.3443204575812013
 
 RHO_KINDS = ("gudermannian", "log_cosh", "pseudo_huber", "quadratic_test_only")
-CHI_KINDS = ("geman_quadratic",)
+
+# relative floor of the dispersion estimate: it is scaled by (1 + |pivot|), so
+# degenerate zero-spread columns return a harmless positive value
+SIGMA_FLOOR = 1e-12
 
 
 class RhoFunction:
@@ -103,20 +106,15 @@ def _gudermannian_rho(a):
 
 
 class ChiFunction:
-    """Even dispersion criterion: negative at 0, positive in the tails.
+    """Even dispersion criterion chi(u) = u^2/(1+u^2) - c: negative at 0,
+    positive in the tails.
 
     The root of sum(chi((x_i - pivot)/sigma)) = 0 in sigma is a robust spread
-    measure; the centering constant makes it match the standard deviation on
-    Gaussian data.
+    measure; the centering constant ``c`` (``GEMAN_C``) makes it match the
+    standard deviation on Gaussian data.
     """
 
-    def __init__(self, kind="geman_quadratic", c=GEMAN_C):
-        if kind not in CHI_KINDS:
-            raise ValueError(f"unknown chi kind: {kind!r}; expected one of {CHI_KINDS}")
-        if not c > 0:
-            raise ValueError("centering constant c must be positive")
-        self.kind = kind
-        self.c = c
+    c = GEMAN_C
 
     def chi(self, u):
         u = np.asarray(u, dtype=float)
@@ -130,12 +128,6 @@ class ChiFunction:
             w = 1.0 / (1.0 + u * u)
             return 2.0 * u * w * w
 
-    def __call__(self, u):
-        return self.chi(u)
-
-    def __repr__(self):
-        return f"ChiFunction({self.kind!r}, c={self.c})"
-
 
 @dataclass
 class FixedPointSettings:
@@ -144,21 +136,17 @@ class FixedPointSettings:
     ``max_iters`` caps the Newton steps of each solve; columns still
     unresolved at the cap finish by bisection and are flagged as fallbacks.
     ``rel_tolerance`` bounds the mean residual (the root equation divided by
-    n).  ``sigma_floor`` is scaled by (1 + |pivot|) inside the dispersion
-    solver so degenerate zero-spread columns return a harmless positive value.
+    n).
     """
 
     max_iters: int = 50
     rel_tolerance: float = 1e-8
-    sigma_floor: float = 1e-12
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.rel_tolerance > 0:
             raise ValueError("rel_tolerance must be positive")
-        if not self.sigma_floor > 0:
-            raise ValueError("sigma_floor must be positive")
 
 
 DEFAULT_FP = FixedPointSettings()
@@ -261,32 +249,30 @@ def locate(data, s, rho, fp=DEFAULT_FP):
     return float(theta[0])
 
 
-def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, sigma0=None):
+def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
     """Column-wise dispersion estimates about per-column pivots.
 
     Returns (sigma, fell_back).  sigma[j] >= floor_j solves
     sum_i chi((x[i,j] - pivot_j)/sigma) = 0 when such a root exists; columns
-    whose spread sits below the floor (including exactly constant columns,
-    where the chi sum is negative for every sigma) return the floor.  The
-    root is found in log sigma on [log floor_j, log(2 max_i |r_ij|)] by the
-    safeguarded Newton steps of ``locate_columns``, and fell_back means the
-    same.  ``sigma0`` overrides the starting point (the mean absolute
-    residual); any positive start reaches the same root.  Columns are
-    reduced alone and x must be checked, both as in ``locate_columns``.
+    whose spread sits below the floor floor_j = SIGMA_FLOOR (1 + |pivot_j|)
+    (including exactly constant columns, where the chi sum is negative for
+    every sigma) return the floor.  The root is found in log sigma on
+    [log floor_j, log(2 max_i |r_ij|)] from the mean absolute residual by
+    the safeguarded Newton steps of ``locate_columns``, and fell_back means
+    the same.  Columns are reduced alone and x must be checked, both as in
+    ``locate_columns``.
     """
     pivots = np.broadcast_to(np.asarray(pivots, dtype=float), x.shape[1:])
     if not np.all(np.isfinite(pivots)):
         raise ValueError("pivot must be finite")
-    if sigma0 is not None and not np.all(np.asarray(sigma0) > 0):
-        raise ValueError("sigma0 must be positive")
     rt = np.ascontiguousarray(x.T) - pivots[:, None]
     a = np.abs(rt)
-    floor = fp.sigma_floor * (1.0 + np.abs(pivots))
+    floor = SIGMA_FLOOR * (1.0 + np.abs(pivots))
     lo = np.log(floor)
     with np.errstate(divide="ignore", over="ignore"):
         # every chi term is negative once sigma > 2 max|r|
         hi = np.maximum(np.log(2.0) + np.log(a.max(axis=1)), lo)
-        start = np.log(a.mean(axis=1) if sigma0 is None else sigma0)
+        start = np.log(a.mean(axis=1))
     # as sigma -> 0 the mean chi tends to (1 - c) minus the share of zero
     # residuals; where that is <= 0 there is no root and the floor is returned
     no_root = (rt == 0.0).mean(axis=1) >= 1.0 - chi.c
@@ -301,7 +287,7 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, sigma0=None):
     return np.maximum(np.exp(z), floor), fell_back
 
 
-def rescale(data, pivot, chi, fp=DEFAULT_FP, sigma0=None):
+def rescale(data, pivot, chi, fp=DEFAULT_FP):
     """Dispersion M-estimate of a 1-D sample about ``pivot``.
 
     The estimate is scale-equivariant (rescale(c*x, c*pivot) = c*rescale(x,
@@ -309,7 +295,7 @@ def rescale(data, pivot, chi, fp=DEFAULT_FP, sigma0=None):
     """
     data = _check_sample(data, 1)
     sigma, _ = rescale_columns(data[:, None], np.asarray([pivot], dtype=float),
-                               chi, fp, sigma0=sigma0)
+                               chi, fp)
     return float(sigma[0])
 
 

@@ -227,16 +227,16 @@ def _robust_descent(rows, cfg, state, constraint, stop, record_every, cost,
 
 
 def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
-            batch_size=None, record_every=1):
+            batch_size=None, coordinate_subset_size=None, record_every=1):
     """Robust gradient descent: each step summarizes the per-row gradient
     matrix by coordinate-wise location estimates (``robust_gradient``) and
     descends on those.
 
-    With ``cfg.coordinate_subset_size`` = k set, each step draws k of the d
-    coordinates from ``rng`` (after the step's rows) and robustifies only
-    those; the rest take their plain mean.  ``batch_size`` draws a random
-    row subset per step (requires ``rng``).  Per-column solver fallbacks are
-    tallied, never raised.
+    ``batch_size`` draws a random row subset per step (requires ``rng``).
+    ``coordinate_subset_size`` = k draws k of the d coordinates per step
+    from ``rng`` (after the step's rows) and robustifies only those; the
+    rest take their plain mean.  Per-column solver fallbacks are tallied,
+    never raised.
     """
     stop = stop or StoppingRule(max_iters=100)
     n = dataset.n
@@ -246,8 +246,10 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
         if rng is None:
             raise ValueError("mini-batch runs need an rng")
     draw_cols = None
-    if cfg.coordinate_subset_size is not None:
-        size, d = cfg.coordinate_subset_size, state.w.shape[0]
+    if coordinate_subset_size is not None:
+        size, d = coordinate_subset_size, state.w.shape[0]
+        if size < 1:
+            raise ValueError("coordinate_subset_size must be >= 1 when set")
         if rng is None:
             raise ValueError("coordinate subset runs need an rng")
         if size > d:
@@ -273,12 +275,8 @@ def rgd_stacked_run(model, datasets, cfg, state, constraint=None, stop=None,
     """Full-batch ``rgd_run`` of T trials at once, one stacked M-estimate per
     step: trial k descends from row k of ``state.w`` on ``datasets[k]``, all
     with ``model``'s loss and one shared n.  Returns one Trajectory per
-    trial, each bit for bit its own ``rgd_run``.  Coordinate subsets draw
-    per trial and known variances describe one trial's columns, so both run
-    through ``rgd_run`` only.
+    trial, each bit for bit its own ``rgd_run``.
     """
-    if cfg.coordinate_subset_size is not None or cfg.known_variance is not None:
-        raise ValueError("coordinate subset and known-variance runs do not stack")
     stop = stop or StoppingRule(max_iters=100)
     return _robust_descent(
         lambda k, w: loss_and_grad_rows(model.with_weights(w), datasets[k])[1],

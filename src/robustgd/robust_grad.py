@@ -22,88 +22,69 @@ from .mest import (
 )
 
 
+# the dispersion criterion of every scale solve
+_CHI = ChiFunction()
+
+
 @dataclass
 class RobustConfig:
-    """Knobs of the robust gradient estimator.
+    """Settings of the robust gradient estimator.
 
-    ``delta`` is the confidence parameter of the scale multiplier; ``C`` the
-    curvature constant of the influence-function envelope, used only with
-    ``known_variance``.  ``coordinate_subset_size`` switches on the
-    randomized partial robustification (``rgd_run`` draws that many columns
-    per step and passes them to ``robust_gradient`` as ``cols``),
-    ``known_variance`` the prior-variance scaling sigma_j = sqrt(C * var_j)
-    in place of the dispersion estimate, one variance per column.
+    ``rho`` is the loss whose bounded influence psi = rho' truncates each
+    column, ``delta`` the confidence parameter of the scale multiplier, and
     ``fp`` controls the Newton/bisection root solves of both M-estimates.
     """
 
     rho: RhoFunction = field(default_factory=RhoFunction)
-    chi: ChiFunction = field(default_factory=ChiFunction)
     delta: float = 0.005
-    C: float = 2.0
     fp: FixedPointSettings = field(default_factory=FixedPointSettings)
-    coordinate_subset_size: int | None = None
-    known_variance: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if not self.C > 0:
-            raise ValueError("C must be positive")
-        if self.coordinate_subset_size is not None and self.coordinate_subset_size < 1:
-            raise ValueError("coordinate_subset_size must be >= 1 when set")
-        if self.known_variance is not None:
-            kv = np.asarray(self.known_variance, dtype=float)
-            if kv.ndim != 1 or np.any(kv <= 0) or not np.all(np.isfinite(kv)):
-                raise ValueError("known_variance must be a 1-D positive vector")
-            self.known_variance = kv
 
 
 def column_scales(D, cfg):
     """Per-column truncation scales (sigma_hat, s) of a validated gradient
     sample, the scale stage of ``robust_gradient``.
 
-    Pivot is the column mean; sigma_hat the dispersion root (or sqrt(C * v)
-    under known variance, one variance per column of D); s widens sigma_hat
-    by sqrt(n / log(2/delta)).  Returns (sigma_hat, s, scale_fallback_mask).
+    Pivot is the column mean, sigma_hat the dispersion root about it, and s
+    widens sigma_hat by sqrt(n / log(2/delta)).  Returns (sigma_hat, s,
+    scale_fallback_mask).
     """
-    n, d = D.shape
-    if cfg.known_variance is not None:
-        if cfg.known_variance.shape[0] != d:
-            raise ValueError("known_variance length must match the number of columns")
-        sigma = np.sqrt(cfg.C * cfg.known_variance)
-        fell_back = np.zeros(d, dtype=bool)
-    else:
-        sigma, fell_back = rescale_columns(D, column_means(D), cfg.chi, cfg.fp)
-    s = confidence_scale(sigma, n, cfg.delta)
+    sigma, fell_back = rescale_columns(D, column_means(D), _CHI, cfg.fp)
+    s = confidence_scale(sigma, D.shape[0], cfg.delta)
     return sigma, np.asarray(s, dtype=float), fell_back
 
 
 def robust_gradient(D, cfg, cols=None):
     """Coordinate-wise robust location estimate of the gradient sample rows.
 
-    D is checked once (a finite, non-empty (n, d) matrix); the truncation
-    scales then come from ``column_scales``, the dispersion root or the
-    prior variance when ``cfg.known_variance`` is set, and every column is
-    located at its scale.  Each column is reduced alone, so theta[j] carries
-    the same bits whatever other columns sit beside column j and whatever
-    D's memory order: a stack of blocks gives each block's own estimate.
-    ``cols`` robustifies only those columns and gives every other column
-    its plain mean; all d columns equal no ``cols``.  Returns
-    (theta, info): info holds sigma, s and the scale_fallback and
-    locate_fallback masks of the robustified columns.  Estimation never
-    raises on a hard column: a root still open after ``cfg.fp.max_iters``
-    Newton steps is finished by bisection and flagged.
+    D is checked once (a finite, non-empty (n, d) matrix) and copied once
+    into C-ordered (d, n) rows, which every stage reduces in place of its
+    own transpose; the truncation scales then come from ``column_scales``
+    and every column is located at its scale.  Each column is reduced
+    alone, so theta[j] carries the same bits whatever other columns sit
+    beside column j and whatever D's memory order: a stack of blocks gives
+    each block's own estimate.  ``cols`` robustifies only those columns and
+    gives every other column its plain mean (``column_means``); all d
+    columns equal no ``cols``.  Returns (theta, info): info holds sigma, s
+    and the scale_fallback and locate_fallback masks of the robustified
+    columns.  Estimation never raises on a hard column: a root still open
+    after ``cfg.fp.max_iters`` Newton steps is finished by bisection and
+    flagged.
     """
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.size == 0:
         raise ValueError("gradient sample must be a non-empty (n, d) matrix")
     if not np.all(np.isfinite(D)):
         raise ValueError("gradient sample contains non-finite entries")
-    sub = D if cols is None else D[:, cols]
+    Dt = np.ascontiguousarray(D.T)
+    sub = (Dt if cols is None else Dt[cols]).T
     sigma, s, scale_fb = column_scales(sub, cfg)
     theta, loc_fb = locate_columns(sub, s, cfg.rho, cfg.fp)
     if cols is not None:
-        full = D.mean(axis=0)
+        full = column_means(Dt.T)
         full[cols] = theta
         theta = full
     return theta, {"sigma": sigma, "s": s, "scale_fallback": scale_fb,

@@ -47,6 +47,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(rho="quadratic_test_only")
 
+    def test_negative_trial_seed_rejected(self):
+        # a key config files cannot set, so the CLI's exit-2 cases miss it
+        with pytest.raises(ValueError, match="trial_seeds must be >= 0"):
+            small_cfg(trial_seeds=(3, -1))
+
     def test_default_methods_per_task(self):
         assert ExperimentConfig(task="quadratic_poc", trials=1).methods == (
             "oracle", "erm", "rgd")

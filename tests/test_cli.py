@@ -116,6 +116,44 @@ class TestRun:
         assert f"config error: {error}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("settings, flags, error", [
+        ({}, ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ({"alpha": "0"}, [], "step size alpha must be positive"),
+        ({"delta": "0"}, [], "delta must lie in (0, 1)"),
+        ({"delta": "1.5"}, [], "delta must lie in (0, 1)"),
+        ({"iters": "0"}, [], "iters must be >= 1, got 0"),
+        ({"n": "0"}, [], "training n must be >= 1 in every condition, got 0"),
+        ({"d": "0"}, [], "training d must be >= 1 in every condition, got 0"),
+        ({"task": "n_sweep", "n_values": "10, 0"}, [],
+         "training n must be >= 1 in every condition, got 0"),
+        ({"task": "d_sweep", "d_values": "0"}, [],
+         "training d must be >= 1 in every condition, got 0"),
+        ({"task": "regression_grid", "grid_n": "0"}, [],
+         "training n must be >= 1 in every condition, got 0"),
+        ({"task": "regression_grid", "test_size": "0"}, [],
+         "test_size must be >= 1, got 0"),
+        ({"task": "classification_budget", "test_size": "0"}, [],
+         "test_size must be >= 1, got 0"),
+        ({"task": "classification_budget", "classes": "1"}, [],
+         "classes must be >= 2, got 1"),
+        ({"task": "classification_budget", "features": "0"}, [],
+         "features must be >= 1, got 0"),
+        ({"task": "classification_budget", "budget_factor": "0"}, [],
+         "budget_factor must be >= 1, got 0"),
+        ({"task": "classification_budget", "reg_strength": "-0.1"}, [],
+         "reg_strength must be >= 0, got -0.1"),
+    ])
+    def test_unusable_value_exits_2(self, tmp_path, capsys, settings, flags, error):
+        keys = {"task": "quadratic_poc", "trials": "1", "iters": "5", "n": "40",
+                "d": "2", **settings}
+        text = "[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        out = tmp_path / "o"
+        rc = main(["run", "--config", str(write_config(tmp_path, text)),
+                   "--out", str(out)] + flags)
+        assert rc == 2
+        assert f"config error: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_parallel_below_one_exits_2(self, tmp_path, capsys, monkeypatch, workers):
         def no_pool(*args, **kwargs):

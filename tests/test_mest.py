@@ -10,6 +10,7 @@ from scipy import integrate
 from robustgd.datagen import gen_classification
 from robustgd.mest import (
     GEMAN_C,
+    SIGMA_FLOOR,
     ChiFunction,
     FixedPointSettings,
     RhoFunction,
@@ -221,9 +222,8 @@ class TestLocate:
 
 class TestRescale:
     def test_degenerate_returns_floor(self):
-        fp = FixedPointSettings()
-        got = rescale([7.0, 7.0, 7.0], 7.0, CHI, fp)
-        assert got == pytest.approx(fp.sigma_floor * (1 + 7.0))
+        got = rescale([7.0, 7.0, 7.0], 7.0, CHI)
+        assert got == pytest.approx(SIGMA_FLOOR * (1 + 7.0))
 
     @pytest.mark.parametrize("factor", [2.0, 1e160])
     def test_scale_equivariance(self, factor):
@@ -251,14 +251,6 @@ class TestRescale:
         x = rng.normal(size=10 ** 5)
         assert rescale(x, x.mean(), CHI) == pytest.approx(1.0, abs=0.05)
 
-    def test_any_start_reaches_same_root(self):
-        rng = np.random.default_rng(8)
-        x = rng.lognormal(0, 1.5, 100)
-        piv = x.mean()
-        a = rescale(x, piv, CHI, TIGHT, sigma0=0.01)
-        b = rescale(x, piv, CHI, TIGHT, sigma0=100.0)
-        assert a == pytest.approx(b, rel=1e-8)
-
     def test_root_residual_small(self):
         rng = np.random.default_rng(9)
         x = rng.standard_t(3, 200)
@@ -269,9 +261,8 @@ class TestRescale:
     def test_no_root_when_most_residuals_vanish(self):
         # 3 of 4 residuals exactly zero: the chi sum stays negative for all
         # sigma, so the estimate lands on the floor
-        fp = FixedPointSettings()
-        got = rescale([5.0, 5.0, 5.0, 6.0], 5.0, CHI, fp)
-        assert got == pytest.approx(fp.sigma_floor * 6.0)
+        got = rescale([5.0, 5.0, 5.0, 6.0], 5.0, CHI)
+        assert got == pytest.approx(SIGMA_FLOOR * 6.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -121,13 +121,6 @@ class TestStackedRuns:
         with pytest.raises(ValueError, match="share the number of rows"):
             rgd_stacked_run(LinearModel(np.zeros(3)), [a, b], RobustConfig(), state)
 
-    def test_known_variance_does_not_stack(self):
-        ds, w_star, _ = regression_problem(d=3)
-        cfg = RobustConfig(known_variance=np.ones(3))
-        with pytest.raises(ValueError, match="do not stack"):
-            rgd_stacked_run(LinearModel(w_star), [ds, ds], cfg,
-                            OptimState(np.stack([w_star, w_star]), 0.1))
-
 
 class TestRgdRun:
     def test_zero_gradient_start_stays_put(self):
@@ -195,12 +188,12 @@ class TestRgdRun:
     def test_determinism(self):
         ds, w_star, rng = regression_problem(heavy=True, seed=9)
         w0 = w_star + 0.5
-        cfg = RobustConfig(fp=TIGHT, coordinate_subset_size=2)
+        cfg = RobustConfig(fp=TIGHT)
         runs = []
         for _ in range(2):
             t = rgd_run(LinearModel(w0), ds, cfg, OptimState(w0.copy(), 0.1),
                         stop=StoppingRule(max_iters=10),
-                        rng=np.random.default_rng(123))
+                        rng=np.random.default_rng(123), coordinate_subset_size=2)
             runs.append(t.iterates)
         assert np.array_equal(runs[0], runs[1])
 
@@ -209,13 +202,10 @@ class TestRgdRun:
         ds, w_star, _ = regression_problem(d=3)
         model, state = LinearModel(w_star), OptimState(w_star.copy(), 0.1)
         with pytest.raises(ValueError, match="cannot exceed the number of columns"):
-            rgd_run(model, ds, RobustConfig(coordinate_subset_size=4), state,
-                    rng=np.random.default_rng(0))
+            rgd_run(model, ds, RobustConfig(), state, rng=np.random.default_rng(0),
+                    coordinate_subset_size=4)
         with pytest.raises(ValueError, match="need an rng"):
-            rgd_run(model, ds, RobustConfig(coordinate_subset_size=2), state)
-        with pytest.raises(ValueError, match="do not stack"):
-            rgd_stacked_run(model, [ds], RobustConfig(coordinate_subset_size=2),
-                            OptimState(w_star[None], 0.1))
+            rgd_run(model, ds, RobustConfig(), state, coordinate_subset_size=2)
 
 
 class TestProjection:

@@ -3,10 +3,18 @@
 import numpy as np
 import pytest
 
-from robustgd.mest import ChiFunction, FixedPointSettings, RhoFunction, confidence_scale, rescale
+from robustgd.mest import (
+    ChiFunction,
+    FixedPointSettings,
+    RhoFunction,
+    confidence_scale,
+    locate,
+    rescale,
+)
+from robustgd.models import Dataset, LinearModel
+from robustgd.optim import OptimState, rgd_run
 from robustgd.robust_grad import (
     RobustConfig,
-    column_scales,
     robust_gradient,
     robust_risk,
 )
@@ -60,19 +68,14 @@ class TestRobustGradient:
                            robust_gradient(D, GUD_CFG)[0], atol=1e-11)
 
     def test_outlier_damping_versus_mean(self):
-        # one huge outlier at fixed truncation scale: the estimate barely
-        # moves while the mean scales with the outlier
+        # one huge outlier at fixed truncation scale s = 5: the estimate
+        # barely moves while the mean scales with the outlier
         n = 10
-        # the prior variance that gives truncation scale s = 5
-        cfg = RobustConfig(rho=RhoFunction("gudermannian"), delta=0.1, fp=TIGHT,
-                           known_variance=np.array([25.0 * np.log(20.0) / (2.0 * n)]))
         theta = {}
         for M in (1e3, 1e6):
             col = np.zeros(n)
             col[-1] = M
-            est, info = robust_gradient(col[:, None], cfg)
-            assert info["s"][0] == pytest.approx(5.0)
-            theta[M] = est[0]
+            theta[M] = locate(col, 5.0, RhoFunction("gudermannian"), TIGHT)
             assert abs(col.mean()) == M / n
         assert theta[1e6] <= 2.0 * theta[1e3]
         assert theta[1e6] > 0
@@ -120,11 +123,12 @@ class TestSubsetVariant:
     @pytest.mark.parametrize("seed", range(10))
     def test_memory_order_does_not_change_the_estimate(self, seed):
         D = heavy_matrix(n=500, d=4, seed=seed)
-        theta, info = robust_gradient(D, GUD_CFG)
-        f_theta, f_info = robust_gradient(np.asfortranarray(D), GUD_CFG)
-        assert theta.tobytes() == f_theta.tobytes()
-        for key in ("sigma", "s", "scale_fallback", "locate_fallback"):
-            assert info[key].tobytes() == f_info[key].tobytes()
+        for cols in (None, [1, 3]):
+            theta, info = robust_gradient(D, GUD_CFG, cols)
+            f_theta, f_info = robust_gradient(np.asfortranarray(D), GUD_CFG, cols)
+            assert theta.tobytes() == f_theta.tobytes()
+            for key in ("sigma", "s", "scale_fallback", "locate_fallback"):
+                assert info[key].tobytes() == f_info[key].tobytes()
 
     def test_full_subset_quadratic_gives_means(self):
         D = heavy_matrix()
@@ -145,44 +149,11 @@ class TestSubsetVariant:
             locate_oracle(D[:, 1], s, RhoFunction("gudermannian")), abs=1e-8)
 
     def test_subset_size_validation(self):
-        with pytest.raises(ValueError):
-            RobustConfig(coordinate_subset_size=0)
-
-
-class TestKnownVarianceVariant:
-    def test_matching_variance_quadratic_gives_means(self):
-        D = heavy_matrix()
-        cfg = RobustConfig(rho=RhoFunction("quadratic_test_only"), delta=0.1,
-                           fp=TIGHT, known_variance=D.var(axis=0))
-        assert np.allclose(robust_gradient(D, cfg)[0],
-                           D.mean(axis=0), atol=1e-10)
-
-    def test_zero_dispersion_column_returns_common_value(self):
-        D = np.zeros((6, 2))
-        D[:, 0] = 3.25
-        D[:, 1] = -1.5
-        cfg = RobustConfig(rho=RhoFunction("gudermannian"), delta=0.1, fp=TIGHT,
-                           known_variance=np.array([4.0, 9.0]))
-        assert np.allclose(robust_gradient(D, cfg)[0],
-                           [3.25, -1.5], atol=1e-12)
-
-    def test_heavy_tailed_column_matches_oracle_with_prior_scale(self):
-        spec_rng = np.random.default_rng(3)
-        # population variance of the mixture from a large draw
-        pop = np.where(spec_rng.random(10 ** 6) < 0.1,
-                       spec_rng.normal(0, 30, 10 ** 6),
-                       spec_rng.normal(0, 1, 10 ** 6))
-        var = float(pop.var())
-        rng = np.random.default_rng(4)
-        col = np.where(rng.random(40) < 0.1, rng.normal(0, 30, 40),
-                       rng.normal(0, 1, 40))
-        C = 2.0
-        cfg = RobustConfig(rho=RhoFunction("gudermannian"), delta=0.1, C=C,
-                           fp=TIGHT, known_variance=np.array([var]))
-        theta = robust_gradient(col[:, None], cfg)[0][0]
-        s = np.sqrt(C * var) * np.sqrt(40 / np.log(2 / 0.1))
-        assert theta == pytest.approx(
-            locate_oracle(col, s, RhoFunction("gudermannian")), abs=1e-8)
+        X = np.random.default_rng(0).normal(size=(8, 3))
+        with pytest.raises(ValueError, match="coordinate_subset_size must be >= 1"):
+            rgd_run(LinearModel(np.zeros(3)), Dataset(X, X.sum(axis=1)), GUD_CFG,
+                    OptimState(np.zeros(3), 0.1), rng=np.random.default_rng(0),
+                    coordinate_subset_size=0)
 
 
 class TestRobustRisk:
@@ -208,36 +179,24 @@ class TestRobustRisk:
 
 
 class TestColumnScales:
-    def test_known_variance_path(self):
-        D = heavy_matrix()
-        kv = np.array([1.0, 4.0, 9.0, 16.0])
-        cfg = RobustConfig(C=2.0, delta=0.1, known_variance=kv)
-        sigma, s, fb = column_scales(D, cfg)
-        assert np.allclose(sigma, np.sqrt(2.0 * kv))
-        assert np.allclose(s, sigma * np.sqrt(60 / np.log(20)))
-        assert not fb.any()
-
-    @pytest.mark.parametrize("kv", [None, np.array([1.0, 4.0, 9.0, 1.0, 4.0, 9.0])])
-    def test_stacked_blocks_match_blocks_alone(self, kv):
-        # three 2-column blocks solved as one matrix and each alone
+    @pytest.mark.parametrize("cols", [None, [0, 3, 4]])
+    def test_stacked_blocks_match_blocks_alone(self, cols):
+        # three 2-column blocks solved as one matrix and each alone, with
+        # every column robustified or only ``cols``
         D = heavy_matrix(d=6)
-        theta, info = robust_gradient(D, RobustConfig(known_variance=kv))
+        theta, info = robust_gradient(D, RobustConfig(), cols)
+        robust = np.arange(6) if cols is None else np.asarray(cols)
         for b in range(3):
-            cols = slice(2 * b, 2 * b + 2)
-            cfg_b = RobustConfig(known_variance=None if kv is None else kv[cols])
-            theta_b, info_b = robust_gradient(D[:, cols].copy(), cfg_b)
+            block = np.arange(2 * b, 2 * b + 2)
+            mine = np.isin(robust, block)
+            cols_b = None if cols is None else robust[mine] - 2 * b
+            theta_b, info_b = robust_gradient(D[:, block], RobustConfig(), cols_b)
             for key in ("sigma", "s", "locate_fallback", "scale_fallback"):
-                assert np.array_equal(info[key][cols], info_b[key])
-            assert theta[cols].tobytes() == theta_b.tobytes()
-        with pytest.raises(ValueError, match="known_variance length"):
-            column_scales(D, RobustConfig(known_variance=np.ones(2)))
+                assert np.array_equal(info[key][mine], info_b[key])
+            assert theta[block].tobytes() == theta_b.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RobustConfig(delta=0.0)
         with pytest.raises(ValueError):
             RobustConfig(delta=1.0)
-        with pytest.raises(ValueError):
-            RobustConfig(C=-1.0)
-        with pytest.raises(ValueError):
-            RobustConfig(known_variance=np.array([1.0, -2.0]))
