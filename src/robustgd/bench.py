@@ -87,6 +87,11 @@ def poc_noise(kind="lognormal"):
     raise ValueError(f"unknown poc noise kind: {kind!r}")
 
 
+# the condition lists _conditions reads; an empty one leaves nothing to run
+_CONDITION_LISTS = ("init_deltas", "n_values", "d_values", "families", "levels",
+                    "grid_n", "grid_d")
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment run; a value that no cell
@@ -148,6 +153,9 @@ class ExperimentConfig:
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         StoppingRule(self.iters, self.grad_norm_tol)
+        for key in _CONDITION_LISTS:
+            if len(getattr(self, key)) == 0:
+                raise ValueError(f"{key} must list at least one value")
         if self.trial_seeds is not None:
             if len(self.trial_seeds) != self.trials:
                 raise ValueError("trial_seeds must have one entry per trial")

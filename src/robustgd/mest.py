@@ -5,7 +5,11 @@ influence function psi = rho'; the dispersion estimate is the root of a
 centered chi statistic.  Both root equations are monotone and bracketed, so
 one vectorised kernel solves them column by column: Newton steps that stay
 inside the shrinking bracket, bisection where a step would leave it.
-Location is solved in theta, dispersion in log sigma.
+Location is solved in theta, dispersion in log sigma.  Each residual
+evaluation is one fused call, ``RhoFunction.psi_dpsi`` or
+``ChiFunction.chi_udchi``, with the bits of the separate psi/dpsi or
+chi/dchi calls; each solve allocates one buffer set and slices it to the
+columns still open.
 """
 
 from dataclasses import dataclass
@@ -81,6 +85,48 @@ class RhoFunction:
             return (1.0 + 0.5 * u * u) ** -1.5
         return np.ones_like(u)
 
+    def psi_dpsi(self, u, p, dp):
+        """(psi(u), dpsi(u)) written into the float arrays p and dp.
+
+        The bits equal ``psi(u)`` and ``dpsi(u)``: the same ufuncs run on the
+        same operands in the same order, but the subexpression the two
+        share (exp(-|u|), or 1 + u^2/2) is computed once and every
+        intermediate lives in the two outputs.  The Gudermannian kind also
+        takes sign(u) as one temporary.  u is left unchanged and must not
+        share memory with either output.
+        """
+        if self.kind == "pseudo_huber":
+            np.multiply(0.5, u, out=dp)
+            np.multiply(dp, u, out=dp)
+            np.add(1.0, dp, out=dp)  # 1 + u^2/2
+            np.sqrt(dp, out=p)
+            np.divide(u, p, out=p)
+            np.power(dp, -1.5, out=dp)
+            return p, dp
+        if self.kind == "quadratic_test_only":
+            np.copyto(p, u)
+            dp.fill(1.0)
+            return p, dp
+        # e = exp(-|u|) and s = 2e / (1 + e^2) = sech(u), as in dpsi; doubling
+        # e and halving it back are exact, so e survives the division
+        np.abs(u, out=p)
+        np.negative(p, out=p)
+        np.exp(p, out=p)
+        np.multiply(p, p, out=dp)
+        np.add(1.0, dp, out=dp)
+        np.multiply(2.0, p, out=p)
+        np.divide(p, dp, out=dp)
+        if self.kind == "log_cosh":
+            np.multiply(dp, dp, out=dp)
+            np.tanh(u, out=p)
+            return p, dp
+        np.multiply(p, 0.5, out=p)
+        np.arctan(p, out=p)
+        np.multiply(2.0, p, out=p)
+        np.subtract(0.5 * np.pi, p, out=p)
+        np.multiply(np.sign(u), p, out=p)
+        return p, dp
+
     def __repr__(self):
         return f"RhoFunction({self.kind!r})"
 
@@ -127,6 +173,25 @@ class ChiFunction:
         with np.errstate(over="ignore"):
             w = 1.0 / (1.0 + u * u)
             return 2.0 * u * w * w
+
+    def chi_udchi(self, u, c, d):
+        """(chi(u), u * dchi(u)) written into the float arrays c and d.
+
+        The bits equal those two expressions: w = 1/(1+u^2) is computed once
+        and every intermediate lives in the two outputs.  u is left
+        unchanged and must not share memory with either output.
+        """
+        with np.errstate(over="ignore"):
+            np.multiply(u, u, out=c)
+            np.add(1.0, c, out=c)
+            np.divide(1.0, c, out=c)  # w
+            np.multiply(2.0, u, out=d)
+            np.multiply(d, c, out=d)
+            np.multiply(d, c, out=d)
+            np.multiply(u, d, out=d)
+            np.subtract(1.0, c, out=c)
+            np.subtract(c, self.c, out=c)
+        return c, d
 
 
 @dataclass
@@ -203,6 +268,38 @@ def _solve_columns(residual, z, lo, hi, fp):
     return z, fell_back
 
 
+def _open_rows(a, cols, out):
+    """Rows ``cols`` of the 2-D array a: a itself while every row is still
+    open, else the rows gathered into ``out`` (the leading rows of a buffer).
+    ``cols`` is increasing, so a full set is the identity."""
+    if cols.size == len(a):
+        return a
+    return np.take(a, cols, axis=0, out=out, mode="clip")
+
+
+def _row_medians(a, scratch):
+    """``np.median(a, axis=1)`` of a finite 2-D array, bit for bit.
+
+    numpy's median partitions every row at both middle ranks, which runs a
+    scalar selection per row; partitioning a copy (in ``scratch``) at the
+    upper middle rank alone takes the vectorised one, and the lower middle
+    value is then the maximum below it.  The mean of the two is formed as
+    np.mean forms it.  Only a zero median can depend on which signed zero
+    the selection picked, so those rows take np.median itself.
+    """
+    h = a.shape[1] // 2
+    np.copyto(scratch, a)
+    scratch.partition(h, axis=1)
+    med = scratch[:, h].copy()
+    if a.shape[1] % 2 == 0:
+        med += scratch[:, :h].max(axis=1)
+        med /= 2
+    zero = med == 0.0
+    if zero.any():
+        med[zero] = np.median(a[zero], axis=1)
+    return med
+
+
 def column_means(a):
     """Column means of an (n, k) matrix, each column reduced alone.
 
@@ -228,12 +325,19 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP):
     if np.any(s <= 0) or not np.all(np.isfinite(s)):
         raise ValueError("scale s must be positive and finite")
     xt = np.ascontiguousarray(x.T)
+    # one buffer set per solve; a step writes into its leading open rows.
+    # Each buffer is its own (k, n) array: a larger block, once freed, would
+    # raise the C allocator's mmap threshold for the rest of the process
+    ub, pb, dpb = (np.empty(xt.shape) for _ in range(3))
 
     def residual(theta, cols):
-        u = (xt[cols] - theta[:, None]) / s[cols, None]
-        return rho.psi(u).mean(axis=1), -rho.dpsi(u).mean(axis=1) / s[cols]
+        m, sc = cols.size, s[cols]
+        u = np.subtract(_open_rows(xt, cols, ub[:m]), theta[:, None], out=ub[:m])
+        np.divide(u, sc[:, None], out=u)
+        psi, dpsi = rho.psi_dpsi(u, pb[:m], dpb[:m])
+        return psi.mean(axis=1), -dpsi.mean(axis=1) / sc
 
-    return _solve_columns(residual, np.median(xt, axis=1), xt.min(axis=1),
+    return _solve_columns(residual, _row_medians(xt, ub), xt.min(axis=1),
                           xt.max(axis=1), fp)
 
 
@@ -265,8 +369,12 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
     pivots = np.broadcast_to(np.asarray(pivots, dtype=float), x.shape[1:])
     if not np.all(np.isfinite(pivots)):
         raise ValueError("pivot must be finite")
-    rt = np.ascontiguousarray(x.T) - pivots[:, None]
-    a = np.abs(rt)
+    # one buffer set per solve, as in locate_columns: the residuals rt, then
+    # the scaled residuals u and the chi terms of the open rows (also the
+    # set-up's scratch)
+    rt, ub, cb, db = (np.empty(x.shape[::-1]) for _ in range(4))
+    np.subtract(x.T, pivots[:, None], out=rt)
+    a = np.abs(rt, out=ub)
     floor = SIGMA_FLOOR * (1.0 + np.abs(pivots))
     lo = np.log(floor)
     with np.errstate(divide="ignore", over="ignore"):
@@ -275,13 +383,16 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
         start = np.log(a.mean(axis=1))
     # as sigma -> 0 the mean chi tends to (1 - c) minus the share of zero
     # residuals; where that is <= 0 there is no root and the floor is returned
-    no_root = (rt == 0.0).mean(axis=1) >= 1.0 - chi.c
+    no_root = np.equal(rt, 0.0, out=cb).mean(axis=1) >= 1.0 - chi.c
     hi[no_root] = lo[no_root]
 
     def residual(z, cols):
+        m = cols.size
         with np.errstate(over="ignore"):
-            u = rt[cols] * np.exp(-z)[:, None]
-        return chi.chi(u).mean(axis=1), -(u * chi.dchi(u)).mean(axis=1)
+            u = np.multiply(_open_rows(rt, cols, ub[:m]), np.exp(-z)[:, None],
+                            out=ub[:m])
+        c, udchi = chi.chi_udchi(u, cb[:m], db[:m])
+        return c.mean(axis=1), -udchi.mean(axis=1)
 
     z, fell_back = _solve_columns(residual, np.clip(start, lo, hi), lo, hi, fp)
     return np.maximum(np.exp(z), floor), fell_back

@@ -154,6 +154,23 @@ class TestRun:
         assert f"config error: {error}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("task, key", [
+        ("init_sweep", "init_deltas"), ("n_sweep", "n_values"),
+        ("d_sweep", "d_values"), ("regression_grid", "families"),
+        ("regression_grid", "levels"), ("regression_grid", "grid_n"),
+        ("regression_grid", "grid_d")])
+    @pytest.mark.parametrize("methods", ["erm", "rgd_mb5"])
+    def test_empty_condition_list_exits_2(self, tmp_path, capsys, task, key, methods):
+        text = (f"[experiment]\ntask = {task}\nmethods = {methods}\ntrials = 1\n"
+                f"iters = 5\n{key} =\n")
+        out = tmp_path / "o"
+        rc = main(["run", "--config", str(write_config(tmp_path, text)),
+                   "--out", str(out)])
+        assert rc == 2
+        assert (f"config error: {key} must list at least one value"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_parallel_below_one_exits_2(self, tmp_path, capsys, monkeypatch, workers):
         def no_pool(*args, **kwargs):

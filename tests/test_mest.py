@@ -10,6 +10,7 @@ from scipy import integrate
 from robustgd.datagen import gen_classification
 from robustgd.mest import (
     GEMAN_C,
+    RHO_KINDS,
     SIGMA_FLOOR,
     ChiFunction,
     FixedPointSettings,
@@ -20,6 +21,7 @@ from robustgd.mest import (
     locate,
     locate_columns,
     psi_eval,
+    _row_medians,
     rescale,
     rescale_columns,
 )
@@ -331,6 +333,109 @@ class TestStackedBlocks:
             assert np.array_equal(bits(pivots[lo:hi]), bits(column_means(Xb)))
             assert np.array_equal(bits(sigma[lo:hi]),
                                   bits(rescale_columns(Xb, column_means(Xb), CHI)[0]))
+
+
+TINY = np.finfo(float).smallest_subnormal
+KERNEL_INPUTS = np.concatenate([
+    [0.0, -0.0, TINY, -TINY, 3 * TINY, -1e-310, 1e-17, -1e-17, 745.0, -745.0,
+     1e300, -1e300],
+    np.random.default_rng(3).standard_t(1.5, 2000)
+    * 10.0 ** np.random.default_rng(4).integers(-6, 7, 2000)])
+
+
+class TestFusedKernels:
+    """The solvers evaluate psi_dpsi and chi_udchi; both must carry the bits
+    of the public psi/dpsi and chi/dchi pairs they stand for."""
+
+    @pytest.mark.parametrize("kind", RHO_KINDS)
+    def test_psi_dpsi_bits(self, kind):
+        rho = RhoFunction(kind)
+        u = KERNEL_INPUTS.copy()
+        psi, dpsi = np.empty_like(u), np.empty_like(u)
+        with np.errstate(over="ignore"):
+            got = rho.psi_dpsi(u, psi, dpsi)
+            want = rho.psi(u), rho.dpsi(u)
+        assert got[0] is psi and got[1] is dpsi
+        assert np.array_equal(bits(u), bits(KERNEL_INPUTS))
+        assert np.array_equal(bits(psi), bits(want[0]))
+        assert np.array_equal(bits(dpsi), bits(want[1]))
+
+    def test_chi_udchi_bits(self):
+        # inf residuals arise in rescale_columns from rt * exp(-z)
+        u = np.concatenate([KERNEL_INPUTS, [np.inf, -np.inf]])
+        with np.errstate(invalid="ignore"):
+            chi, udchi = CHI.chi_udchi(u, np.empty_like(u), np.empty_like(u))
+            want = u * CHI.dchi(u)
+        assert np.array_equal(np.isnan(udchi), np.isnan(want))
+        assert np.isnan(want[-2:]).all() and np.isfinite(chi).all()
+        assert np.array_equal(bits(chi), bits(CHI.chi(u)))
+        assert np.array_equal(bits(udchi), bits(want))
+
+
+def heavy_rows(seed=7):
+    """A heavy-tailed 500x128 gradient sample with column scales spread
+    over a few decades."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_t(2.0, size=(500, 128)) * rng.lognormal(0, 1, size=128)
+
+
+class TestSolverBuffers:
+    """Each solve works in one buffer set sliced to its open columns."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 500])
+    def test_row_medians_match_numpy(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_t(1.5, size=(60, n)) * 10.0 ** rng.integers(-3, 300, 60)[:, None]
+        a[:20] = np.round(rng.standard_normal((20, n)))  # ties
+        # signed-zero middles: only their sign is left to the selection
+        a[20:40] = rng.choice([0.0, -0.0, 1.0, -1.0], size=(20, n))
+        a[40] = -0.0
+        with np.errstate(over="ignore"):
+            assert np.array_equal(bits(_row_medians(a, np.empty_like(a))),
+                                  bits(np.median(a, axis=1)))
+
+    def test_inputs_left_unchanged(self):
+        # np.ascontiguousarray(x.T) is x's own memory for these layouts, so a
+        # solver writing into its transposed sample would corrupt the caller
+        rng = np.random.default_rng(5)
+        A = rng.standard_t(2.0, size=(6, 80))
+        s = rng.uniform(0.5, 3.0, size=6)
+        pivots = column_means(A.T)
+        theta, _ = locate_columns(np.ascontiguousarray(A.T), s, GUD)
+        sigma, _ = rescale_columns(np.ascontiguousarray(A.T), pivots, CHI)
+        for x in (np.array(A.T, order="F"), A.T):
+            saved = [a.copy() for a in (x, s, pivots)]
+            assert np.array_equal(bits(locate_columns(x, s, GUD)[0]), bits(theta))
+            assert np.array_equal(bits(rescale_columns(x, pivots, CHI)[0]), bits(sigma))
+            for a, before in zip((x, s, pivots), saved):
+                assert np.array_equal(bits(a), bits(before))
+
+    # open columns at each residual evaluation of the dispersion solve and of
+    # each kind's location solve; equal to the chi and psi calls of the
+    # solvers that evaluated chi/dchi and psi/dpsi separately
+    EVALUATIONS = {
+        "500x128": ([128, 128, 128, 35, 1],
+                    {"gudermannian": [128, 128, 75], "log_cosh": [128, 128, 80],
+                     "pseudo_huber": [128, 128, 78], "quadratic_test_only": [128, 128]}),
+        "10x40": ([40, 40, 40, 31],
+                  {"gudermannian": [40, 40, 40, 19], "log_cosh": [40, 40, 40, 21],
+                   "pseudo_huber": [40, 40, 39, 23], "quadratic_test_only": [40, 40]}),
+    }
+
+    @pytest.mark.parametrize("shape", EVALUATIONS)
+    @pytest.mark.parametrize("kind", RHO_KINDS)
+    def test_residual_evaluations_pinned(self, monkeypatch, shape, kind):
+        X = heavy_rows() if shape == "500x128" else logistic_minibatch_rows()
+        seen = {"chi_udchi": [], "psi_dpsi": []}
+        for cls, name in ((ChiFunction, "chi_udchi"), (RhoFunction, "psi_dpsi")):
+            def counted(self, u, *args, _fn=getattr(cls, name), _name=name):
+                seen[_name].append(u.shape[0])
+                return _fn(self, u, *args)
+            monkeypatch.setattr(cls, name, counted)
+        sigma, _ = rescale_columns(X, column_means(X), CHI)
+        locate_columns(X, confidence_scale(sigma, X.shape[0], 0.005), RhoFunction(kind))
+        chi_cols, psi_cols = self.EVALUATIONS[shape]
+        assert seen == {"chi_udchi": chi_cols, "psi_dpsi": psi_cols[kind]}
 
 
 class TestConfidenceScale:
