@@ -172,11 +172,13 @@ class ExperimentConfig:
                 raise ValueError(f"method {m!r} not available on task {self.task!r}")
             if size is not None and size < 1:
                 raise ValueError(f"method {m!r} needs a size of at least 1")
-            if kind == "rgd_mb":
-                n_min = min(n for n, _ in sizes)
-                if size > n_min:
-                    raise ValueError(f"method {m!r} batch exceeds the smallest "
-                                     f"training n ({n_min})")
+            n_min = min(n for n, _ in sizes)
+            if kind == "rgd_mb" and size > n_min:
+                raise ValueError(f"method {m!r} batch exceeds the smallest "
+                                 f"training n ({n_min})")
+            if kind == "mom" and n_min < 2:
+                raise ValueError(f"method {m!r} needs a training n of at least 2 "
+                                 f"for its 2 blocks, got {n_min}")
 
     def robust_config(self):
         return RobustConfig(rho=RhoFunction(self.rho), delta=self.delta)

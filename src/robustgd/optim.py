@@ -359,41 +359,52 @@ def svrg_run(model, dataset, state, stop, rng, constraint=None,
 def geometric_median(points, tol=1e-10, max_iters=1000):
     """Point minimizing the sum of Euclidean distances to ``points`` (k, d).
 
-    Re-weighted averaging with the standard adjustment when the iterate
-    coincides with a data point: the coincident point's pull is removed and
-    the step is damped by its multiplicity; if the residual pull of the
-    remaining points is no larger than that multiplicity, the iterate is the
-    minimizer and iteration stops.
+    Re-weighted averaging (Weiszfeld) from the coordinate mean, with the
+    standard adjustment when the iterate coincides with a data point: the
+    coincident point's pull is removed and the step is damped by its
+    multiplicity; if the residual pull of the remaining points is no larger
+    than that multiplicity, the iterate is the minimizer and iteration
+    stops.  Points that are not all finite return their coordinate mean at
+    once, which is not finite either, and so does an iterate whose squared
+    distances overflowed to NaN.  The points are read as one C-ordered
+    array, so the result does not depend on their memory order.
     """
-    P = np.asarray(points, dtype=float)
+    P = np.ascontiguousarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] < 1:
         raise ValueError("points must be a non-empty (k, d) array")
     k = P.shape[0]
     if k == 1:
         return P[0].copy()
     y = P.mean(axis=0)
+    if not np.isfinite(P).all():
+        return y
     scale = 1.0 + float(np.abs(P).max())
     for _ in range(max_iters):
         diff = P - y
-        dist = np.linalg.norm(diff, axis=1)
+        # the operations np.linalg.norm runs, without its wrapper
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
         coincident = dist <= 1e-10 * scale
         eta = int(coincident.sum())
-        if eta == k:
-            break
-        inv = 1.0 / dist[~coincident]
-        t_tilde = (P[~coincident] * inv[:, None]).sum(axis=0) / inv.sum()
         if eta == 0:
-            y_new = t_tilde
+            inv = 1.0 / dist
+            y_new = (P * inv[:, None]).sum(axis=0) / inv.sum()
         else:
+            if eta == k:
+                break
+            inv = 1.0 / dist[~coincident]
+            t_tilde = (P[~coincident] * inv[:, None]).sum(axis=0) / inv.sum()
             pull = (diff[~coincident] * inv[:, None]).sum(axis=0)
             r = np.linalg.norm(pull)
             if r <= eta:
                 break
             gamma = eta / r
             y_new = (1.0 - gamma) * t_tilde + gamma * y
-        move = np.linalg.norm(y_new - y)
+        step = y_new - y
+        move = np.sqrt(step.dot(step))
         y = y_new
-        if move <= tol * scale:
+        # a NaN move means every distance overflowed: the iterate is all NaN,
+        # and so would every later one be
+        if move <= tol * scale or move != move:
             break
     return y
 
@@ -407,8 +418,10 @@ def median_of_means_gd_run(model, dataset, partitions, state, constraint=None,
                            stop=None, record_every=1, median_tol=1e-10):
     """Descent on geometric-median-aggregated block-mean gradients.
 
-    Rows are split into ``partitions`` equal blocks (remainder rows joining
-    the last block); each step averages the gradient rows within blocks and
+    Rows are split into ``partitions`` equal blocks of q = n // partitions
+    rows (remainder rows joining the last block); each step takes the means
+    of the first partitions - 1 blocks from one (partitions - 1, q, d)
+    reshape of the gradient rows, the last block's mean on its own, and
     aggregates the block means by geometric median.
     """
     stop = stop or StoppingRule(max_iters=100)
@@ -419,12 +432,12 @@ def median_of_means_gd_run(model, dataset, partitions, state, constraint=None,
     if n < partitions:
         raise ValueError("more partitions than observations")
     q = n // partitions
-    bounds = [(b * q, (b + 1) * q if b < partitions - 1 else n)
-              for b in range(partitions)]
+    head = (partitions - 1) * q
 
     def grad_fn(w, t):
         _, G = loss_and_grad_rows(model.with_weights(w), dataset)
-        means = np.stack([G[lo:hi].mean(axis=0) for lo, hi in bounds])
+        means = np.vstack([G[:head].reshape(partitions - 1, q, -1).mean(axis=1),
+                           G[head:].mean(axis=0)])
         return geometric_median(means, tol=median_tol)
 
     return _descent(grad_fn, lambda t: n, state, constraint, stop, record_every)

@@ -251,6 +251,53 @@ def geometric_median_oracle(points, restarts=6, seed=0):
     return best, best_val
 
 
+def weiszfeld_reference(points, tol=1e-10, max_iters=1000):
+    """``optim.geometric_median`` as first written: ``np.linalg.norm`` for
+    every distance and boolean-mask copies of the non-coincident points on
+    every iteration.  The library must match it bit for bit on finite
+    C-ordered points."""
+    P = np.asarray(points, dtype=float)
+    k = P.shape[0]
+    if k == 1:
+        return P[0].copy()
+    y = P.mean(axis=0)
+    scale = 1.0 + float(np.abs(P).max())
+    for _ in range(max_iters):
+        diff = P - y
+        dist = np.linalg.norm(diff, axis=1)
+        coincident = dist <= 1e-10 * scale
+        eta = int(coincident.sum())
+        if eta == k:
+            break
+        inv = 1.0 / dist[~coincident]
+        t_tilde = (P[~coincident] * inv[:, None]).sum(axis=0) / inv.sum()
+        if eta == 0:
+            y_new = t_tilde
+        else:
+            pull = (diff[~coincident] * inv[:, None]).sum(axis=0)
+            r = np.linalg.norm(pull)
+            if r <= eta:
+                break
+            gamma = eta / r
+            y_new = (1.0 - gamma) * t_tilde + gamma * y
+        move = np.linalg.norm(y_new - y)
+        y = y_new
+        if move <= tol * scale:
+            break
+    return y
+
+
+def block_means_reference(G, partitions):
+    """Block means of the rows of G as first written, one slice per block:
+    ``partitions`` blocks of n // partitions rows, the remainder rows
+    joining the last."""
+    n = G.shape[0]
+    q = n // partitions
+    bounds = [(b * q, (b + 1) * q if b < partitions - 1 else n)
+              for b in range(partitions)]
+    return np.stack([G[lo:hi].mean(axis=0) for lo, hi in bounds])
+
+
 def concentration_pipeline(sampler, n, delta, trials, C=2.0, seed=0):
     """``bench.concentration_check`` spelled out stage by stage: mean pivot,
     ``rescale_columns``, ``confidence_scale``, ``locate_columns``.  Returns

@@ -142,6 +142,8 @@ class TestRun:
          "budget_factor must be >= 1, got 0"),
         ({"task": "classification_budget", "reg_strength": "-0.1"}, [],
          "reg_strength must be >= 0, got -0.1"),
+        ({"methods": "erm, mom", "n": "1"}, [],
+         "method 'mom' needs a training n of at least 2 for its 2 blocks, got 1"),
     ])
     def test_unusable_value_exits_2(self, tmp_path, capsys, settings, flags, error):
         keys = {"task": "quadratic_poc", "trials": "1", "iters": "5", "n": "40",

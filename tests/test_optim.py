@@ -1,5 +1,7 @@
 """Descent loops, budgets, projection, and the geometric-median aggregator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,13 +26,20 @@ from robustgd.optim import (
 from robustgd.robust_grad import RobustConfig
 
 from oracles import (
+    block_means_reference,
     geometric_median_objective,
     geometric_median_oracle,
     make_spd,
     quadratic_descent_iterates,
+    weiszfeld_reference,
 )
 
 TIGHT = FixedPointSettings(max_iters=300, rel_tolerance=1e-13)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def regression_problem(n=60, d=3, seed=0, heavy=False):
@@ -342,6 +351,54 @@ class TestGeometricMedian:
             assert got_val <= oracle_val + 1e-6
             assert got_val >= oracle_val - 1e-6
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_match_the_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        clouds = [rng.standard_t(1.5, size=(1, 3))]
+        for _ in range(30):
+            k, d = int(rng.integers(2, 150)), int(rng.integers(1, 40))
+            pts = rng.standard_t(1.5, size=(k, d)) * 10.0 ** rng.uniform(-3, 3)
+            clouds.append(pts)
+            dup = pts.copy()
+            dup[rng.integers(0, k, size=k // 2 + 1)] = pts[0]
+            clouds.append(dup)
+            clouds.append(np.tile(pts[0], (k, 1)))
+        for pts in clouds:
+            for tol in (1e-10, 1e-13, 1e-14):
+                ref = weiszfeld_reference(pts, tol=tol)
+                assert same_bits(geometric_median(pts, tol=tol), ref)
+                assert same_bits(geometric_median(np.asfortranarray(pts), tol=tol), ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_returns_the_mean_at_once(self, bad):
+        pts = np.random.default_rng(3).normal(size=(125, 2))
+        pts[7, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = geometric_median(pts, tol=1e-14)
+        assert same_bits(got, pts.mean(axis=0))
+        assert np.isfinite(got[0]) and not np.isfinite(got[1])
+
+    def test_overflowing_distances_stop_at_once(self, monkeypatch):
+        # finite points whose squared distances overflow: the first iterate
+        # is all NaN, so the result is the reference's without its 1,000
+        # further iterations (each looks numpy up at least twice)
+        pts = np.random.default_rng(4).normal(size=(125, 2)) * 1e200
+        lookups = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                lookups.append(name)
+                return getattr(np, name)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = weiszfeld_reference(pts)
+            monkeypatch.setattr("robustgd.optim.np", CountingNumpy())
+            got = geometric_median(pts)
+        assert np.isnan(ref).all() and same_bits(got, ref)
+        assert len(lookups) < 20
+
 
 class TestMedianOfMeansGD:
     def test_partition_count_formula(self):
@@ -380,6 +437,20 @@ class TestMedianOfMeansGD:
         m1 = geometric_median(G, tol=1e-13)
         m2 = geometric_median(G[::-1], tol=1e-13)
         assert np.allclose(m1, m2, atol=1e-9)
+
+    @pytest.mark.parametrize("n, d, partitions", [
+        (500, 2, 125), (7, 1, 2), (129, 1, 4), (40, 1, 40), (30, 4, 30),
+        (41, 3, 2), (61, 5, 6), (64, 9, 8)])
+    def test_step_bits_match_the_reference(self, n, d, partitions):
+        rng = np.random.default_rng(n + d)
+        ds = Dataset(rng.standard_t(2.0, size=(n, d)), rng.standard_t(1.5, size=n))
+        w0 = rng.normal(size=d)
+        _, G = loss_and_grad_rows(LinearModel(w0), ds)
+        step = weiszfeld_reference(block_means_reference(G, partitions))
+        traj = median_of_means_gd_run(LinearModel(w0), ds, partitions,
+                                      OptimState(w0.copy(), 0.1),
+                                      stop=StoppingRule(max_iters=1))
+        assert same_bits(traj.iterates[1], w0 - 0.1 * step)
 
     def test_validation(self):
         ds = Dataset(np.ones((3, 2)), np.ones(3))
