@@ -26,6 +26,7 @@ from .models import (
     loss_and_grad_rows,
     misclassification_rate,
     predict,
+    row_arrays,
 )
 from .optim import (
     L2Ball,
@@ -69,7 +70,7 @@ __all__ = [
     "locate", "psi_eval", "chi_eval", "rescale",
     "RobustConfig", "robust_gradient", "robust_risk",
     "Dataset", "LinearModel", "LogisticModel", "empirical_risk",
-    "loss_and_grad_rows", "misclassification_rate", "predict",
+    "loss_and_grad_rows", "misclassification_rate", "predict", "row_arrays",
     "L2Ball", "OptimState", "StoppingRule", "Trajectory",
     "default_partition_count", "erm_gd_run", "erm_gd_stacked_run",
     "geometric_median", "median_of_means_gd_run", "oracle_gd_run", "rgd_run",

@@ -5,6 +5,12 @@ regression with a fixed zero reference class and squared-l2 regularization.
 Every model exposes the per-row losses and gradients so the robust gradient
 estimator can summarize them column-wise; the row mean always equals the
 (regularized) empirical risk gradient.
+
+Each model has one row kernel at explicit weights.  ``loss_and_grad_rows``
+checks a dataset against the model (``row_arrays``) and runs the kernel with
+losses; ``model.grad_rows(w, X, y)`` runs it on plain arrays with no checks
+and no losses, for descent loops that check their data once at entry and
+then index rows of it every step.  Both give the same gradient bits.
 """
 
 from dataclasses import dataclass, replace
@@ -39,9 +45,6 @@ class Dataset:
     def n_features(self):
         return self.inputs.shape[1]
 
-    def subset(self, idx):
-        return Dataset(self.inputs[idx], self.targets[idx])
-
 
 @dataclass
 class LinearModel:
@@ -60,6 +63,15 @@ class LinearModel:
 
     def with_weights(self, w):
         return replace(self, weights=np.asarray(w, dtype=float))
+
+    def grad_rows(self, w, X, y):
+        """(n, d) gradient rows at weights ``w`` for inputs X and float
+        targets y, unchecked (see ``row_arrays``)."""
+        return self._rows(w, X, y, False)[1]
+
+    def _rows(self, w, X, y, want_loss):
+        r = X @ w - y
+        return (0.5 * r * r if want_loss else None), r[:, None] * X
 
 
 @dataclass
@@ -90,20 +102,39 @@ class LogisticModel:
     def dim(self):
         return self.weights.shape[0]
 
-    @property
-    def weight_matrix(self):
-        return self.weights.reshape(self.classes - 1, self.features)
-
     def with_weights(self, w):
         return replace(self, weights=np.asarray(w, dtype=float))
 
     def scores(self, inputs):
         """(n, classes) decision scores; the reference class scores zero."""
+        return self._scores(self.weights, inputs)
+
+    def _scores(self, w, X):
         k = self.classes - 1
-        out = np.empty((inputs.shape[0], k + 1))
-        out[:, :k] = inputs @ self.weight_matrix.T
+        out = np.empty((X.shape[0], k + 1))
+        out[:, :k] = X @ w.reshape(k, self.features).T
         out[:, k] = 0.0
         return out
+
+    def grad_rows(self, w, X, y):
+        """(n, d) gradient rows at weights ``w`` for inputs X and class
+        indices y, unchecked (see ``row_arrays``)."""
+        return self._rows(w, X, y, False)[1]
+
+    def _rows(self, w, X, y, want_loss):
+        n, k = X.shape[0], self.classes - 1
+        full = self._scores(w, X)
+        lse = _logsumexp_rows(full)
+        losses = lse - full[np.arange(n), y] if want_loss else None
+        p = np.exp(full[:, :k] - lse[:, None])  # (n, C-1) class probabilities
+        p -= y[:, None] == np.arange(k)  # one-hot of y; the reference class has none
+        G = (p[:, :, None] * X[:, None, :]).reshape(n, w.shape[0])
+        a = self.reg_strength
+        if a > 0:
+            if want_loss:
+                losses = losses + a * w @ w
+            G = G + 2.0 * a * w
+        return losses, G
 
 
 def _logsumexp_rows(a):
@@ -127,20 +158,18 @@ def _logsumexp_rows(a):
     return out
 
 
-def loss_and_grad_rows(model, dataset):
-    """Per-observation losses and gradient rows at the model's weights.
-
-    Returns (losses, G) with losses (n,) and G (n, d); the mean of G over
-    rows is the gradient of the (regularized) empirical risk.
-    """
+def row_arrays(model, dataset):
+    """The dataset's inputs and targets as the model's row kernel takes
+    them: float targets for the linear model, class indices for the
+    logistic one.  Raises ValueError when the data does not fit the model;
+    ``grad_rows`` checks nothing, so its callers check here once, before
+    their first step."""
+    X = dataset.inputs
     if isinstance(model, LinearModel):
-        X, y = dataset.inputs, np.asarray(dataset.targets, dtype=float)
         if X.shape[1] != model.dim:
             raise ValueError("feature count does not match model dimension")
-        r = X @ model.weights - y
-        return 0.5 * r * r, r[:, None] * X
+        return X, np.asarray(dataset.targets, dtype=float)
     if isinstance(model, LogisticModel):
-        X = dataset.inputs
         y = np.asarray(dataset.targets)
         if X.shape[1] != model.features:
             raise ValueError("feature count does not match model features")
@@ -148,19 +177,18 @@ def loss_and_grad_rows(model, dataset):
             raise ValueError("classification targets must be integer class indices")
         if y.min() < 0 or y.max() >= model.classes:
             raise ValueError("class index out of range")
-        n, k = X.shape[0], model.classes - 1
-        full = model.scores(X)
-        lse = _logsumexp_rows(full)
-        losses = lse - full[np.arange(n), y]
-        p = np.exp(full[:, :k] - lse[:, None])  # (n, C-1) class probabilities
-        p -= y[:, None] == np.arange(k)  # one-hot of y; the reference class has none
-        G = (p[:, :, None] * X[:, None, :]).reshape(n, model.dim)
-        a = model.reg_strength
-        if a > 0:
-            losses = losses + a * model.weights @ model.weights
-            G = G + 2.0 * a * model.weights
-        return losses, G
+        return X, y
     raise TypeError(f"unsupported model type: {type(model).__name__}")
+
+
+def loss_and_grad_rows(model, dataset):
+    """Per-observation losses and gradient rows at the model's weights.
+
+    Returns (losses, G) with losses (n,) and G (n, d); the mean of G over
+    rows is the gradient of the (regularized) empirical risk.
+    """
+    X, y = row_arrays(model, dataset)
+    return model._rows(model.weights, X, y, True)
 
 
 def predict(model, dataset):

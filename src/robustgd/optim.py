@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import loss_and_grad_rows
+from .models import loss_and_grad_rows, row_arrays
 # column_scales is unused here but stays importable: perfbench's tracer hooks it
 from .robust_grad import column_scales, robust_gradient
 
@@ -180,6 +180,12 @@ def _descent(grad_fn, step_cost, state, constraint, stop, record_every):
     return traj
 
 
+def _row_mean(G):
+    """``G.mean(axis=0)`` bit for bit; a lone row skips numpy's mean wrapper
+    and adds +0.0 instead, which turns -0.0 into +0.0 as the mean's sum does."""
+    return G[0] + 0.0 if G.shape[0] == 1 else G.mean(axis=0)
+
+
 def _shared_n(datasets):
     n = datasets[0].n
     if any(ds.n != n for ds in datasets):
@@ -232,7 +238,9 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
     matrix by coordinate-wise location estimates (``robust_gradient``) and
     descends on those.
 
-    ``batch_size`` draws a random row subset per step (requires ``rng``).
+    ``batch_size`` draws a random row subset per step (requires ``rng``)
+    and takes its gradient rows from ``model.grad_rows``, on data checked
+    once at entry.
     ``coordinate_subset_size`` = k draws k of the d coordinates per step
     from ``rng`` (after the step's rows) and robustifies only those; the
     rest take their plain mean.  Per-column solver fallbacks are tallied,
@@ -245,6 +253,7 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
             raise ValueError("batch_size must lie in [1, n]")
         if rng is None:
             raise ValueError("mini-batch runs need an rng")
+        X, y = row_arrays(model, dataset)
     draw_cols = None
     if coordinate_subset_size is not None:
         size, d = coordinate_subset_size, state.w.shape[0]
@@ -259,10 +268,10 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
             return np.sort(rng.choice(d, size=size, replace=False))
 
     def rows(k, w):
-        ds = dataset
-        if batch_size is not None:
-            ds = dataset.subset(rng.choice(n, size=batch_size, replace=False))
-        return loss_and_grad_rows(model.with_weights(w), ds)[1]
+        if batch_size is None:
+            return loss_and_grad_rows(model.with_weights(w), dataset)[1]
+        idx = rng.choice(n, size=batch_size, replace=False)
+        return model.grad_rows(w, X[idx], y[idx])
 
     traj, = _robust_descent(rows, cfg, _as_batch(state), constraint, stop,
                             record_every, n if batch_size is None else batch_size,
@@ -314,13 +323,19 @@ def oracle_gd_run(grad, state, constraint=None, stop=None, record_every=1):
 
 def sgd_run(model, dataset, state, stop, rng, constraint=None, batch_size=1,
             record_every=1):
-    """Stochastic gradient descent on uniformly sampled rows."""
+    """Stochastic gradient descent on uniformly sampled rows, whose gradient
+    rows come from ``model.grad_rows`` on data checked once at entry."""
+    X, y = row_arrays(model, dataset)
     n = dataset.n
 
     def grad_fn(w, t):
-        idx = rng.integers(n, size=batch_size)
-        _, G = loss_and_grad_rows(model.with_weights(w), dataset.subset(idx))
-        return G.mean(axis=0)
+        if batch_size == 1:
+            # a scalar draw consumes the stream as a size-1 draw does
+            i = int(rng.integers(n))
+            idx = slice(i, i + 1)
+        else:
+            idx = rng.integers(n, size=batch_size)
+        return _row_mean(model.grad_rows(w, X[idx], y[idx]))
 
     return _descent(grad_fn, lambda t: batch_size, state, constraint, stop,
                     record_every)
@@ -333,8 +348,11 @@ def svrg_run(model, dataset, state, stop, rng, constraint=None,
     (1 evaluation each), repeated until the budget or iteration cap.
 
     A snapshot is charged together with the first inner step it anchors,
-    so the budget never pays for a snapshot that no step uses.
+    so the budget never pays for a snapshot that no step uses.  Inner steps
+    evaluate their row with ``model.grad_rows`` at the iterate and at the
+    snapshot's weights, on data checked once at entry.
     """
+    X, y = row_arrays(model, dataset)
     n = dataset.n
     inner_len = max(1, n // 2 if inner_steps is None else int(inner_steps))
     snap = {}
@@ -344,13 +362,13 @@ def svrg_run(model, dataset, state, stop, rng, constraint=None,
 
     def grad_fn(w, t):
         if epoch_start(t):
-            snap["model"] = model.with_weights(w.copy())
-            _, G = loss_and_grad_rows(snap["model"], dataset)
+            snap["w"] = w.copy()
+            _, G = loss_and_grad_rows(model.with_weights(snap["w"]), dataset)
             snap["grad"] = G.mean(axis=0)
-        row = dataset.subset([int(rng.integers(n))])
-        _, gi = loss_and_grad_rows(model.with_weights(w), row)
-        _, gi_snap = loss_and_grad_rows(snap["model"], row)
-        return gi[0] - gi_snap[0] + snap["grad"]
+        i = int(rng.integers(n))
+        Xi, yi = X[i:i + 1], y[i:i + 1]
+        return (model.grad_rows(w, Xi, yi)[0] - model.grad_rows(snap["w"], Xi, yi)[0]
+                + snap["grad"])
 
     return _descent(grad_fn, lambda t: n + 1 if epoch_start(t) else 1, state,
                     constraint, stop, record_every)

@@ -1,9 +1,12 @@
 """Independent verification oracles shared by the test suite.
 
-Everything here but ``concentration_pipeline`` avoids the library's solvers
-on purpose: brute-force minimization, quadrature, finite differences and
-closed forms are the reference implementations the fast paths are checked
-against.  ``concentration_pipeline`` pins how the solver stages compose.
+Everything here but ``concentration_pipeline`` and the ``*_reference_run``
+descents avoids the library's solvers on purpose: brute-force minimization,
+quadrature, finite differences and closed forms are the reference
+implementations the fast paths are checked against.
+``concentration_pipeline`` pins how the solver stages compose; the reference
+runs drive the library's descent loop with the stochastic gradient steps as
+first written, so a trajectory comparison checks only the steps.
 """
 
 import numpy as np
@@ -18,6 +21,8 @@ from robustgd.mest import (
     locate_columns,
     rescale_columns,
 )
+from robustgd.models import Dataset, loss_and_grad_rows
+from robustgd.optim import _as_batch, _descent, _robust_descent
 
 LD = np.longdouble
 _PI_2 = LD("1.5707963267948966192313216916398")
@@ -215,7 +220,7 @@ def logistic_rows_oracle(model, dataset):
     ``scipy.special.logsumexp``, and a dense one-hot matrix."""
     X, y = dataset.inputs, np.asarray(dataset.targets)
     n, k = X.shape[0], model.classes - 1
-    full = np.hstack([X @ model.weight_matrix.T, np.zeros((n, 1))])
+    full = np.hstack([X @ model.weights.reshape(k, -1).T, np.zeros((n, 1))])
     lse = special.logsumexp(full, axis=1)
     losses = lse - full[np.arange(n), y]
     p = np.exp(full - lse[:, None])[:, :k]
@@ -315,3 +320,60 @@ def concentration_pipeline(sampler, n, delta, trials, C=2.0, seed=0):
         bounds.append(bound)
         violations += int(abs(theta[0] - sampler.mean) > bound)
     return violations / trials, float(np.mean(bounds))
+
+
+def _row_subset(dataset, idx):
+    # Dataset.subset as first written: a fresh, re-checked Dataset per step
+    return Dataset(dataset.inputs[idx], dataset.targets[idx])
+
+
+def sgd_reference_run(model, dataset, state, stop, rng, batch_size=1):
+    """``optim.sgd_run`` with its step as first written: a Dataset of the
+    drawn rows and a model at the iterate per step, through
+    ``loss_and_grad_rows``."""
+    n = dataset.n
+
+    def grad_fn(w, t):
+        idx = rng.integers(n, size=batch_size)
+        _, G = loss_and_grad_rows(model.with_weights(w), _row_subset(dataset, idx))
+        return G.mean(axis=0)
+
+    return _descent(grad_fn, lambda t: batch_size, state, None, stop, 1)
+
+
+def svrg_reference_run(model, dataset, state, stop, rng):
+    """``optim.svrg_run`` (default inner length) with its step as first
+    written: the snapshot kept as a model, and the drawn row as a one-row
+    Dataset evaluated through ``loss_and_grad_rows`` at both weights."""
+    n = dataset.n
+    inner_len = max(1, n // 2)
+    snap = {}
+
+    def epoch_start(t):
+        return (t - state.t) % inner_len == 0
+
+    def grad_fn(w, t):
+        if epoch_start(t):
+            snap["model"] = model.with_weights(w.copy())
+            _, G = loss_and_grad_rows(snap["model"], dataset)
+            snap["grad"] = G.mean(axis=0)
+        row = _row_subset(dataset, [int(rng.integers(n))])
+        _, gi = loss_and_grad_rows(model.with_weights(w), row)
+        _, gi_snap = loss_and_grad_rows(snap["model"], row)
+        return gi[0] - gi_snap[0] + snap["grad"]
+
+    return _descent(grad_fn, lambda t: n + 1 if epoch_start(t) else 1, state,
+                    None, stop, 1)
+
+
+def rgd_mb_reference_run(model, dataset, cfg, state, stop, rng, batch_size):
+    """``optim.rgd_run(batch_size=...)`` with its rows as first written:
+    a Dataset of the drawn rows and a model at the iterate per step."""
+    n = dataset.n
+
+    def rows(k, w):
+        idx = rng.choice(n, size=batch_size, replace=False)
+        return loss_and_grad_rows(model.with_weights(w), _row_subset(dataset, idx))[1]
+
+    traj, = _robust_descent(rows, cfg, _as_batch(state), None, stop, 1, batch_size)
+    return traj

@@ -19,6 +19,7 @@ from robustgd.models import (
     loss_and_grad_rows,
     misclassification_rate,
     predict,
+    row_arrays,
     _logsumexp_rows,
 )
 
@@ -70,7 +71,7 @@ class TestLogisticModel:
         model, ds = random_logistic(seed=3)
         _, G = loss_and_grad_rows(model, ds)
         for i in [0, 7, 19]:
-            row = ds.subset([i])
+            row = Dataset(ds.inputs[[i]], ds.targets[[i]])
 
             def row_loss(w):
                 return loss_and_grad_rows(model.with_weights(w), row)[0][0]
@@ -218,6 +219,46 @@ class TestLogisticKernel:
         imported += [node.module for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom)]
         assert not [m for m in imported if m and m.split(".")[0] == "scipy"]
+
+
+class TestGradRows:
+    @pytest.mark.parametrize("kind, reg", [("linear", 0.0), ("logistic", 0.0),
+                                           ("logistic", 0.3)])
+    @pytest.mark.parametrize("size", [1, 10, 40])
+    def test_bits_equal_loss_and_grad_rows(self, kind, reg, size):
+        # grad_rows runs loss_and_grad_rows's kernel without checks or
+        # losses; zeros in the inputs and weights give -0.0 gradient entries
+        rng = np.random.default_rng(size)
+        n, F = 40, 4
+        X = rng.normal(size=(n, F))
+        X[rng.random((n, F)) < 0.2] = -0.0
+        if kind == "linear":
+            model, y = LinearModel(np.zeros(F)), rng.normal(size=n)
+        else:
+            model = LogisticModel(3, F, np.zeros(2 * F), reg_strength=reg)
+            y = rng.integers(3, size=n)
+        X, y = row_arrays(model, Dataset(X, y))
+        negative_zeros = 0
+        for _ in range(30):
+            idx = rng.integers(n, size=size)
+            w = rng.normal(size=model.dim)
+            w[rng.random(model.dim) < 0.3] = -0.0
+            got = model.grad_rows(w, X[idx], y[idx])
+            _, want = loss_and_grad_rows(model.with_weights(w), Dataset(X[idx], y[idx]))
+            assert np.array_equal(bits(got), bits(want))
+            negative_zeros += int(np.sum((got == 0) & np.signbit(got)))
+        assert negative_zeros > 0
+
+    def test_row_arrays_casts_linear_targets_once(self):
+        X, y = row_arrays(LinearModel(np.zeros(2)), Dataset(np.ones((3, 2)), np.arange(3)))
+        assert y.dtype == float and np.array_equal(y, [0.0, 1.0, 2.0])
+        _, y = row_arrays(LogisticModel(3, 2, np.zeros(4)),
+                          Dataset(np.ones((3, 2)), np.arange(3, dtype=np.uint8)))
+        assert y.dtype == np.uint8
+
+    def test_unsupported_model_rejected(self):
+        with pytest.raises(TypeError, match="unsupported model type"):
+            row_arrays(object(), Dataset(np.ones((3, 2)), np.ones(3)))
 
 
 class TestPrediction:

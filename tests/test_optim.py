@@ -7,8 +7,9 @@ import pytest
 
 from robustgd.datagen import SyntheticRisk, gen_regression, NoiseSpec
 from robustgd.mest import FixedPointSettings, RhoFunction
-from robustgd.models import Dataset, LinearModel, loss_and_grad_rows
+from robustgd.models import Dataset, LinearModel, LogisticModel, loss_and_grad_rows
 from robustgd.optim import (
+    _row_mean,
     L2Ball,
     OptimState,
     StoppingRule,
@@ -31,6 +32,9 @@ from oracles import (
     geometric_median_oracle,
     make_spd,
     quadratic_descent_iterates,
+    rgd_mb_reference_run,
+    sgd_reference_run,
+    svrg_reference_run,
     weiszfeld_reference,
 )
 
@@ -307,6 +311,136 @@ class TestStochasticLoops:
                           stop=StoppingRule(max_iters=10 ** 9, budget=100))
         # 30 per step: stops after 3 steps with 90 evals
         assert traj.grad_evals[-1] == 90
+
+
+STEP_MODELS = ("linear", "logistic", "logistic_reg")
+
+
+def stochastic_problem(kind, n=40, seed=0):
+    """(model, dataset, start) for the stochastic-step checks: heavy-tailed
+    regression, or 3-class logistic with or without regularization."""
+    if kind == "linear":
+        ds, w_star, _ = regression_problem(n=n, d=3, seed=seed, heavy=True)
+        return LinearModel(np.zeros(3)), ds, w_star + 0.5
+    rng = np.random.default_rng(seed)
+    y = rng.integers(3, size=n)
+    X = rng.normal(size=(n, 4)) + y[:, None]
+    model = LogisticModel(3, 4, np.zeros(8),
+                          reg_strength=0.01 if kind == "logistic_reg" else 0.0)
+    return model, Dataset(X, y), rng.normal(size=model.dim)
+
+
+class TestStochasticStepBits:
+    """sgd, svrg and rgd_mb<B> steps on plain arrays give, bit for bit, the
+    runs whose steps rebuild a Dataset and a model every step."""
+
+    @pytest.mark.parametrize("kind", STEP_MODELS)
+    @pytest.mark.parametrize("batch_size", [1, 10, 40])
+    def test_sgd(self, kind, batch_size):
+        model, ds, w0 = stochastic_problem(kind)
+        stop = StoppingRule(max_iters=120)
+        got = sgd_run(model, ds, OptimState(w0.copy(), 0.05), stop,
+                      np.random.default_rng(4), batch_size=batch_size)
+        want = sgd_reference_run(model, ds, OptimState(w0.copy(), 0.05), stop,
+                                 np.random.default_rng(4), batch_size)
+        assert got.steps[-1] == 120
+        assert_same_trajectory(got, want)
+
+    @pytest.mark.parametrize("kind", STEP_MODELS)
+    def test_svrg(self, kind):
+        # 120 updates at n = 40 take six snapshots
+        model, ds, w0 = stochastic_problem(kind)
+        stop = StoppingRule(max_iters=120)
+        got = svrg_run(model, ds, OptimState(w0.copy(), 0.05), stop,
+                       np.random.default_rng(5))
+        want = svrg_reference_run(model, ds, OptimState(w0.copy(), 0.05), stop,
+                                  np.random.default_rng(5))
+        assert got.steps[-1] == 120
+        assert_same_trajectory(got, want)
+
+    @pytest.mark.parametrize("kind", STEP_MODELS)
+    @pytest.mark.parametrize("batch_size", [1, 10, 40])
+    def test_rgd_mini_batch(self, kind, batch_size):
+        model, ds, w0 = stochastic_problem(kind)
+        cfg, stop = RobustConfig(), StoppingRule(max_iters=30)
+        got = rgd_run(model, ds, cfg, OptimState(w0.copy(), 0.05), stop=stop,
+                      rng=np.random.default_rng(6), batch_size=batch_size)
+        want = rgd_mb_reference_run(model, ds, cfg, OptimState(w0.copy(), 0.05),
+                                    stop, np.random.default_rng(6), batch_size)
+        assert got.steps[-1] == 30
+        assert_same_trajectory(got, want)
+
+    def test_row_mean_keeps_the_mean_bits(self):
+        row = np.array([[-0.0, 0.0, 1.5, -2.0, 5e-324, np.inf, -np.inf, np.nan]])
+        assert same_bits(_row_mean(row), row.mean(axis=0))
+        rows = np.random.default_rng(0).normal(size=(10, 3))
+        assert same_bits(_row_mean(rows), rows.mean(axis=0))
+
+
+def _stochastic_run(name, model, ds, rng, max_iters=5):
+    state, stop = OptimState(np.zeros(model.dim), 0.05), StoppingRule(max_iters=max_iters)
+    if name == "sgd":
+        return sgd_run(model, ds, state, stop, rng)
+    if name == "svrg":
+        return svrg_run(model, ds, state, stop, rng)
+    return rgd_run(model, ds, RobustConfig(), state, stop=stop, rng=rng, batch_size=2)
+
+
+class TestStochasticEntryChecks:
+    @pytest.mark.parametrize("run", ["sgd", "svrg", "rgd_mb"])
+    @pytest.mark.parametrize("case", ["label_range", "logistic_features",
+                                      "linear_features"])
+    def test_bad_data_raises_before_any_draw(self, run, case):
+        # the steps check nothing, so the run checks once at entry, with
+        # loss_and_grad_rows's messages
+        if case == "label_range":
+            model = LogisticModel(3, 2, np.zeros(4))
+            ds = Dataset(np.ones((4, 2)), np.array([0, 1, 2, 3]))
+            match = "class index out of range"
+        elif case == "logistic_features":
+            model = LogisticModel(3, 2, np.zeros(4))
+            ds = Dataset(np.ones((4, 3)), np.array([0, 1, 2, 0]))
+            match = "feature count does not match model features"
+        else:
+            model = LinearModel(np.zeros(2))
+            ds = Dataset(np.ones((4, 3)), np.ones(4))
+            match = "feature count does not match model dimension"
+        with pytest.raises(ValueError, match=match):
+            loss_and_grad_rows(model, ds)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            _stochastic_run(run, model, ds, rng)
+        assert rng.bit_generator.state == before
+
+
+class TestNoPerStepRebuilds:
+    @pytest.fixture
+    def inits(self, monkeypatch):
+        """Counts of Dataset and model constructions from here on."""
+        counts = {"dataset": 0, "model": 0}
+        for cls, key in ((Dataset, "dataset"), (LinearModel, "model"),
+                         (LogisticModel, "model")):
+            def counting(self, _init=cls.__post_init__, _key=key):
+                counts[_key] += 1
+                _init(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        return counts
+
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    @pytest.mark.parametrize("run", ["sgd", "svrg", "rgd_mb"])
+    def test_steps_build_no_dataset_or_model(self, inits, kind, run):
+        n, steps = 40, 200
+        model, ds, _ = stochastic_problem(kind, n=n)
+        before = inits["dataset"]
+        Dataset(ds.inputs, ds.targets)
+        assert inits["dataset"] == before + 1  # the counter is live
+        inits.update(dataset=0, model=0)
+        traj = _stochastic_run(run, model, ds, np.random.default_rng(1), steps)
+        assert traj.steps[-1] == steps
+        assert inits["dataset"] == 0
+        # svrg's snapshots, one per n // 2 updates, build one model each
+        assert inits["model"] == (-(-steps // (n // 2)) if run == "svrg" else 0)
 
 
 class TestGeometricMedian:
