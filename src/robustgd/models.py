@@ -10,7 +10,10 @@ Each model has one row kernel at explicit weights.  ``loss_and_grad_rows``
 checks a dataset against the model (``row_arrays``) and runs the kernel with
 losses; ``model.grad_rows(w, X, y)`` runs it on plain arrays with no checks
 and no losses, for descent loops that check their data once at entry and
-then index rows of it every step.  Both give the same gradient bits.
+then index rows of it every step.  Both give the same gradient bits.  The
+linear kernel also takes a leading trial axis, so a stacked full-batch
+descent builds every trial's rows in one call; a ``Dataset`` stores its
+inputs C-ordered, so a trial's rows have the same bits stacked or alone.
 """
 
 from dataclasses import dataclass, replace
@@ -20,13 +23,17 @@ import numpy as np
 
 @dataclass
 class Dataset:
-    """Observations: (n, F) inputs and n targets (real or class index)."""
+    """Observations: (n, F) inputs and n targets (real or class index).
+
+    The inputs are stored C-ordered: the bits of ``X @ w`` depend on X's
+    memory order, and a stack of datasets is C-ordered too.
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=float)
+        self.inputs = np.ascontiguousarray(self.inputs, dtype=float)
         self.targets = np.asarray(self.targets)
         if self.inputs.ndim != 2:
             raise ValueError("inputs must be an (n, F) matrix")
@@ -66,12 +73,15 @@ class LinearModel:
 
     def grad_rows(self, w, X, y):
         """(n, d) gradient rows at weights ``w`` for inputs X and float
-        targets y, unchecked (see ``row_arrays``)."""
+        targets y, unchecked (see ``row_arrays``).  Over a leading trial
+        axis, ``w`` (T, d), X (T, n, d) and y (T, n), the (T, n, d) rows of
+        every trial, each with the bits of its own call."""
         return self._rows(w, X, y, False)[1]
 
     def _rows(self, w, X, y, want_loss):
-        r = X @ w - y
-        return (0.5 * r * r if want_loss else None), r[:, None] * X
+        # against w as a column, matmul makes per trial the gemv call X @ w makes
+        r = np.matmul(X, w[..., None])[..., 0] - y
+        return (0.5 * r * r if want_loss else None), r[..., None] * X
 
 
 @dataclass

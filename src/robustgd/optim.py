@@ -5,13 +5,19 @@ projected steps w <- pi(w - alpha * g_hat) with a method-specific gradient
 estimate g_hat, and record the visited iterates together with a running
 count of per-row gradient evaluations.  A budget is never exceeded: a step
 whose cost would cross it is not taken.
+
+The rgd, erm, sgd and svrg steps take their gradient rows from
+``model.grad_rows`` on plain arrays, checked once at entry (``row_arrays``);
+the full-batch rgd and erm descents stack T trials' data once and build all
+their rows per step in one call over the trial axis.  Median-of-means steps
+and svrg's snapshots evaluate through ``loss_and_grad_rows``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import loss_and_grad_rows, row_arrays
+from .models import LinearModel, loss_and_grad_rows, row_arrays
 # column_scales is unused here but stays importable: perfbench's tracer hooks it
 from .robust_grad import column_scales, robust_gradient
 
@@ -186,38 +192,69 @@ def _row_mean(G):
     return G[0] + 0.0 if G.shape[0] == 1 else G.mean(axis=0)
 
 
-def _shared_n(datasets):
-    n = datasets[0].n
+def _stack_datasets(model, datasets):
+    """The trials' inputs (T, n, F) and targets (T, n), checked once against
+    each other and, through ``row_arrays``, against ``model``; at T = 1
+    views of the lone dataset's arrays, otherwise one C-ordered copy."""
+    n, F = datasets[0].n, datasets[0].n_features
     if any(ds.n != n for ds in datasets):
         raise ValueError("stacked trials must share the number of rows")
-    return n
+    if any(ds.n_features != F for ds in datasets):
+        raise ValueError("stacked trials must share the number of features")
+    arrays = [row_arrays(model, ds) for ds in datasets]
+    if len(arrays) == 1:
+        X, y = arrays[0]
+        return X[None], y[None]
+    return np.stack([X for X, _ in arrays]), np.stack([y for _, y in arrays])
+
+
+def _trial_rows(model, Xs, ys):
+    """``rows(live, W)``: the (T, n, d) gradient rows of the trials ``live``
+    at their iterates W, on the stacked data of ``_stack_datasets``.  The
+    linear kernel takes the trial axis in one call; the logistic one runs
+    trial by trial."""
+    linear = isinstance(model, LinearModel)
+
+    def rows(live, W):
+        X, y = (Xs, ys) if live.size == Xs.shape[0] else (Xs[live], ys[live])
+        if linear:
+            return model.grad_rows(W, X, y)
+        if live.size == 1:
+            return model.grad_rows(W[0], X[0], y[0])[None]
+        return np.stack([model.grad_rows(*trial) for trial in zip(W, X, y)])
+
+    return rows
 
 
 def _robust_descent(rows, cfg, state, constraint, stop, record_every, cost,
                     draw_cols=None):
     """Robust descent of the trials whose starting points are the rows of
-    ``state.w``; ``rows(k, w)`` gives trial k's gradient rows at w.
+    ``state.w``; ``rows(live, W)`` gives the (T, n, d) gradient rows of the
+    trials ``live`` at their iterates W.
 
-    Each step stacks the rows of every live trial whose row mean is finite
-    into one (n, T d) matrix and solves all its columns in one
-    ``robust_gradient`` call, which reduces every column alone, so each
-    trial's estimate has the bits of its own solve; a trial whose row
-    mean is not finite descends on it, so the loop stops it as "diverged".
-    ``draw_cols()``, when given, draws a lone trial's coordinate subset for
-    each step that reaches the solver.  Per-column solver fallbacks are
-    tallied per trial, never raised.
+    Each step copies the rows of every live trial whose row mean is finite
+    into one C-ordered (T d, n) matrix and solves its transpose, all T d
+    columns, in one ``robust_gradient`` call, which reduces every column
+    alone, so each trial's estimate has the bits of its own solve; a trial
+    whose row mean is not finite descends on it, so the loop stops it as
+    "diverged".  ``draw_cols()``, when given, draws a lone trial's
+    coordinate subset for each step that reaches the solver.  Per-column
+    solver fallbacks are tallied per trial, never raised.
     """
     diags = [{"locate_fallbacks": 0, "scale_fallbacks": 0} for _ in state.w]
 
     def grad_fn(W, t, live):
-        blocks = [rows(k, w) for k, w in zip(live, W)]
-        g = np.array([G.mean(axis=0) for G in blocks])
+        G = rows(live, W)
+        g = G.mean(axis=1)
         ok = np.flatnonzero(np.isfinite(g).all(axis=1))
         if not ok.size:
             return g
-        D = blocks[ok[0]] if ok.size == 1 else np.hstack([blocks[i] for i in ok])
+        if ok.size < live.size:
+            G = G[ok]
+        # robust_gradient copies D.T to C order, which this transpose already is
+        Dt = G.transpose(0, 2, 1).reshape(-1, G.shape[1])
         cols = None if draw_cols is None else draw_cols()
-        theta, info = robust_gradient(D, cfg, cols)
+        theta, info = robust_gradient(Dt.T, cfg, cols)
         g[ok] = theta.reshape(ok.size, -1)
         for key, mask in (("scale_fallbacks", info["scale_fallback"]),
                           ("locate_fallbacks", info["locate_fallback"])):
@@ -238,9 +275,10 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
     matrix by coordinate-wise location estimates (``robust_gradient``) and
     descends on those.
 
-    ``batch_size`` draws a random row subset per step (requires ``rng``)
-    and takes its gradient rows from ``model.grad_rows``, on data checked
-    once at entry.
+    The data is checked once at entry; each step takes its gradient rows
+    from ``model.grad_rows``, at full batch as ``rgd_stacked_run``'s lone
+    trial.  ``batch_size`` draws a random row subset per step (requires
+    ``rng``).
     ``coordinate_subset_size`` = k draws k of the d coordinates per step
     from ``rng`` (after the step's rows) and robustifies only those; the
     rest take their plain mean.  Per-column solver fallbacks are tallied,
@@ -248,12 +286,18 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
     """
     stop = stop or StoppingRule(max_iters=100)
     n = dataset.n
-    if batch_size is not None:
+    if batch_size is None:
+        rows = _trial_rows(model, *_stack_datasets(model, [dataset]))
+    else:
         if not 1 <= batch_size <= n:
             raise ValueError("batch_size must lie in [1, n]")
         if rng is None:
             raise ValueError("mini-batch runs need an rng")
         X, y = row_arrays(model, dataset)
+
+        def rows(live, W):
+            idx = rng.choice(n, size=batch_size, replace=False)
+            return model.grad_rows(W[0], X[idx], y[idx])[None]
     draw_cols = None
     if coordinate_subset_size is not None:
         size, d = coordinate_subset_size, state.w.shape[0]
@@ -267,12 +311,6 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
         def draw_cols():
             return np.sort(rng.choice(d, size=size, replace=False))
 
-    def rows(k, w):
-        if batch_size is None:
-            return loss_and_grad_rows(model.with_weights(w), dataset)[1]
-        idx = rng.choice(n, size=batch_size, replace=False)
-        return model.grad_rows(w, X[idx], y[idx])
-
     traj, = _robust_descent(rows, cfg, _as_batch(state), constraint, stop,
                             record_every, n if batch_size is None else batch_size,
                             draw_cols)
@@ -283,13 +321,14 @@ def rgd_stacked_run(model, datasets, cfg, state, constraint=None, stop=None,
                     record_every=1):
     """Full-batch ``rgd_run`` of T trials at once, one stacked M-estimate per
     step: trial k descends from row k of ``state.w`` on ``datasets[k]``, all
-    with ``model``'s loss and one shared n.  Returns one Trajectory per
-    trial, each bit for bit its own ``rgd_run``.
+    with ``model``'s loss and one shared n and feature count, checked at
+    entry.  Returns one Trajectory per trial, each bit for bit its own
+    ``rgd_run``.
     """
     stop = stop or StoppingRule(max_iters=100)
-    return _robust_descent(
-        lambda k, w: loss_and_grad_rows(model.with_weights(w), datasets[k])[1],
-        cfg, state, constraint, stop, record_every, _shared_n(datasets))
+    Xs, ys = _stack_datasets(model, datasets)
+    return _robust_descent(_trial_rows(model, Xs, ys), cfg, state, constraint,
+                           stop, record_every, Xs.shape[1])
 
 
 def erm_gd_run(model, dataset, state, constraint=None, stop=None, record_every=1):
@@ -304,13 +343,10 @@ def erm_gd_stacked_run(model, datasets, state, constraint=None, stop=None,
     """``erm_gd_run`` of T trials at once, as ``rgd_stacked_run`` stacks
     ``rgd_run``."""
     stop = stop or StoppingRule(max_iters=100)
-    n = _shared_n(datasets)
-
-    def grad_fn(W, t, live):
-        return np.array([loss_and_grad_rows(model.with_weights(w), datasets[k])[1]
-                         .mean(axis=0) for k, w in zip(live, W)])
-
-    return _batch_descent(grad_fn, lambda t: n, state, constraint, stop,
+    Xs, ys = _stack_datasets(model, datasets)
+    rows = _trial_rows(model, Xs, ys)
+    return _batch_descent(lambda W, t, live: rows(live, W).mean(axis=1),
+                          lambda t: Xs.shape[1], state, constraint, stop,
                           record_every)
 
 
@@ -383,9 +419,11 @@ def geometric_median(points, tol=1e-10, max_iters=1000):
     multiplicity; if the residual pull of the remaining points is no larger
     than that multiplicity, the iterate is the minimizer and iteration
     stops.  Points that are not all finite return their coordinate mean at
-    once, which is not finite either, and so does an iterate whose squared
-    distances overflowed to NaN.  The points are read as one C-ordered
-    array, so the result does not depend on their memory order.
+    once, which is not finite either.  Finite points whose squared distances
+    overflow (an iterate gone NaN) are solved once more divided by
+    1 + max |point|, and that median is scaled back; a median that never
+    overflows is the plain iteration's.  The points are read as one
+    C-ordered array, so the result does not depend on their memory order.
     """
     P = np.ascontiguousarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] < 1:
@@ -420,10 +458,12 @@ def geometric_median(points, tol=1e-10, max_iters=1000):
         step = y_new - y
         move = np.sqrt(step.dot(step))
         y = y_new
-        # a NaN move means every distance overflowed: the iterate is all NaN,
-        # and so would every later one be
-        if move <= tol * scale or move != move:
+        if move <= tol * scale:
             break
+        if move != move:
+            # the distances overflowed and every later iterate would be NaN;
+            # the points divided by scale lie in the unit cube, where none can
+            return scale * geometric_median(P / scale, tol, max_iters)
     return y
 
 

@@ -5,8 +5,10 @@ descents avoids the library's solvers on purpose: brute-force minimization,
 quadrature, finite differences and closed forms are the reference
 implementations the fast paths are checked against.
 ``concentration_pipeline`` pins how the solver stages compose; the reference
-runs drive the library's descent loop with the stochastic gradient steps as
-first written, so a trajectory comparison checks only the steps.
+runs drive the library's descent loop with the gradient steps as first
+written, so a trajectory comparison checks only the steps: the stochastic
+steps build a Dataset and a model per step, and the full-batch ones build
+each trial's rows alone and ``np.hstack`` them for the robust solve.
 """
 
 import numpy as np
@@ -22,7 +24,8 @@ from robustgd.mest import (
     rescale_columns,
 )
 from robustgd.models import Dataset, loss_and_grad_rows
-from robustgd.optim import _as_batch, _descent, _robust_descent
+from robustgd.optim import _as_batch, _batch_descent, _descent
+from robustgd.robust_grad import robust_gradient
 
 LD = np.longdouble
 _PI_2 = LD("1.5707963267948966192313216916398")
@@ -366,6 +369,67 @@ def svrg_reference_run(model, dataset, state, stop, rng):
                     None, stop, 1)
 
 
+def stacked_rows_reference(model, datasets, W):
+    """The full-batch rows of T trials as the stacked descents first built
+    them: trial k's rows from a model at ``W[k]`` through
+    ``loss_and_grad_rows``, a mean per block, and the blocks ``np.hstack``ed
+    into one (n, T d) sample.  Returns (blocks, means, sample)."""
+    blocks = [loss_and_grad_rows(model.with_weights(w), ds)[1]
+              for w, ds in zip(W, datasets)]
+    return blocks, np.array([G.mean(axis=0) for G in blocks]), np.hstack(blocks)
+
+
+def robust_descent_reference(rows, cfg, state, stop, record_every, cost):
+    """``optim._robust_descent`` with its per-trial glue as first written:
+    ``rows(k, w)`` gives trial k's (n, d) rows alone, the row means are
+    taken block by block, and the blocks of the trials whose mean is finite
+    are ``np.hstack``ed into one (n, T d) sample for ``robust_gradient``."""
+    diags = [{"locate_fallbacks": 0, "scale_fallbacks": 0} for _ in state.w]
+
+    def grad_fn(W, t, live):
+        blocks = [rows(k, w) for k, w in zip(live, W)]
+        g = np.array([G.mean(axis=0) for G in blocks])
+        ok = np.flatnonzero(np.isfinite(g).all(axis=1))
+        if not ok.size:
+            return g
+        D = blocks[ok[0]] if ok.size == 1 else np.hstack([blocks[i] for i in ok])
+        theta, info = robust_gradient(D, cfg)
+        g[ok] = theta.reshape(ok.size, -1)
+        for key, mask in (("scale_fallbacks", info["scale_fallback"]),
+                          ("locate_fallbacks", info["locate_fallback"])):
+            for k, count in zip(live[ok], mask.reshape(ok.size, -1).sum(axis=1)):
+                diags[k][key] += int(count)
+        return g
+
+    trajs = _batch_descent(grad_fn, lambda t: cost, state, None, stop, record_every)
+    for traj, diag in zip(trajs, diags):
+        traj.diagnostics.update(diag)
+    return trajs
+
+
+def trial_rows_reference(model, datasets):
+    """``rows(k, w)`` as first written: a model at the iterate per trial and
+    step, through ``loss_and_grad_rows``."""
+    return lambda k, w: loss_and_grad_rows(model.with_weights(w), datasets[k])[1]
+
+
+def rgd_stacked_reference_run(model, datasets, cfg, state, stop, record_every=1):
+    """``optim.rgd_stacked_run`` with its steps as first written."""
+    return robust_descent_reference(trial_rows_reference(model, datasets), cfg,
+                                    state, stop, record_every, datasets[0].n)
+
+
+def erm_gd_stacked_reference_run(model, datasets, state, stop, record_every=1):
+    """``optim.erm_gd_stacked_run`` with its steps as first written."""
+    rows = trial_rows_reference(model, datasets)
+
+    def grad_fn(W, t, live):
+        return np.array([rows(k, w).mean(axis=0) for k, w in zip(live, W)])
+
+    return _batch_descent(grad_fn, lambda t: datasets[0].n, state, None, stop,
+                          record_every)
+
+
 def rgd_mb_reference_run(model, dataset, cfg, state, stop, rng, batch_size):
     """``optim.rgd_run(batch_size=...)`` with its rows as first written:
     a Dataset of the drawn rows and a model at the iterate per step."""
@@ -375,5 +439,5 @@ def rgd_mb_reference_run(model, dataset, cfg, state, stop, rng, batch_size):
         idx = rng.choice(n, size=batch_size, replace=False)
         return loss_and_grad_rows(model.with_weights(w), _row_subset(dataset, idx))[1]
 
-    traj, = _robust_descent(rows, cfg, _as_batch(state), None, stop, 1, batch_size)
+    traj, = robust_descent_reference(rows, cfg, _as_batch(state), stop, 1, batch_size)
     return traj

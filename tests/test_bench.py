@@ -146,13 +146,15 @@ class TestMethodOutcomes:
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_grid_divergence_aborts_the_method(self):
+        # from the least-squares start erm's gradient is below grad_norm_tol
+        # at once; rgd and mom move off it and overflow near update 100
         cfg = ExperimentConfig(task="regression_grid", families=("normal",),
-                               grid_n=(25,), grid_d=(3,), alpha=1e3, iters=60,
+                               grid_n=(25,), grid_d=(3,), alpha=1e3, iters=150,
                                methods=("ols", "erm", "rgd", "mom"), trials=1)
         res = run_experiment(cfg)
         assert [(t.method, t.note) for t in res.trials if t.aborted] == [
-            ("mom", "diverged")]
-        assert {r[1] for r in res.rows()} == {"ols", "erm", "rgd"}
+            ("rgd", "diverged"), ("mom", "diverged")]
+        assert {r[1] for r in res.rows()} == {"ols", "erm"}
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")

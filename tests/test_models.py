@@ -23,7 +23,11 @@ from robustgd.models import (
     _logsumexp_rows,
 )
 
-from oracles import finite_difference_gradient, logistic_rows_oracle
+from oracles import (
+    finite_difference_gradient,
+    logistic_rows_oracle,
+    stacked_rows_reference,
+)
 
 
 def random_logistic(seed=0, classes=3, features=2, n=20, reg=0.0):
@@ -259,6 +263,36 @@ class TestGradRows:
     def test_unsupported_model_rejected(self):
         with pytest.raises(TypeError, match="unsupported model type"):
             row_arrays(object(), Dataset(np.ones((3, 2)), np.ones(3)))
+
+
+class TestGradRowsTrialAxis:
+    @pytest.mark.parametrize("n", [1, 10, 500])
+    @pytest.mark.parametrize("d", [1, 2, 5, 32, 128])
+    @pytest.mark.parametrize("T", [1, 3, 20])
+    def test_bits_equal_the_per_trial_glue(self, T, d, n):
+        # the linear kernel over a trial axis against each trial's own
+        # loss_and_grad_rows; at d = 1 the row mean reduces a contiguous
+        # axis, where numpy sums pairwise
+        rng = np.random.default_rng(1000 * T + 10 * d + n)
+        X = rng.standard_t(2.0, size=(T, n, d))
+        X[rng.random(X.shape) < 0.1] = -0.0
+        y = rng.normal(size=(T, n))
+        W = rng.normal(size=(T, d))
+        model = LinearModel(np.zeros(d))
+        blocks, means, D = stacked_rows_reference(
+            model, [Dataset(Xk, yk) for Xk, yk in zip(X, y)], W)
+        G = model.grad_rows(W, X, y)
+        assert G.shape == (T, n, d)
+        assert np.array_equal(bits(G), bits(np.stack(blocks)))
+        assert np.array_equal(bits(G.mean(axis=1)), bits(means))
+        # the (T d, n) copy the robust solve reads, against the hstack
+        assert np.array_equal(bits(G.transpose(0, 2, 1).reshape(-1, n).T), bits(D))
+
+    def test_dataset_stores_c_ordered_inputs(self):
+        # X @ w has different bits for C- and F-ordered X
+        X = np.asfortranarray(np.random.default_rng(0).normal(size=(50, 3)))
+        ds = Dataset(X, np.zeros(50))
+        assert ds.inputs.flags.c_contiguous and np.array_equal(ds.inputs, X)
 
 
 class TestPrediction:

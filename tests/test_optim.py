@@ -28,11 +28,13 @@ from robustgd.robust_grad import RobustConfig
 
 from oracles import (
     block_means_reference,
+    erm_gd_stacked_reference_run,
     geometric_median_objective,
     geometric_median_oracle,
     make_spd,
     quadratic_descent_iterates,
     rgd_mb_reference_run,
+    rgd_stacked_reference_run,
     sgd_reference_run,
     svrg_reference_run,
     weiszfeld_reference,
@@ -70,6 +72,26 @@ def mixed_batch(d=3, n=60, seed=0):
         datasets.append(Dataset(X, y))
         offset = 0.01 if kind == "grad_tol" else 5.0
         starts.append(w_star + offset * rng.normal(size=d))
+    return datasets, np.array(starts)
+
+
+def alpha5_batch(d=3, n=60, seed=1, order="C"):
+    """Datasets (inputs in memory ``order``) and starts of four trials at
+    step size 5, 60 updates and grad_norm_tol 1e-3: inputs scaled to 0.05
+    keep the step stable for the two that run to the cap, inputs scaled
+    1000-fold make one diverge mid-run, and a noiseless trial started near
+    its target, at input scale 0.2, stops at grad_tol."""
+    rng = np.random.default_rng(seed)
+    w_star = rng.normal(size=d)
+    datasets, starts = [], []
+    for kind in ("run", "diverge", "grad_tol", "run"):
+        X = rng.normal(size=(n, d)) * {"run": 0.05, "diverge": 1000.0,
+                                       "grad_tol": 0.2}[kind]
+        y = X @ w_star
+        if kind != "grad_tol":
+            y = y + rng.lognormal(0.0, 1.75, size=n)
+        datasets.append(Dataset(np.asarray(X, order=order), y))
+        starts.append(w_star + (0.1 if kind == "grad_tol" else 5.0) * rng.normal(size=d))
     return datasets, np.array(starts)
 
 
@@ -124,6 +146,61 @@ class TestStackedRuns:
             assert_same_trajectory(
                 traj, rgd_run(LinearModel(w_star), ds, cfg, OptimState(w, 0.2),
                               stop=stop))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("method", ["rgd", "erm"])
+    def test_stacked_equals_the_per_trial_glue(self, method, seed, order):
+        # one trial diverges and one stops at grad_tol, so later steps run
+        # on a live subset; F-ordered inputs are stored C-ordered
+        datasets, W0 = alpha5_batch(seed=seed, order=order)
+        stop = StoppingRule(max_iters=60, grad_norm_tol=1e-3)
+        model, cfg = LinearModel(np.zeros(3)), RobustConfig()
+        if method == "rgd":
+            got = rgd_stacked_run(model, datasets, cfg, OptimState(W0, 5.0), stop=stop)
+            want = rgd_stacked_reference_run(model, datasets, cfg, OptimState(W0, 5.0), stop)
+            solo = [rgd_run(model, ds, cfg, OptimState(w, 5.0), stop=stop)
+                    for ds, w in zip(datasets, W0)]
+        else:
+            got = erm_gd_stacked_run(model, datasets, OptimState(W0, 5.0), stop=stop)
+            want = erm_gd_stacked_reference_run(model, datasets, OptimState(W0, 5.0), stop)
+            solo = [erm_gd_run(model, ds, OptimState(w, 5.0), stop=stop)
+                    for ds, w in zip(datasets, W0)]
+        assert [t.stop_reason for t in want] == ["max_iters", "diverged",
+                                                 "grad_tol", "max_iters"]
+        assert 1 < want[1].steps[-1] < 60 and 1 < want[2].steps[-1] < 60
+        for a, b, c in zip(got, want, solo):
+            assert_same_trajectory(a, b)
+            assert_same_trajectory(c, b)
+
+    @pytest.mark.parametrize("method", ["rgd", "erm"])
+    def test_stacked_logistic_equals_the_per_trial_glue(self, method):
+        # the logistic kernel has no trial axis: its stacked runs loop
+        datasets, W0 = [], []
+        for seed in range(3):
+            model, ds, w0 = stochastic_problem("logistic_reg", n=40, seed=seed)
+            datasets.append(ds)
+            W0.append(w0)
+        state, stop = OptimState(np.array(W0), 0.5), StoppingRule(max_iters=15)
+        if method == "rgd":
+            got = rgd_stacked_run(model, datasets, RobustConfig(), state, stop=stop)
+            want = rgd_stacked_reference_run(model, datasets, RobustConfig(), state, stop)
+        else:
+            got = erm_gd_stacked_run(model, datasets, state, stop=stop)
+            want = erm_gd_stacked_reference_run(model, datasets, state, stop)
+        for a, b in zip(got, want):
+            assert_same_trajectory(a, b)
+
+    def test_stacked_trials_must_share_d(self):
+        a, _, _ = regression_problem(n=30, d=3)
+        b, _, _ = regression_problem(n=30, d=2)
+        state = OptimState(np.zeros((2, 3)), 0.1)
+        with pytest.raises(ValueError, match="share the number of features"):
+            erm_gd_stacked_run(LinearModel(np.zeros(3)), [a, b], state)
+        with pytest.raises(ValueError, match="share the number of features"):
+            rgd_stacked_run(LinearModel(np.zeros(3)), [a, b], RobustConfig(), state)
 
     def test_stacked_trials_must_share_n(self):
         a, _, _ = regression_problem(n=30)
@@ -442,6 +519,26 @@ class TestNoPerStepRebuilds:
         # svrg's snapshots, one per n // 2 updates, build one model each
         assert inits["model"] == (-(-steps // (n // 2)) if run == "svrg" else 0)
 
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    @pytest.mark.parametrize("run", ["rgd", "erm", "rgd_stacked", "erm_stacked"])
+    def test_full_batch_steps_build_no_dataset_or_model(self, inits, kind, run):
+        steps = 30
+        model, ds, w0 = stochastic_problem(kind)
+        datasets = [ds, stochastic_problem(kind, seed=1)[1]]
+        state, stop = OptimState(w0, 0.01), StoppingRule(max_iters=steps)
+        stacked = OptimState(np.array([w0, w0]), 0.01)
+        inits.update(dataset=0, model=0)
+        if run == "rgd":
+            trajs = [rgd_run(model, ds, RobustConfig(), state, stop=stop)]
+        elif run == "erm":
+            trajs = [erm_gd_run(model, ds, state, stop=stop)]
+        elif run == "rgd_stacked":
+            trajs = rgd_stacked_run(model, datasets, RobustConfig(), stacked, stop=stop)
+        else:
+            trajs = erm_gd_stacked_run(model, datasets, stacked, stop=stop)
+        assert [t.steps[-1] for t in trajs] == [steps] * len(trajs)
+        assert inits == {"dataset": 0, "model": 0}
+
 
 class TestGeometricMedian:
     def test_single_point(self):
@@ -513,25 +610,17 @@ class TestGeometricMedian:
         assert same_bits(got, pts.mean(axis=0))
         assert np.isfinite(got[0]) and not np.isfinite(got[1])
 
-    def test_overflowing_distances_stop_at_once(self, monkeypatch):
-        # finite points whose squared distances overflow: the first iterate
-        # is all NaN, so the result is the reference's without its 1,000
-        # further iterations (each looks numpy up at least twice)
-        pts = np.random.default_rng(4).normal(size=(125, 2)) * 1e200
-        lookups = []
-
-        class CountingNumpy:
-            def __getattr__(self, name):
-                lookups.append(name)
-                return getattr(np, name)
-
+    def test_overflowing_distances_rescale(self):
+        # finite points whose squared distances overflow are solved once more
+        # divided by 1 + max |point|; the median scales with the cloud
+        pts = np.random.default_rng(4).normal(size=(125, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            ref = weiszfeld_reference(pts)
-            monkeypatch.setattr("robustgd.optim.np", CountingNumpy())
-            got = geometric_median(pts)
-        assert np.isnan(ref).all() and same_bits(got, ref)
-        assert len(lookups) < 20
+            assert np.isnan(weiszfeld_reference(pts * 1e200)).all()
+            got = geometric_median(pts * 1e200, tol=1e-14)
+        want = geometric_median(pts, tol=1e-14)
+        assert np.isfinite(got).all()
+        assert np.linalg.norm(got / 1e200 - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestMedianOfMeansGD:
