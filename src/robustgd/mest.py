@@ -9,7 +9,8 @@ Location is solved in theta, dispersion in log sigma.  Each residual
 evaluation is one fused call, ``RhoFunction.psi_dpsi`` or
 ``ChiFunction.chi_udchi``, with the bits of the separate psi/dpsi or
 chi/dchi calls; each solve allocates one buffer set and slices it to the
-columns still open.
+columns still open, and carries those columns' points and brackets
+compacted from step to step.
 """
 
 from dataclasses import dataclass
@@ -242,29 +243,35 @@ def _solve_columns(residual, z, lo, hi, fp):
     inside and bisects otherwise.  A column is resolved once its residual is
     within ``fp.rel_tolerance`` or its bracket has collapsed; columns still
     open after ``fp.max_iters`` steps finish by bisection and are flagged.
-    Updates z, lo and hi in place; returns (z, fell_back).
+    The open columns' points and brackets travel compacted between steps
+    (lo and hi are overwritten), and divide and invalid warnings are off
+    for the whole solve, residuals included.  Updates z in place; returns
+    (z, fell_back).
     """
     fell_back = np.zeros(z.shape, dtype=bool)
-    cols = np.arange(z.size)
-    for it in range(fp.max_iters + 1 + _BISECT_STEPS):
-        lc, hc = lo[cols], hi[cols]
-        cols = cols[hc - lc > _WIDTH * np.maximum(np.abs(lc), np.abs(hc))]
-        if it == fp.max_iters + 1:
-            fell_back[cols] = True
-        if cols.size == 0:
-            break
-        zc = z[cols]
-        f, slope = residual(zc, cols)
-        lc = lo[cols] = np.where(f > 0, zc, lo[cols])
-        hc = hi[cols] = np.where(f < 0, zc, hi[cols])
-        step = 0.5 * (lc + hc)
-        if it < fp.max_iters:
-            with np.errstate(divide="ignore", invalid="ignore"):
+    cols, zc, lc, hc = np.arange(z.size), z, lo, hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(fp.max_iters + 1 + _BISECT_STEPS):
+            keep = (hc - lc > _WIDTH * np.maximum(np.abs(lc), np.abs(hc))).nonzero()[0]
+            if keep.size < cols.size:
+                cols, zc, lc, hc = cols[keep], zc[keep], lc[keep], hc[keep]
+            if it == fp.max_iters + 1:
+                fell_back[cols] = True
+            if cols.size == 0:
+                break
+            f, slope = residual(zc, cols)
+            np.copyto(lc, zc, where=f > 0)
+            np.copyto(hc, zc, where=f < 0)
+            step = 0.5 * (lc + hc)
+            if it < fp.max_iters:
                 newton = zc - f / slope
-            step = np.where((lc < newton) & (newton < hc), newton, step)
-        still_open = np.abs(f) > fp.rel_tolerance
-        cols = cols[still_open]
-        z[cols] = step[still_open]
+                np.copyto(step, newton, where=(lc < newton) & (newton < hc))
+            keep = (np.abs(f) > fp.rel_tolerance).nonzero()[0]
+            if keep.size < cols.size:
+                cols, step, lc, hc = cols[keep], step[keep], lc[keep], hc[keep]
+            if cols.size == 0:
+                break
+            z[cols] = zc = step
     return z, fell_back
 
 
@@ -329,13 +336,14 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP):
     # Each buffer is its own (k, n) array: a larger block, once freed, would
     # raise the C allocator's mmap threshold for the rest of the process
     ub, pb, dpb = (np.empty(xt.shape) for _ in range(3))
+    n = x.shape[0]
 
     def residual(theta, cols):
         m, sc = cols.size, s[cols]
         u = np.subtract(_open_rows(xt, cols, ub[:m]), theta[:, None], out=ub[:m])
         np.divide(u, sc[:, None], out=u)
         psi, dpsi = rho.psi_dpsi(u, pb[:m], dpb[:m])
-        return psi.mean(axis=1), -dpsi.mean(axis=1) / sc
+        return np.add.reduce(psi, 1) / n, -(np.add.reduce(dpsi, 1) / n) / sc
 
     return _solve_columns(residual, _row_medians(xt, ub), xt.min(axis=1),
                           xt.max(axis=1), fp)
@@ -385,6 +393,7 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
     # residuals; where that is <= 0 there is no root and the floor is returned
     no_root = np.equal(rt, 0.0, out=cb).mean(axis=1) >= 1.0 - chi.c
     hi[no_root] = lo[no_root]
+    n = x.shape[0]
 
     def residual(z, cols):
         m = cols.size
@@ -392,7 +401,7 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
             u = np.multiply(_open_rows(rt, cols, ub[:m]), np.exp(-z)[:, None],
                             out=ub[:m])
         c, udchi = chi.chi_udchi(u, cb[:m], db[:m])
-        return c.mean(axis=1), -udchi.mean(axis=1)
+        return np.add.reduce(c, 1) / n, -(np.add.reduce(udchi, 1) / n)
 
     z, fell_back = _solve_columns(residual, np.clip(start, lo, hi), lo, hi, fp)
     return np.maximum(np.exp(z), floor), fell_back

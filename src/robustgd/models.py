@@ -10,10 +10,11 @@ Each model has one row kernel at explicit weights.  ``loss_and_grad_rows``
 checks a dataset against the model (``row_arrays``) and runs the kernel with
 losses; ``model.grad_rows(w, X, y)`` runs it on plain arrays with no checks
 and no losses, for descent loops that check their data once at entry and
-then index rows of it every step.  Both give the same gradient bits.  The
-linear kernel also takes a leading trial axis, so a stacked full-batch
-descent builds every trial's rows in one call; a ``Dataset`` stores its
-inputs C-ordered, so a trial's rows have the same bits stacked or alone.
+then index rows of it every step.  Both give the same gradient bits.  Both
+kernels also take leading axes: a stacked full-batch descent builds every
+trial's rows in one call, and svrg builds a snapshot's n one-row gradients
+in one call over (n, 1, F) inputs.  A ``Dataset`` stores its inputs
+C-ordered, so a trial's rows have the same bits stacked or alone.
 """
 
 from dataclasses import dataclass, replace
@@ -120,51 +121,55 @@ class LogisticModel:
         return self._scores(self.weights, inputs)
 
     def _scores(self, w, X):
+        # per item, matmul makes the BLAS call X @ w.reshape(k, F).T makes
         k = self.classes - 1
-        out = np.empty((X.shape[0], k + 1))
-        out[:, :k] = X @ w.reshape(k, self.features).T
-        out[:, k] = 0.0
+        out = np.empty(X.shape[:-1] + (k + 1,))
+        out[..., :k] = np.matmul(X, w.reshape(w.shape[:-1] + (k, self.features))
+                                 .swapaxes(-1, -2))
+        out[..., k] = 0.0
         return out
 
     def grad_rows(self, w, X, y):
         """(n, d) gradient rows at weights ``w`` for inputs X and class
-        indices y, unchecked (see ``row_arrays``)."""
+        indices y, unchecked (see ``row_arrays``).  Leading axes broadcast,
+        each item with the bits of its own call: w (T, d) for a trial axis,
+        or one w against X (n, 1, F) for n one-row calls."""
         return self._rows(w, X, y, False)[1]
 
     def _rows(self, w, X, y, want_loss):
-        n, k = X.shape[0], self.classes - 1
+        k = self.classes - 1
         full = self._scores(w, X)
         lse = _logsumexp_rows(full)
-        losses = lse - full[np.arange(n), y] if want_loss else None
-        p = np.exp(full[:, :k] - lse[:, None])  # (n, C-1) class probabilities
-        p -= y[:, None] == np.arange(k)  # one-hot of y; the reference class has none
-        G = (p[:, :, None] * X[:, None, :]).reshape(n, w.shape[0])
+        losses = lse - full[np.arange(len(y)), y] if want_loss else None  # 2-D only
+        p = np.exp(full[..., :k] - lse[..., None])  # class probabilities
+        p -= y[..., None] == np.arange(k)  # one-hot of y; the reference class has none
+        G = (p[..., None] * X[..., None, :]).reshape(X.shape[:-1] + w.shape[-1:])
         a = self.reg_strength
         if a > 0:
             if want_loss:
                 losses = losses + a * w @ w
-            G = G + 2.0 * a * w
+            G = G + 2.0 * a * w[..., None, :]
         return losses, G
 
 
 def _logsumexp_rows(a):
-    """log(sum(exp(a), axis=1)) for a 2-D float array, bit-identical to
-    ``scipy.special.logsumexp(a, axis=1)``: the row maxima are taken out of
+    """log(sum(exp(a), axis=-1)) for a float array, bit-identical to
+    ``scipy.special.logsumexp(a, axis=-1)``: the row maxima are taken out of
     the shifted exp-sum s and counted as m, giving log1p(s/m) + log(m) + max.
     Rows whose result is not finite (an inf or nan score) take log(sum(exp))
     directly, as scipy does."""
-    top = a.max(axis=1)
-    at_top = a == top[:, None]
+    top = a.max(axis=-1)
+    at_top = a == top[..., None]
     # inf - inf and 0 / 0 only arise on rows that end in the fallback; an
     # overflowing a - max is -inf, whose exp is 0 as in scipy
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        e = np.exp(a - top[:, None])
+        e = np.exp(a - top[..., None])
         e[at_top] = 0.0
-        m = at_top.sum(axis=1)
-        out = np.log1p(e.sum(axis=1) / m) + np.log(m) + top
+        m = at_top.sum(axis=-1)
+        out = np.log1p(e.sum(axis=-1) / m) + np.log(m) + top
         bad = ~np.isfinite(out)
         if bad.any():
-            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=-1))
     return out
 
 

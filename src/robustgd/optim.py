@@ -9,15 +9,17 @@ whose cost would cross it is not taken.
 The rgd, erm, sgd and svrg steps take their gradient rows from
 ``model.grad_rows`` on plain arrays, checked once at entry (``row_arrays``);
 the full-batch rgd and erm descents stack T trials' data once and build all
-their rows per step in one call over the trial axis.  Median-of-means steps
-and svrg's snapshots evaluate through ``loss_and_grad_rows``.
+their rows per step in one call over the trial axis, for either model, and
+each svrg snapshot builds its n one-row gradients in one call.
+Median-of-means steps and svrg's snapshot gradients evaluate through
+``loss_and_grad_rows``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import LinearModel, loss_and_grad_rows, row_arrays
+from .models import loss_and_grad_rows, row_arrays
 # column_scales is unused here but stays importable: perfbench's tracer hooks it
 from .robust_grad import column_scales, robust_gradient
 
@@ -210,18 +212,12 @@ def _stack_datasets(model, datasets):
 
 def _trial_rows(model, Xs, ys):
     """``rows(live, W)``: the (T, n, d) gradient rows of the trials ``live``
-    at their iterates W, on the stacked data of ``_stack_datasets``.  The
-    linear kernel takes the trial axis in one call; the logistic one runs
-    trial by trial."""
-    linear = isinstance(model, LinearModel)
+    at their iterates W, on the stacked data of ``_stack_datasets``, in one
+    kernel call over the trial axis."""
 
     def rows(live, W):
         X, y = (Xs, ys) if live.size == Xs.shape[0] else (Xs[live], ys[live])
-        if linear:
-            return model.grad_rows(W, X, y)
-        if live.size == 1:
-            return model.grad_rows(W[0], X[0], y[0])[None]
-        return np.stack([model.grad_rows(*trial) for trial in zip(W, X, y)])
+        return model.grad_rows(W, X, y)
 
     return rows
 
@@ -384,9 +380,11 @@ def svrg_run(model, dataset, state, stop, rng, constraint=None,
     (1 evaluation each), repeated until the budget or iteration cap.
 
     A snapshot is charged together with the first inner step it anchors,
-    so the budget never pays for a snapshot that no step uses.  Inner steps
-    evaluate their row with ``model.grad_rows`` at the iterate and at the
-    snapshot's weights, on data checked once at entry.
+    so the budget never pays for a snapshot that no step uses.  Data is
+    checked once at entry.  Each snapshot also builds every row at its
+    weights in one ``model.grad_rows`` call over n one-row items, each with
+    the bits of its own one-row call; an inner step evaluates its row at
+    the iterate and reads the snapshot's.
     """
     X, y = row_arrays(model, dataset)
     n = dataset.n
@@ -398,13 +396,11 @@ def svrg_run(model, dataset, state, stop, rng, constraint=None,
 
     def grad_fn(w, t):
         if epoch_start(t):
-            snap["w"] = w.copy()
-            _, G = loss_and_grad_rows(model.with_weights(snap["w"]), dataset)
+            _, G = loss_and_grad_rows(model.with_weights(w), dataset)
             snap["grad"] = G.mean(axis=0)
+            snap["rows"] = model.grad_rows(w, X[:, None, :], y[:, None])[:, 0]
         i = int(rng.integers(n))
-        Xi, yi = X[i:i + 1], y[i:i + 1]
-        return (model.grad_rows(w, Xi, yi)[0] - model.grad_rows(snap["w"], Xi, yi)[0]
-                + snap["grad"])
+        return model.grad_rows(w, X[i:i + 1], y[i:i + 1])[0] - snap["rows"][i] + snap["grad"]
 
     return _descent(grad_fn, lambda t: n + 1 if epoch_start(t) else 1, state,
                     constraint, stop, record_every)

@@ -1,14 +1,16 @@
 """Independent verification oracles shared by the test suite.
 
-Everything here but ``concentration_pipeline`` and the ``*_reference_run``
-descents avoids the library's solvers on purpose: brute-force minimization,
-quadrature, finite differences and closed forms are the reference
-implementations the fast paths are checked against.
-``concentration_pipeline`` pins how the solver stages compose; the reference
-runs drive the library's descent loop with the gradient steps as first
-written, so a trajectory comparison checks only the steps: the stochastic
-steps build a Dataset and a model per step, and the full-batch ones build
-each trial's rows alone and ``np.hstack`` them for the robust solve.
+Everything here but ``concentration_pipeline``, the ``*_reference_run``
+descents and the ``*_columns_reference`` solvers avoids the library's
+solvers on purpose: brute-force minimization, quadrature, finite
+differences and closed forms are the reference implementations the fast
+paths are checked against.  ``concentration_pipeline`` pins how the solver
+stages compose; the reference runs drive the library's descent loop with
+the gradient steps as first written, so a trajectory comparison checks only
+the steps: the stochastic steps build a Dataset and a model per step, and
+the full-batch ones build each trial's rows alone and ``np.hstack`` them
+for the robust solve.  The ``*_columns_reference`` solvers are the column
+solvers with their root loop as first written, for bit comparisons.
 """
 
 import numpy as np
@@ -16,9 +18,15 @@ from scipy import optimize, special
 
 from robustgd.datagen import noise_sd
 from robustgd.mest import (
+    DEFAULT_FP,
+    SIGMA_FLOOR,
     ChiFunction,
     FixedPointSettings,
     RhoFunction,
+    _BISECT_STEPS,
+    _WIDTH,
+    _open_rows,
+    _row_medians,
     confidence_scale,
     locate_columns,
     rescale_columns,
@@ -441,3 +449,77 @@ def rgd_mb_reference_run(model, dataset, cfg, state, stop, rng, batch_size):
 
     traj, = robust_descent_reference(rows, cfg, _as_batch(state), stop, 1, batch_size)
     return traj
+
+
+def solve_columns_reference(residual, z, lo, hi, fp):
+    """``mest._solve_columns`` as first written: every step gathers the open
+    columns' points and brackets from the full z, lo and hi arrays and
+    scatters the brackets back, and the Newton step runs in its own
+    ``np.errstate`` block."""
+    fell_back = np.zeros(z.shape, dtype=bool)
+    cols = np.arange(z.size)
+    for it in range(fp.max_iters + 1 + _BISECT_STEPS):
+        lc, hc = lo[cols], hi[cols]
+        cols = cols[hc - lc > _WIDTH * np.maximum(np.abs(lc), np.abs(hc))]
+        if it == fp.max_iters + 1:
+            fell_back[cols] = True
+        if cols.size == 0:
+            break
+        zc = z[cols]
+        f, slope = residual(zc, cols)
+        lc = lo[cols] = np.where(f > 0, zc, lo[cols])
+        hc = hi[cols] = np.where(f < 0, zc, hi[cols])
+        step = 0.5 * (lc + hc)
+        if it < fp.max_iters:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = zc - f / slope
+            step = np.where((lc < newton) & (newton < hc), newton, step)
+        still_open = np.abs(f) > fp.rel_tolerance
+        cols = cols[still_open]
+        z[cols] = step[still_open]
+    return z, fell_back
+
+
+def locate_columns_reference(x, s, rho, fp=DEFAULT_FP):
+    """``mest.locate_columns`` as first written: its residual takes means
+    with ``ndarray.mean`` and it runs ``solve_columns_reference``."""
+    s = np.broadcast_to(np.asarray(s, dtype=float), x.shape[1:])
+    xt = np.ascontiguousarray(x.T)
+    ub, pb, dpb = (np.empty(xt.shape) for _ in range(3))
+
+    def residual(theta, cols):
+        m, sc = cols.size, s[cols]
+        u = np.subtract(_open_rows(xt, cols, ub[:m]), theta[:, None], out=ub[:m])
+        np.divide(u, sc[:, None], out=u)
+        psi, dpsi = rho.psi_dpsi(u, pb[:m], dpb[:m])
+        return psi.mean(axis=1), -dpsi.mean(axis=1) / sc
+
+    return solve_columns_reference(residual, _row_medians(xt, ub), xt.min(axis=1),
+                                   xt.max(axis=1), fp)
+
+
+def rescale_columns_reference(x, pivots, chi, fp=DEFAULT_FP):
+    """``mest.rescale_columns`` as first written, as
+    ``locate_columns_reference`` is ``locate_columns``."""
+    pivots = np.broadcast_to(np.asarray(pivots, dtype=float), x.shape[1:])
+    rt, ub, cb, db = (np.empty(x.shape[::-1]) for _ in range(4))
+    np.subtract(x.T, pivots[:, None], out=rt)
+    a = np.abs(rt, out=ub)
+    floor = SIGMA_FLOOR * (1.0 + np.abs(pivots))
+    lo = np.log(floor)
+    with np.errstate(divide="ignore", over="ignore"):
+        hi = np.maximum(np.log(2.0) + np.log(a.max(axis=1)), lo)
+        start = np.log(a.mean(axis=1))
+    no_root = np.equal(rt, 0.0, out=cb).mean(axis=1) >= 1.0 - chi.c
+    hi[no_root] = lo[no_root]
+
+    def residual(z, cols):
+        m = cols.size
+        with np.errstate(over="ignore"):
+            u = np.multiply(_open_rows(rt, cols, ub[:m]), np.exp(-z)[:, None],
+                            out=ub[:m])
+        c, udchi = chi.chi_udchi(u, cb[:m], db[:m])
+        return c.mean(axis=1), -udchi.mean(axis=1)
+
+    z, fell_back = solve_columns_reference(residual, np.clip(start, lo, hi), lo, hi, fp)
+    return np.maximum(np.exp(z), floor), fell_back

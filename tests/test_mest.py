@@ -1,6 +1,8 @@
 """Location/dispersion estimator core: contract examples, frozen oracle
 values, and the solver invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from scipy import integrate
 
 from robustgd.datagen import gen_classification
 from robustgd.mest import (
+    DEFAULT_FP,
     GEMAN_C,
     RHO_KINDS,
     SIGMA_FLOOR,
@@ -27,7 +30,7 @@ from robustgd.mest import (
 )
 from robustgd.models import LogisticModel, loss_and_grad_rows
 
-from oracles import locate_oracle
+from oracles import locate_columns_reference, locate_oracle, rescale_columns_reference
 
 GUD = RhoFunction("gudermannian")
 QUAD = RhoFunction("quadratic_test_only")
@@ -436,6 +439,86 @@ class TestSolverBuffers:
         locate_columns(X, confidence_scale(sigma, X.shape[0], 0.005), RhoFunction(kind))
         chi_cols, psi_cols = self.EVALUATIONS[shape]
         assert seen == {"chi_udchi": chi_cols, "psi_dpsi": psi_cols[kind]}
+
+
+def solver_samples(n, k, seed):
+    """(n, k) samples that reach every branch of the root solve: heavy
+    tails over a few decades, columns scaled by 1e150, collapsed brackets
+    (a few ulps of spread at 1e150), constant and mostly-zero columns, and
+    signed zeros."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_t(1.5, size=(n, k)) * 10.0 ** rng.integers(-3, 4, size=k)
+    huge = base * np.where(rng.random(k) < 0.5, 1e150, 1.0)
+    collapsed = 1e150 * (1.0 + 2e-16 * rng.integers(-2, 3, size=(n, k)))
+    degenerate = base.copy()
+    degenerate[:, ::3] = 3.0
+    degenerate[:, 1::3] = 0.0
+    degenerate[: max(1, n // 4), 1::3] = base[: max(1, n // 4), 1::3]
+    zeros = rng.choice([0.0, -0.0, 1e-300, -1.0], size=(n, k))
+    return [base, huge, collapsed, degenerate, zeros]
+
+
+class TestSolverOracle:
+    """The compacted root-solver loop against the loop that gathered and
+    scattered full-length brackets every step (``oracles``): the same
+    residual evaluations in the same order, so the same bits."""
+
+    SHAPES = [(10, 40), (500, 2), (500, 40), (500, 128), (2000, 40), (1, 7), (60, 1)]
+    CAPPED = [FixedPointSettings(max_iters=1), FixedPointSettings(max_iters=2)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_bits_equal_the_reference_loop(self, shape):
+        samples = solver_samples(*shape, seed=shape[0] + shape[1])
+        if shape == (10, 40):
+            samples[0] = logistic_minibatch_rows()
+        elif shape[0] * shape[1] > 10000:
+            samples = samples[:2] + samples[3:4]  # the wide ones skip the rest
+        fallbacks = 0
+
+        def check(got, want):
+            nonlocal fallbacks
+            assert np.array_equal(bits(got[0]), bits(want[0]))
+            assert np.array_equal(got[1], want[1])
+            fallbacks += int(got[1].sum())
+
+        for X in samples:
+            # column medians as pivots make the mostly-zero columns rootless
+            for pivots, settings in ((column_means(X), [DEFAULT_FP] + self.CAPPED),
+                                     (np.median(X, axis=0), [DEFAULT_FP])):
+                for fp in settings:
+                    with np.errstate(over="ignore"):
+                        check(rescale_columns(X, pivots, CHI, fp),
+                              rescale_columns_reference(X, pivots, CHI, fp))
+            s = confidence_scale(rescale_columns(X, column_means(X), CHI)[0], shape[0], 0.005)
+            for kind in RHO_KINDS:
+                rho = RhoFunction(kind)
+                for scale, fp in ((s, DEFAULT_FP), (s, self.CAPPED[1]),
+                                  (1e-3 * s, self.CAPPED[0])):
+                    with np.errstate(over="ignore"):
+                        check(locate_columns(X, scale, rho, fp),
+                              locate_columns_reference(X, scale, rho, fp))
+        # the bisection finish ran, except at n = 1, where every bracket
+        # has collapsed before the first step
+        assert fallbacks > 0 or shape[0] == 1
+
+    def test_residual_warnings_are_off_for_the_solve(self):
+        # x - theta overflows at theta = 1.5e308, and pseudo-Huber's u / p is
+        # then inf / inf: the reference loop warned "invalid value" there;
+        # the compacted loop runs the whole solve under one np.errstate
+        # block, so only the overflows still warn
+        X = np.array([[-1.5e308], [1.5e308], [1.5e308]])
+        rho = RhoFunction("pseudo_huber")
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            got = locate_columns(X, np.ones(1), rho)
+        with warnings.catch_warnings(record=True) as seen_ref:
+            warnings.simplefilter("always")
+            want = locate_columns_reference(X, np.ones(1), rho)
+        assert np.array_equal(bits(got[0]), bits(want[0])) and got[0][0] == 1.5e308
+        messages = {str(w.message) for w in seen}
+        assert messages and all(m.startswith("overflow") for m in messages)
+        assert {str(w.message) for w in seen_ref} == messages | {
+            "invalid value encountered in divide"}
 
 
 class TestConfidenceScale:

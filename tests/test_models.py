@@ -288,6 +288,39 @@ class TestGradRowsTrialAxis:
         # the (T d, n) copy the robust solve reads, against the hstack
         assert np.array_equal(bits(G.transpose(0, 2, 1).reshape(-1, n).T), bits(D))
 
+    @pytest.mark.parametrize("classes", [2, 3, 4, 5])
+    @pytest.mark.parametrize("reg", [0.0, 0.01])
+    @pytest.mark.parametrize("scores", ["plain", "near_700", "non_finite"])
+    def test_logistic_bits_equal_the_lone_calls(self, classes, reg, scores):
+        # a trial axis against each trial's 2-D call, and (n, 1, F) one-row
+        # items against the n one-row calls; at scores near +-700 the class
+        # probabilities underflow, and non-finite weights send rows through
+        # the log-sum-exp fallback
+        rng = np.random.default_rng(10 * classes + int(reg > 0))
+        T, n, F = 3, 25, 4
+        model = LogisticModel(classes, F, np.zeros((classes - 1) * F), reg_strength=reg)
+        X = rng.normal(size=(T, n, F))
+        X[rng.random(X.shape) < 0.1] = -0.0
+        y = rng.integers(classes, size=(T, n))
+        W = rng.normal(size=(T, model.dim))
+        if scores == "near_700":
+            X[..., 0] = rng.choice([-1.0, 1.0], size=(T, n))
+            W[:, ::F] = 700.0 + rng.normal(size=(T, classes - 1))
+        elif scores == "non_finite":
+            W[0, 1], W[1, 0], W[2, -1] = np.inf, -np.inf, np.nan
+        with np.errstate(all="ignore"):
+            G = model.grad_rows(W, X, y)
+            alone = [model.grad_rows(*trial) for trial in zip(W, X, y)]
+            one_row = model.grad_rows(W[1], X[1][:, None, :], y[1][:, None])
+            lone = [model.grad_rows(W[1], X[1, i:i + 1], y[1, i:i + 1]) for i in range(n)]
+        assert G.shape == (T, n, model.dim) and one_row.shape == (n, 1, model.dim)
+        assert np.array_equal(bits(G), bits(np.stack(alone)))
+        assert np.array_equal(bits(one_row), bits(np.stack(lone)))
+        if scores == "near_700":
+            assert np.abs(model._scores(W[0], X[0])).max() > 690
+        if scores == "non_finite":
+            assert np.isnan(G).any()
+
     def test_dataset_stores_c_ordered_inputs(self):
         # X @ w has different bits for C- and F-ordered X
         X = np.asfortranarray(np.random.default_rng(0).normal(size=(50, 3)))

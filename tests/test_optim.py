@@ -539,6 +539,25 @@ class TestNoPerStepRebuilds:
         assert [t.steps[-1] for t in trajs] == [steps] * len(trajs)
         assert inits == {"dataset": 0, "model": 0}
 
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    def test_svrg_builds_snapshot_rows_once_per_epoch(self, monkeypatch, kind):
+        # one grad_rows call per inner step, at the iterate, and one per
+        # snapshot over its n one-row items
+        n, steps = 40, 200
+        model, ds, _ = stochastic_problem(kind, n=n)
+        shapes = []
+
+        def counted(self, w, X, y, _fn=type(model).grad_rows):
+            shapes.append(X.shape)
+            return _fn(self, w, X, y)
+
+        monkeypatch.setattr(type(model), "grad_rows", counted)
+        traj = _stochastic_run("svrg", model, ds, np.random.default_rng(1), steps)
+        assert traj.steps[-1] == steps
+        snapshots, F = -(-steps // (n // 2)), ds.n_features
+        assert len(shapes) == steps + snapshots
+        assert shapes.count((n, 1, F)) == snapshots and shapes.count((1, F)) == steps
+
 
 class TestGeometricMedian:
     def test_single_point(self):
