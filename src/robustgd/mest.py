@@ -28,6 +28,8 @@ GEMAN_C = 0.3443204575812013
 
 RHO_KINDS = ("gudermannian", "log_cosh", "pseudo_huber", "quadratic_test_only")
 
+_LOG2 = np.log(2.0)
+
 # relative floor of the dispersion estimate: it is scaled by (1 + |pivot|), so
 # degenerate zero-spread columns return a harmless positive value
 SIGMA_FLOOR = 1e-12
@@ -57,7 +59,7 @@ class RhoFunction:
             return _gudermannian_rho(a)
         if self.kind == "log_cosh":
             # log cosh(u) = |u| - log 2 + log1p(exp(-2|u|)), overflow-safe
-            return a - np.log(2.0) + np.log1p(np.exp(-2.0 * a))
+            return a - _LOG2 + np.log1p(np.exp(-2.0 * a))
         if self.kind == "pseudo_huber":
             return 2.0 * (np.sqrt(1.0 + 0.5 * u * u) - 1.0)
         return 0.5 * u * u
@@ -227,7 +229,7 @@ def _check_sample(x, ndim):
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("data must contain at least one observation")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("data contains non-finite entries")
     if x.ndim != ndim:
         raise ValueError(f"expected a {ndim}-D sample")
@@ -245,14 +247,16 @@ def _solve_columns(residual, z, lo, hi, fp):
     open after ``fp.max_iters`` steps finish by bisection and are flagged.
     The open columns' points and brackets travel compacted between steps
     (lo and hi are overwritten), and divide and invalid warnings are off
-    for the whole solve, residuals included.  Updates z in place; returns
-    (z, fell_back).
+    for the whole solve, residuals included.  The bisection point halves
+    each end before adding, so it stays finite next to +-1.8e308.  Updates
+    z in place; returns (z, fell_back).
     """
     fell_back = np.zeros(z.shape, dtype=bool)
     cols, zc, lc, hc = np.arange(z.size), z, lo, hi
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(fp.max_iters + 1 + _BISECT_STEPS):
-            keep = (hc - lc > _WIDTH * np.maximum(np.abs(lc), np.abs(hc))).nonzero()[0]
+            # max(|lc|, |hc|), as lc <= hc
+            keep = (hc - lc > _WIDTH * np.maximum(np.negative(lc), hc)).nonzero()[0]
             if keep.size < cols.size:
                 cols, zc, lc, hc = cols[keep], zc[keep], lc[keep], hc[keep]
             if it == fp.max_iters + 1:
@@ -262,7 +266,7 @@ def _solve_columns(residual, z, lo, hi, fp):
             f, slope = residual(zc, cols)
             np.copyto(lc, zc, where=f > 0)
             np.copyto(hc, zc, where=f < 0)
-            step = 0.5 * (lc + hc)
+            step = 0.5 * lc + 0.5 * hc
             if it < fp.max_iters:
                 newton = zc - f / slope
                 np.copyto(step, newton, where=(lc < newton) & (newton < hc))
@@ -281,7 +285,7 @@ def _open_rows(a, cols, out):
     ``cols`` is increasing, so a full set is the identity."""
     if cols.size == len(a):
         return a
-    return np.take(a, cols, axis=0, out=out, mode="clip")
+    return a.take(cols, 0, out, "clip")
 
 
 def _row_medians(a, scratch):
@@ -299,7 +303,7 @@ def _row_medians(a, scratch):
     scratch.partition(h, axis=1)
     med = scratch[:, h].copy()
     if a.shape[1] % 2 == 0:
-        med += scratch[:, :h].max(axis=1)
+        med += np.maximum.reduce(scratch[:, :h], 1)
         med /= 2
     zero = med == 0.0
     if zero.any():
@@ -312,9 +316,10 @@ def column_means(a):
 
     The columns are copied into the rows of a C-contiguous (k, n) array and
     summed along them, so every mean has the bits of its column's own
-    pairwise sum, whatever the matrix's width or memory order.
+    pairwise sum (as ``ndarray.mean`` sums), whatever the matrix's width or
+    memory order.
     """
-    return np.ascontiguousarray(a.T).mean(axis=1)
+    return np.add.reduce(np.ascontiguousarray(a.T), 1) / a.shape[0]
 
 
 def locate_columns(x, s, rho, fp=DEFAULT_FP):
@@ -328,25 +333,28 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP):
     depends on column j only, bit for bit.  x must be a finite float array;
     callers check it once (``locate``, ``robust_gradient``).
     """
-    s = np.broadcast_to(np.asarray(s, dtype=float), x.shape[1:])
-    if np.any(s <= 0) or not np.all(np.isfinite(s)):
+    s = np.asarray(s, dtype=float)
+    s = s if s.shape == x.shape[1:] else np.broadcast_to(s, x.shape[1:])
+    if not ((s > 0).all() and np.isfinite(s).all()):
         raise ValueError("scale s must be positive and finite")
     xt = np.ascontiguousarray(x.T)
     # one buffer set per solve; a step writes into its leading open rows.
     # Each buffer is its own (k, n) array: a larger block, once freed, would
     # raise the C allocator's mmap threshold for the rest of the process
     ub, pb, dpb = (np.empty(xt.shape) for _ in range(3))
-    n = x.shape[0]
+    n, k = x.shape
 
     def residual(theta, cols):
-        m, sc = cols.size, s[cols]
+        m = cols.size
+        sc = s if m == k else s[cols]
         u = np.subtract(_open_rows(xt, cols, ub[:m]), theta[:, None], out=ub[:m])
         np.divide(u, sc[:, None], out=u)
         psi, dpsi = rho.psi_dpsi(u, pb[:m], dpb[:m])
-        return np.add.reduce(psi, 1) / n, -(np.add.reduce(dpsi, 1) / n) / sc
+        # dividing by -n negates exactly, as -(sum / n) does
+        return np.add.reduce(psi, 1) / n, np.add.reduce(dpsi, 1) / -n / sc
 
-    return _solve_columns(residual, _row_medians(xt, ub), xt.min(axis=1),
-                          xt.max(axis=1), fp)
+    return _solve_columns(residual, _row_medians(xt, ub), np.minimum.reduce(xt, 1),
+                          np.maximum.reduce(xt, 1), fp)
 
 
 def locate(data, s, rho, fp=DEFAULT_FP):
@@ -374,8 +382,9 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
     the same.  Columns are reduced alone and x must be checked, both as in
     ``locate_columns``.
     """
-    pivots = np.broadcast_to(np.asarray(pivots, dtype=float), x.shape[1:])
-    if not np.all(np.isfinite(pivots)):
+    pivots = np.asarray(pivots, dtype=float)
+    pivots = pivots if pivots.shape == x.shape[1:] else np.broadcast_to(pivots, x.shape[1:])
+    if not np.isfinite(pivots).all():
         raise ValueError("pivot must be finite")
     # one buffer set per solve, as in locate_columns: the residuals rt, then
     # the scaled residuals u and the chi terms of the open rows (also the
@@ -385,25 +394,25 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
     a = np.abs(rt, out=ub)
     floor = SIGMA_FLOOR * (1.0 + np.abs(pivots))
     lo = np.log(floor)
+    n = x.shape[0]  # a mean is the sum over n divided by n, as ndarray.mean
     with np.errstate(divide="ignore", over="ignore"):
         # every chi term is negative once sigma > 2 max|r|
-        hi = np.maximum(np.log(2.0) + np.log(a.max(axis=1)), lo)
-        start = np.log(a.mean(axis=1))
+        hi = np.maximum(_LOG2 + np.log(np.maximum.reduce(a, 1)), lo)
+        start = np.log(np.add.reduce(a, 1) / n)
     # as sigma -> 0 the mean chi tends to (1 - c) minus the share of zero
     # residuals; where that is <= 0 there is no root and the floor is returned
-    no_root = np.equal(rt, 0.0, out=cb).mean(axis=1) >= 1.0 - chi.c
-    hi[no_root] = lo[no_root]
-    n = x.shape[0]
+    no_root = np.add.reduce(np.equal(rt, 0.0, out=cb), 1) / n >= 1.0 - chi.c
+    np.copyto(hi, lo, where=no_root)
 
     def residual(z, cols):
         m = cols.size
-        with np.errstate(over="ignore"):
-            u = np.multiply(_open_rows(rt, cols, ub[:m]), np.exp(-z)[:, None],
-                            out=ub[:m])
+        u = np.multiply(_open_rows(rt, cols, ub[:m]), np.exp(-z)[:, None], out=ub[:m])
         c, udchi = chi.chi_udchi(u, cb[:m], db[:m])
-        return np.add.reduce(c, 1) / n, -(np.add.reduce(udchi, 1) / n)
+        return np.add.reduce(c, 1) / n, np.add.reduce(udchi, 1) / -n
 
-    z, fell_back = _solve_columns(residual, np.clip(start, lo, hi), lo, hi, fp)
+    with np.errstate(over="ignore"):  # rt * exp(-z) may overflow; chi(inf) = 1 - c
+        z, fell_back = _solve_columns(residual, np.minimum(np.maximum(start, lo), hi),
+                                      lo, hi, fp)
     return np.maximum(np.exp(z), floor), fell_back
 
 
@@ -432,7 +441,7 @@ def confidence_scale(sigma_hat, n, delta):
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     sigma_hat = np.asarray(sigma_hat, dtype=float)
-    if np.any(sigma_hat <= 0):
+    if (sigma_hat <= 0).any():
         raise ValueError("sigma_hat must be positive")
     out = sigma_hat * np.sqrt(n / np.log(2.0 / delta))
     return float(out) if out.shape == () else out

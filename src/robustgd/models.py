@@ -148,7 +148,7 @@ class LogisticModel:
         if a > 0:
             if want_loss:
                 losses = losses + a * w @ w
-            G = G + 2.0 * a * w[..., None, :]
+            G += 2.0 * a * w[..., None, :]
         return losses, G
 
 
@@ -157,19 +157,19 @@ def _logsumexp_rows(a):
     ``scipy.special.logsumexp(a, axis=-1)``: the row maxima are taken out of
     the shifted exp-sum s and counted as m, giving log1p(s/m) + log(m) + max.
     Rows whose result is not finite (an inf or nan score) take log(sum(exp))
-    directly, as scipy does."""
-    top = a.max(axis=-1)
+    directly, as scipy does.  Reductions are the ufuncs' own, unwrapped."""
+    top = np.maximum.reduce(a, -1)
     at_top = a == top[..., None]
     # inf - inf and 0 / 0 only arise on rows that end in the fallback; an
     # overflowing a - max is -inf, whose exp is 0 as in scipy
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         e = np.exp(a - top[..., None])
         e[at_top] = 0.0
-        m = at_top.sum(axis=-1)
-        out = np.log1p(e.sum(axis=-1) / m) + np.log(m) + top
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.exp(a[bad]).sum(axis=-1))
+        m = np.add.reduce(at_top, -1, dtype=float)  # exact counts, as floats
+        out = np.log1p(np.add.reduce(e, -1) / m) + np.log(m) + top
+        if not np.isfinite(out).all():
+            bad = ~np.isfinite(out)
+            out[bad] = np.log(np.add.reduce(np.exp(a[bad]), -1))
     return out
 
 

@@ -128,6 +128,7 @@ def _batch_descent(grad_fn, step_cost, state, constraint, stop, record_every):
     every = max(1, int(record_every))
     W = np.array(state.w, dtype=float)
     t, evals = state.t, state.grad_evals
+    last, budget, tol, alpha = t + stop.max_iters, stop.budget, stop.grad_norm_tol, state.alpha
     live = np.arange(W.shape[0])
     records = [[(t, w, evals)] for w in W]
     reasons = [None] * live.size
@@ -139,21 +140,21 @@ def _batch_descent(grad_fn, step_cost, state, constraint, stop, record_every):
                 records[k].append((t, w, evals))
         return live[~gone], W[~gone]
 
-    while live.size and t - state.t < stop.max_iters:
+    while live.size and t < last:
         cost = step_cost(t)
-        if stop.budget is not None and evals + cost > stop.budget:
+        if budget is not None and evals + cost > budget:
             live, W = leave(np.ones(live.size, dtype=bool), "budget")
             break
         G = grad_fn(W, t, live)
         evals += cost
-        if stop.grad_norm_tol > 0:
-            small = np.max(np.abs(G), axis=1) < stop.grad_norm_tol
+        if tol > 0:
+            small = np.max(np.abs(G), axis=1) < tol
             if small.any():
                 live, W = leave(small, "grad_tol")
                 if not live.size:
                     break
                 G = G[~small]
-        W = W - state.alpha * G
+        W = W - alpha * G
         if constraint is not None:
             W = np.array([constraint.project(w) for w in W])
         t += 1
@@ -241,8 +242,8 @@ def _robust_descent(rows, cfg, state, constraint, stop, record_every, cost,
 
     def grad_fn(W, t, live):
         G = rows(live, W)
-        g = G.mean(axis=1)
-        ok = np.flatnonzero(np.isfinite(g).all(axis=1))
+        g = np.add.reduce(G, 1) / G.shape[1]  # G.mean(axis=1)
+        ok = np.isfinite(g).all(axis=1).nonzero()[0]
         if not ok.size:
             return g
         if ok.size < live.size:
@@ -254,8 +255,9 @@ def _robust_descent(rows, cfg, state, constraint, stop, record_every, cost,
         g[ok] = theta.reshape(ok.size, -1)
         for key, mask in (("scale_fallbacks", info["scale_fallback"]),
                           ("locate_fallbacks", info["locate_fallback"])):
-            for k, count in zip(live[ok], mask.reshape(ok.size, -1).sum(axis=1)):
-                diags[k][key] += int(count)
+            if mask.any():
+                for k, count in zip(live[ok], mask.reshape(ok.size, -1).sum(axis=1)):
+                    diags[k][key] += int(count)
         return g
 
     trajs = _batch_descent(grad_fn, lambda t: cost, state, constraint, stop,

@@ -53,8 +53,7 @@ def column_scales(D, cfg):
     scale_fallback_mask).
     """
     sigma, fell_back = rescale_columns(D, column_means(D), _CHI, cfg.fp)
-    s = confidence_scale(sigma, D.shape[0], cfg.delta)
-    return sigma, np.asarray(s, dtype=float), fell_back
+    return sigma, confidence_scale(sigma, D.shape[0], cfg.delta), fell_back
 
 
 def robust_gradient(D, cfg, cols=None):
@@ -77,7 +76,7 @@ def robust_gradient(D, cfg, cols=None):
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.size == 0:
         raise ValueError("gradient sample must be a non-empty (n, d) matrix")
-    if not np.all(np.isfinite(D)):
+    if not np.isfinite(D).all():
         raise ValueError("gradient sample contains non-finite entries")
     Dt = np.ascontiguousarray(D.T)
     sub = (Dt if cols is None else Dt[cols]).T

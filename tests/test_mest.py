@@ -520,6 +520,32 @@ class TestSolverOracle:
         assert {str(w.message) for w in seen_ref} == messages | {
             "invalid value encountered in divide"}
 
+    @pytest.mark.parametrize("kind", RHO_KINDS)
+    def test_bisection_stays_finite_at_the_float_limit(self, kind):
+        # both bracket ends pass 9e307, where 0.5 * (lc + hc) overflowed to
+        # inf and theta left the sample's range
+        X = np.array([[-1.5e308], [1.5e308], [1.5e308]])
+        with np.errstate(over="ignore"):
+            theta, _ = locate_columns(X, [1.0], RhoFunction(kind))
+        assert -1.5e308 <= theta[0] <= 1.5e308
+
+    def test_overflowing_dispersion_residuals_warn_nothing(self):
+        # nine residuals near 1e-10 put sigma near 1e-10, so the 1e300
+        # residual's rt * exp(-z) overflows at the root; the whole dispersion
+        # solve runs under one np.errstate(over="ignore") block
+        rng = np.random.default_rng(7)
+        X = np.vstack([1e-10 * rng.standard_normal((9, 3)), [1e300, -1e300, 1e-10]])
+        pivots = np.zeros(3)
+        with np.errstate(invalid="ignore"):  # the reference's inf * 0 in chi
+            want = rescale_columns_reference(X, pivots, CHI)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            X[9, 0] / want[0][0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rescale_columns(X, pivots, CHI)
+        assert np.array_equal(bits(got[0]), bits(want[0]))
+        assert np.array_equal(got[1], want[1])
+
 
 class TestConfidenceScale:
     def test_log_term_one(self):
