@@ -12,7 +12,6 @@ from robustgd import (
     RhoFunction,
     confidence_scale,
     locate,
-    psi_eval,
     rescale,
 )
 
@@ -27,9 +26,9 @@ print("sample median  :", np.median(x))
 
 # The influence function saturates: distant points stop pulling.
 gud = RhoFunction("gudermannian")
-print("\npsi(0.5) =", psi_eval(0.5, gud))
-print("psi(5)   =", psi_eval(5.0, gud))
-print("psi(50)  =", psi_eval(50.0, gud), "(caps at pi/2 =", np.pi / 2, ")")
+print("\npsi(0.5) =", gud.psi(0.5))
+print("psi(5)   =", gud.psi(5.0))
+print("psi(50)  =", gud.psi(50.0), "(caps at pi/2 =", np.pi / 2, ")")
 
 # Dispersion about the mean: calibrated so Gaussian data gives ~ its sd.
 chi = ChiFunction()

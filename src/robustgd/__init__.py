@@ -9,8 +9,6 @@ from .mest import (
     RhoFunction,
     confidence_scale,
     locate,
-    psi_eval,
-    chi_eval,
     rescale,
 )
 from .robust_grad import (
@@ -67,7 +65,7 @@ from .bench import (
 
 __all__ = [
     "ChiFunction", "FixedPointSettings", "RhoFunction", "confidence_scale",
-    "locate", "psi_eval", "chi_eval", "rescale",
+    "locate", "rescale",
     "RobustConfig", "robust_gradient", "robust_risk",
     "Dataset", "LinearModel", "LogisticModel", "empirical_risk",
     "loss_and_grad_rows", "misclassification_rate", "predict", "row_arrays",

@@ -5,21 +5,18 @@ influence function psi = rho'; the dispersion estimate is the root of a
 centered chi statistic.  Both root equations are monotone and bracketed, so
 one vectorised kernel solves them column by column: Newton steps that stay
 inside the shrinking bracket, bisection where a step would leave it.
-Location is solved in theta, dispersion in log sigma.  Each residual
-evaluation is one fused call, ``RhoFunction.psi_dpsi`` or
-``ChiFunction.chi_udchi``, with the bits of the separate psi/dpsi or
-chi/dchi calls; each solve allocates one buffer set and slices it to the
-columns still open, and carries those columns' points and brackets
-compacted from step to step.
+Location is solved in theta, dispersion in log sigma.  Each psi kind and
+chi has one formula, a fused kernel that gives a residual evaluation's
+value and slope in one call: ``RhoFunction.psi_dpsi`` and
+``ChiFunction.chi_udchi``.  ``psi`` and ``chi`` return their first
+outputs; the loss rho itself is never evaluated.  Each solve allocates one
+buffer set and slices it to the columns still open, and carries those
+columns' points and brackets compacted from step to step.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-
-# Catalan's constant, used by the closed form of the Gudermannian antiderivative.
-_CATALAN = 0.915965594177219015
 
 # Centering constant for the Geman-type chi: E[x^2/(1+x^2)] under a standard
 # normal, fixed once by numerical integration (see tests for the re-derivation).
@@ -36,11 +33,12 @@ SIGMA_FLOOR = 1e-12
 
 
 class RhoFunction:
-    """Even loss rho with odd, increasing influence psi = rho'.
+    """Even loss rho, given by its odd, increasing influence psi = rho'.
 
     All kinds are normalized so rho(u) ~ u^2/2 near zero.  The three robust
     kinds have bounded psi; ``quadratic_test_only`` has psi(u) = u and exists
     solely to realize the sample-mean reduction in tests and diagnostics.
+    The estimators need only psi and psi', so rho itself is not computed.
     """
 
     def __init__(self, kind="gudermannian"):
@@ -52,48 +50,20 @@ class RhoFunction:
     def bounded(self):
         return self.kind != "quadratic_test_only"
 
-    def rho(self, u):
-        u = np.asarray(u, dtype=float)
-        a = np.abs(u)
-        if self.kind == "gudermannian":
-            return _gudermannian_rho(a)
-        if self.kind == "log_cosh":
-            # log cosh(u) = |u| - log 2 + log1p(exp(-2|u|)), overflow-safe
-            return a - _LOG2 + np.log1p(np.exp(-2.0 * a))
-        if self.kind == "pseudo_huber":
-            return 2.0 * (np.sqrt(1.0 + 0.5 * u * u) - 1.0)
-        return 0.5 * u * u
-
     def psi(self, u):
+        """Influence psi(u), the first output of ``psi_dpsi``; a scalar u
+        gives a numpy scalar."""
         u = np.asarray(u, dtype=float)
-        if self.kind == "gudermannian":
-            # odd reflection of pi/2 - 2*atan(exp(-|u|)) avoids exp overflow
-            return np.sign(u) * (0.5 * np.pi - 2.0 * np.arctan(np.exp(-np.abs(u))))
-        if self.kind == "log_cosh":
-            return np.tanh(u)
-        if self.kind == "pseudo_huber":
-            return u / np.sqrt(1.0 + 0.5 * u * u)
-        return u
-
-    def dpsi(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.kind == "gudermannian":
-            e = np.exp(-np.abs(u))  # sech(u), overflow-safe
-            return 2.0 * e / (1.0 + e * e)
-        if self.kind == "log_cosh":
-            e = np.exp(-np.abs(u))
-            s = 2.0 * e / (1.0 + e * e)
-            return s * s
-        if self.kind == "pseudo_huber":
-            return (1.0 + 0.5 * u * u) ** -1.5
-        return np.ones_like(u)
+        return self.psi_dpsi(u, np.empty_like(u), np.empty_like(u))[0][()]
 
     def psi_dpsi(self, u, p, dp):
-        """(psi(u), dpsi(u)) written into the float arrays p and dp.
+        """(psi(u), psi'(u)) written into the float arrays p and dp.
 
-        The bits equal ``psi(u)`` and ``dpsi(u)``: the same ufuncs run on the
-        same operands in the same order, but the subexpression the two
-        share (exp(-|u|), or 1 + u^2/2) is computed once and every
+        Per kind, with e = exp(-|u|): gudermannian
+        sign(u) (pi/2 - 2 atan(e)) and sech(u) = 2e / (1 + e^2); log_cosh
+        tanh(u) and sech(u)^2; pseudo_huber u / sqrt(1 + u^2/2) and
+        (1 + u^2/2)^-1.5; quadratic_test_only u and 1.  The subexpression
+        the two share (e, or 1 + u^2/2) is computed once and every
         intermediate lives in the two outputs.  The Gudermannian kind also
         takes sign(u) as one temporary.  u is left unchanged and must not
         share memory with either output.
@@ -110,8 +80,8 @@ class RhoFunction:
             np.copyto(p, u)
             dp.fill(1.0)
             return p, dp
-        # e = exp(-|u|) and s = 2e / (1 + e^2) = sech(u), as in dpsi; doubling
-        # e and halving it back are exact, so e survives the division
+        # e = exp(-|u|) and s = 2e / (1 + e^2) = sech(u); doubling e and
+        # halving it back are exact, so e survives the division
         np.abs(u, out=p)
         np.negative(p, out=p)
         np.exp(p, out=p)
@@ -134,26 +104,6 @@ class RhoFunction:
         return f"RhoFunction({self.kind!r})"
 
 
-def _gudermannian_rho(a):
-    """Antiderivative of 2*atan(exp(u)) - pi/2 at |u| = a >= 0.
-
-    For moderate a this is 2*Im(Li2(i e^a)) - 2G - (pi/2) a with G Catalan's
-    constant; for large a the dilogarithm's tail is below double precision and
-    the linear asymptote (pi/2) a - 2G + 2 e^-a is exact to machine accuracy.
-    """
-    scalar = np.ndim(a) == 0
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    out = np.empty_like(a)
-    small = a <= 30.0
-    if np.any(small):
-        li2 = special.spence(1.0 - 1j * np.exp(a[small]))
-        out[small] = 2.0 * li2.imag - 2.0 * _CATALAN - 0.5 * np.pi * a[small]
-    if np.any(~small):
-        big = a[~small]
-        out[~small] = 0.5 * np.pi * big - 2.0 * _CATALAN + 2.0 * np.exp(-big)
-    return float(out[0]) if scalar else out
-
-
 class ChiFunction:
     """Even dispersion criterion chi(u) = u^2/(1+u^2) - c: negative at 0,
     positive in the tails.
@@ -166,23 +116,19 @@ class ChiFunction:
     c = GEMAN_C
 
     def chi(self, u):
+        """chi(u), the first output of ``chi_udchi``; a scalar u gives a
+        numpy scalar."""
         u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore"):
-            t = u * u
-            return 1.0 - 1.0 / (1.0 + t) - self.c
-
-    def dchi(self, u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore"):
-            w = 1.0 / (1.0 + u * u)
-            return 2.0 * u * w * w
+        with np.errstate(invalid="ignore"):  # u * dchi(u) is nan at u = +-inf
+            return self.chi_udchi(u, np.empty_like(u), np.empty_like(u))[0][()]
 
     def chi_udchi(self, u, c, d):
-        """(chi(u), u * dchi(u)) written into the float arrays c and d.
+        """(chi(u), u chi'(u)) written into the float arrays c and d.
 
-        The bits equal those two expressions: w = 1/(1+u^2) is computed once
-        and every intermediate lives in the two outputs.  u is left
-        unchanged and must not share memory with either output.
+        With w = 1/(1+u^2), computed once: chi(u) = 1 - w - c and
+        u chi'(u) = u (2u w w).  Every intermediate lives in the two
+        outputs.  u is left unchanged and must not share memory with either
+        output.
         """
         with np.errstate(over="ignore"):
             np.multiply(u, u, out=c)
@@ -445,19 +391,3 @@ def confidence_scale(sigma_hat, n, delta):
         raise ValueError("sigma_hat must be positive")
     out = sigma_hat * np.sqrt(n / np.log(2.0 / delta))
     return float(out) if out.shape == () else out
-
-
-def psi_eval(u, rho):
-    """Influence function psi = rho' at u."""
-    if not np.all(np.isfinite(np.asarray(u, dtype=float))):
-        raise ValueError("u must be finite")
-    out = rho.psi(u)
-    return float(out) if np.ndim(u) == 0 else out
-
-
-def chi_eval(u, chi):
-    """Dispersion criterion chi at u."""
-    if not np.all(np.isfinite(np.asarray(u, dtype=float))):
-        raise ValueError("u must be finite")
-    out = chi.chi(u)
-    return float(out) if np.ndim(u) == 0 else out

@@ -1,6 +1,9 @@
 """Independent verification oracles shared by the test suite.
 
-Everything here but ``concentration_pipeline``, the ``*_reference_run``
+The ``*_reference`` formulas are the loss rho with its dilogarithm closed
+form and the per-kind psi, psi', chi and chi' expressions, written out
+separately; the library keeps only the fused kernels ``psi_dpsi`` and
+``chi_udchi``, which must match them bit for bit.  Everything here but ``concentration_pipeline``, the ``*_reference_run``
 descents and the ``*_columns_reference`` solvers avoids the library's
 solvers on purpose: brute-force minimization, quadrature, finite
 differences and closed forms are the reference implementations the fast
@@ -19,6 +22,7 @@ from scipy import optimize, special
 from robustgd.datagen import noise_sd
 from robustgd.mest import (
     DEFAULT_FP,
+    GEMAN_C,
     SIGMA_FLOOR,
     ChiFunction,
     FixedPointSettings,
@@ -38,6 +42,90 @@ from robustgd.robust_grad import robust_gradient
 LD = np.longdouble
 _PI_2 = LD("1.5707963267948966192313216916398")
 _CATALAN2 = LD("1.8319311883544380301092070298648")  # 2 * Catalan
+
+# Catalan's constant, used by the closed form of the Gudermannian antiderivative.
+_CATALAN = 0.915965594177219015
+_LOG2 = np.log(2.0)
+
+
+def rho_reference(kind, u):
+    """The even loss rho of ``RhoFunction(kind)``, normalized so that
+    rho(u) ~ u^2/2 near zero."""
+    u = np.asarray(u, dtype=float)
+    a = np.abs(u)
+    if kind == "gudermannian":
+        return _gudermannian_rho(a)
+    if kind == "log_cosh":
+        # log cosh(u) = |u| - log 2 + log1p(exp(-2|u|)), overflow-safe
+        return a - _LOG2 + np.log1p(np.exp(-2.0 * a))
+    if kind == "pseudo_huber":
+        return 2.0 * (np.sqrt(1.0 + 0.5 * u * u) - 1.0)
+    return 0.5 * u * u
+
+
+def _gudermannian_rho(a):
+    """Antiderivative of 2*atan(exp(u)) - pi/2 at |u| = a >= 0.
+
+    For moderate a this is 2*Im(Li2(i e^a)) - 2G - (pi/2) a with G Catalan's
+    constant; for large a the dilogarithm's tail is below double precision and
+    the linear asymptote (pi/2) a - 2G + 2 e^-a is exact to machine accuracy.
+    """
+    scalar = np.ndim(a) == 0
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    out = np.empty_like(a)
+    small = a <= 30.0
+    if np.any(small):
+        li2 = special.spence(1.0 - 1j * np.exp(a[small]))
+        out[small] = 2.0 * li2.imag - 2.0 * _CATALAN - 0.5 * np.pi * a[small]
+    if np.any(~small):
+        big = a[~small]
+        out[~small] = 0.5 * np.pi * big - 2.0 * _CATALAN + 2.0 * np.exp(-big)
+    return float(out[0]) if scalar else out
+
+
+def psi_reference(kind, u):
+    """psi = rho' of ``RhoFunction(kind)``, one expression per kind."""
+    u = np.asarray(u, dtype=float)
+    if kind == "gudermannian":
+        # odd reflection of pi/2 - 2*atan(exp(-|u|)) avoids exp overflow
+        return np.sign(u) * (0.5 * np.pi - 2.0 * np.arctan(np.exp(-np.abs(u))))
+    if kind == "log_cosh":
+        return np.tanh(u)
+    if kind == "pseudo_huber":
+        return u / np.sqrt(1.0 + 0.5 * u * u)
+    return u
+
+
+def dpsi_reference(kind, u):
+    """psi' of ``RhoFunction(kind)``, one expression per kind."""
+    u = np.asarray(u, dtype=float)
+    if kind == "gudermannian":
+        e = np.exp(-np.abs(u))  # sech(u), overflow-safe
+        return 2.0 * e / (1.0 + e * e)
+    if kind == "log_cosh":
+        e = np.exp(-np.abs(u))
+        s = 2.0 * e / (1.0 + e * e)
+        return s * s
+    if kind == "pseudo_huber":
+        return (1.0 + 0.5 * u * u) ** -1.5
+    return np.ones_like(u)
+
+
+def chi_reference(u):
+    """The dispersion criterion chi(u) = u^2/(1+u^2) - c of ``ChiFunction``,
+    with c = ``GEMAN_C``."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore"):
+        t = u * u
+        return 1.0 - 1.0 / (1.0 + t) - GEMAN_C
+
+
+def dchi_reference(u):
+    """chi'(u) = 2u / (1+u^2)^2."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore"):
+        w = 1.0 / (1.0 + u * u)
+        return 2.0 * u * w * w
 
 
 def golden_section_minimize(f, a, b, tol=1e-12):
@@ -153,7 +241,8 @@ def locate_oracle(x, s, rho, tol=1e-12):
         return lo
     if rho.kind != "gudermannian":
         return golden_section_minimize(
-            lambda t: float(rho.rho((x - t) / s).sum()), lo, hi, tol=tol)
+            lambda t: float(rho_reference(rho.kind, (x - t) / s).sum()), lo, hi,
+            tol=tol)
     x_ld = x.astype(LD)
     s_ld = LD(s)
 

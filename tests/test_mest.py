@@ -1,7 +1,9 @@
 """Location/dispersion estimator core: contract examples, frozen oracle
 values, and the solver invariants."""
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import robustgd.mest as mest
 from robustgd.datagen import gen_classification
 from robustgd.mest import (
     DEFAULT_FP,
@@ -18,19 +21,26 @@ from robustgd.mest import (
     ChiFunction,
     FixedPointSettings,
     RhoFunction,
-    chi_eval,
     column_means,
     confidence_scale,
     locate,
     locate_columns,
-    psi_eval,
     _row_medians,
     rescale,
     rescale_columns,
 )
 from robustgd.models import LogisticModel, loss_and_grad_rows
 
-from oracles import locate_columns_reference, locate_oracle, rescale_columns_reference
+from oracles import (
+    chi_reference,
+    dchi_reference,
+    dpsi_reference,
+    locate_columns_reference,
+    locate_oracle,
+    psi_reference,
+    rescale_columns_reference,
+    rho_reference,
+)
 
 GUD = RhoFunction("gudermannian")
 QUAD = RhoFunction("quadratic_test_only")
@@ -53,10 +63,9 @@ def logistic_minibatch_rows(seed=2):
 class TestRhoFamily:
     @pytest.mark.parametrize("kind", ROBUST_KINDS + ("quadratic_test_only",))
     def test_rho_even_and_zero_at_origin(self, kind):
-        rho = RhoFunction(kind)
         u = np.linspace(-20, 20, 401)
-        assert np.allclose(rho.rho(u), rho.rho(-u), atol=1e-12)
-        assert rho.rho(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert np.allclose(rho_reference(kind, u), rho_reference(kind, -u), atol=1e-12)
+        assert rho_reference(kind, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("kind", ROBUST_KINDS)
     def test_psi_odd_increasing_bounded(self, kind):
@@ -70,7 +79,7 @@ class TestRhoFamily:
         # double precision (the tails saturate numerically)
         v = np.linspace(-15, 15, 601)
         assert np.all(np.diff(rho.psi(v)) > 0)
-        assert np.all(rho.dpsi(v) > 0)
+        assert np.all(dpsi_reference(kind, v) > 0)
 
     def test_quadratic_kind_is_identity_influence(self):
         u = np.linspace(-5, 5, 11)
@@ -79,15 +88,13 @@ class TestRhoFamily:
 
     @pytest.mark.parametrize("kind", ROBUST_KINDS + ("quadratic_test_only",))
     def test_rho_matches_half_square_near_zero(self, kind):
-        rho = RhoFunction(kind)
         u = np.array([1e-4, 1e-3, 5e-3])
-        assert np.allclose(rho.rho(u) / (0.5 * u * u), 1.0, atol=1e-5)
+        assert np.allclose(rho_reference(kind, u) / (0.5 * u * u), 1.0, atol=1e-5)
 
     @pytest.mark.parametrize("kind", ROBUST_KINDS)
     def test_rho_linear_growth_in_tails(self, kind):
-        rho = RhoFunction(kind)
         u = np.array([50.0, 200.0, 1000.0])
-        ratios = rho.rho(u) / u
+        ratios = rho_reference(kind, u) / u
         assert np.all(ratios < 2.0)  # O(u), not O(u^2)
 
     @pytest.mark.parametrize("kind", ROBUST_KINDS)
@@ -95,15 +102,14 @@ class TestRhoFamily:
         rho = RhoFunction(kind)
         for u in (0.3, 1.7, 4.0, 12.0, 31.0):
             q, _ = integrate.quad(lambda t: float(rho.psi(t)), 0.0, u)
-            assert rho.rho(u) == pytest.approx(q, abs=1e-9)
+            assert rho_reference(kind, u) == pytest.approx(q, abs=1e-9)
 
     def test_gudermannian_psi_values(self):
-        assert psi_eval(0.0, GUD) == 0.0
-        assert abs(psi_eval(50.0, GUD) - np.pi / 2) < 1e-12
-        assert psi_eval(1.0, GUD) == pytest.approx(2 * np.arctan(np.e) - np.pi / 2,
-                                                   abs=1e-14)
+        assert GUD.psi(0.0) == 0.0
+        assert abs(GUD.psi(50.0) - np.pi / 2) < 1e-12
+        assert GUD.psi(1.0) == pytest.approx(2 * np.arctan(np.e) - np.pi / 2, abs=1e-14)
         # frozen high-precision evaluation
-        assert psi_eval(1.0, GUD) == pytest.approx(0.8657694832396586, abs=1e-12)
+        assert GUD.psi(1.0) == pytest.approx(0.8657694832396586, abs=1e-12)
 
     def test_log_envelope_bounds_on_grid(self):
         u = np.linspace(-10.0, 10.0, 4001)
@@ -119,20 +125,20 @@ class TestRhoFamily:
 
 class TestChiFamily:
     def test_shape(self):
-        assert chi_eval(0.0, CHI) == pytest.approx(-CHI.c)
+        assert CHI.chi(0.0) == pytest.approx(-CHI.c)
         assert CHI.c < 0.0 + 1.0  # positive constant
         u = np.linspace(0, 60, 600)
         vals = CHI.chi(u)
         assert np.all(np.diff(vals) >= 0)
-        assert chi_eval(1e9, CHI) == pytest.approx(1 - CHI.c, abs=1e-12)
+        assert CHI.chi(1e9) == pytest.approx(1 - CHI.c, abs=1e-12)
         assert np.allclose(CHI.chi(u), CHI.chi(-u))
 
     def test_dchi_is_derivative_of_chi(self):
         u = np.array([-30.0, -2.0, -0.5, 0.0, 0.3, 1.0, 7.0])
         h = 1e-6
         fd = (CHI.chi(u + h) - CHI.chi(u - h)) / (2 * h)
-        assert np.allclose(CHI.dchi(u), fd, atol=1e-9)
-        assert CHI.dchi(1e200) == 0.0
+        assert np.allclose(dchi_reference(u), fd, atol=1e-9)
+        assert dchi_reference(1e200) == 0.0
 
     def test_centering_constant_from_integration(self):
         val, _ = integrate.quad(
@@ -347,8 +353,9 @@ KERNEL_INPUTS = np.concatenate([
 
 
 class TestFusedKernels:
-    """The solvers evaluate psi_dpsi and chi_udchi; both must carry the bits
-    of the public psi/dpsi and chi/dchi pairs they stand for."""
+    """The fused kernels psi_dpsi and chi_udchi are the library's only psi
+    and chi formulas: they, and psi/chi, must carry the bits of the separate
+    reference expressions in ``oracles``."""
 
     @pytest.mark.parametrize("kind", RHO_KINDS)
     def test_psi_dpsi_bits(self, kind):
@@ -357,22 +364,40 @@ class TestFusedKernels:
         psi, dpsi = np.empty_like(u), np.empty_like(u)
         with np.errstate(over="ignore"):
             got = rho.psi_dpsi(u, psi, dpsi)
-            want = rho.psi(u), rho.dpsi(u)
+            want = psi_reference(kind, u), dpsi_reference(kind, u)
+            alone, block = rho.psi(u), rho.psi(u[:2000].reshape(40, 50))
+            scalars = [(rho.psi(x), psi_reference(kind, x))
+                       for v in u[:16] for x in (float(v), np.asarray(v))]
         assert got[0] is psi and got[1] is dpsi
         assert np.array_equal(bits(u), bits(KERNEL_INPUTS))
         assert np.array_equal(bits(psi), bits(want[0]))
         assert np.array_equal(bits(dpsi), bits(want[1]))
+        assert np.array_equal(bits(alone), bits(want[0]))
+        assert block.shape == (40, 50)
+        assert np.array_equal(bits(block.ravel()), bits(want[0][:2000]))
+        for value, ref in scalars:
+            assert type(value) is np.float64
+            assert np.array_equal(bits(value), bits(ref))
 
     def test_chi_udchi_bits(self):
         # inf residuals arise in rescale_columns from rt * exp(-z)
         u = np.concatenate([KERNEL_INPUTS, [np.inf, -np.inf]])
         with np.errstate(invalid="ignore"):
             chi, udchi = CHI.chi_udchi(u, np.empty_like(u), np.empty_like(u))
-            want = u * CHI.dchi(u)
+            want = u * dchi_reference(u)
         assert np.array_equal(np.isnan(udchi), np.isnan(want))
         assert np.isnan(want[-2:]).all() and np.isfinite(chi).all()
-        assert np.array_equal(bits(chi), bits(CHI.chi(u)))
+        assert np.array_equal(bits(chi), bits(chi_reference(u)))
         assert np.array_equal(bits(udchi), bits(want))
+        assert np.array_equal(bits(CHI.chi(u)), bits(chi_reference(u)))
+        block = CHI.chi(u[:2000].reshape(40, 50))
+        assert block.shape == (40, 50)
+        assert np.array_equal(bits(block.ravel()), bits(chi_reference(u[:2000])))
+        for v in np.concatenate([u[:16], u[-2:]]):
+            for x in (float(v), np.asarray(v)):
+                value = CHI.chi(x)
+                assert type(value) is np.float64
+                assert np.array_equal(bits(value), bits(chi_reference(x)))
 
 
 def heavy_rows(seed=7):
@@ -584,8 +609,10 @@ class TestConfidenceScale:
         assert dist[0] <= dist[1] + 1e-9 <= dist[2] + 2e-9
 
 
-def test_psi_eval_rejects_non_finite():
-    with pytest.raises(ValueError):
-        psi_eval(np.inf, GUD)
-    with pytest.raises(ValueError):
-        chi_eval(np.nan, CHI)
+def test_mest_module_does_not_import_scipy():
+    tree = ast.parse(Path(mest.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in imported if m and m.split(".")[0] == "scipy"]
