@@ -1,6 +1,5 @@
-"""Command-line interface: seeded experiment runs with CSV output, dataset
-ingestion with train-split normalization, standalone location/scale
-estimation, and noise-family listings.
+"""Command-line interface: seeded experiment runs with CSV output, standalone
+location/scale estimation, and noise-family listings.
 
 Config files are flat key-value text with [sections]; the grammar is
 documented in the README.  Exit codes: 0 success, 1 runtime abort (partial
@@ -12,7 +11,7 @@ import configparser
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,6 @@ from .datagen import (
     target_sd,
 )
 from .mest import ChiFunction, FixedPointSettings, RhoFunction, confidence_scale, locate, rescale
-from .models import Dataset
 
 _INT_KEYS = ("n", "d", "iters", "trials", "test_size", "seed", "classes",
              "features", "budget_factor")
@@ -143,12 +141,10 @@ def _echo_config(cfg, seed, parallelism):
     lines.append(f"version = {__version__}")
     lines.append(f"base_seed = {seed}")
     lines.append(f"parallelism = {parallelism}")
-    for key in ("task", "methods", "n", "d", "alpha", "iters", "trials",
-                "test_size", "delta", "rho", "grad_norm_tol", "init_delta",
-                "init_deltas", "n_values", "d_values", "families", "levels",
-                "grid_n", "grid_d", "classes", "features", "reg_strength",
-                "budget_factor", "separation", "label_noise", "init_scale"):
-        lines.append(f"{key} = {getattr(cfg, key)}")
+    # seed and noise have their own lines; trial_seeds is not a config key
+    for f in fields(cfg):
+        if f.name not in ("seed", "noise", "trial_seeds"):
+            lines.append(f"{f.name} = {getattr(cfg, f.name)}")
     lines.append(f"noise = {cfg.noise.label()}")
     return lines
 
@@ -188,175 +184,6 @@ def cmd_run(args):
     if status != "ok":
         print(f"run failed: {status}", file=sys.stderr)
         return 1
-    return 0
-
-
-def _read_numeric_csv(path):
-    """Header + float matrix from a CSV file; missing, non-numeric and
-    non-finite cells are reported with their row numbers."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError("empty CSV file") from None
-        header = [h.strip() for h in header]
-        rows = []
-        missing = []
-        bad = []
-        nonfinite = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ConfigError(
-                    f"row {lineno}: expected {len(header)} fields, got {len(row)}")
-            vals = []
-            for cell in row:
-                cell = cell.strip()
-                if cell == "":
-                    missing.append(lineno)
-                    vals.append(np.nan)
-                    continue
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    bad.append(lineno)
-                    vals.append(np.nan)
-                    continue
-                if not np.isfinite(vals[-1]):
-                    nonfinite.append(lineno)
-            rows.append(vals)
-    if missing:
-        raise ConfigError(f"missing values in rows: {sorted(set(missing))}")
-    if bad:
-        raise ConfigError(f"non-numeric values in rows: {sorted(set(bad))}")
-    if nonfinite:
-        raise ConfigError(f"non-finite values in rows: {sorted(set(nonfinite))}")
-    if not rows:
-        raise ConfigError("CSV contains a header but no data rows")
-    return header, np.asarray(rows, dtype=float)
-
-
-def min_max_normalize(train, test=None):
-    """Per-feature min-max scaling to [0, 1] with statistics from the
-    training block only; constant features map to 0."""
-    lo = train.min(axis=0)
-    hi = train.max(axis=0)
-    span = hi - lo
-    safe = np.where(span > 0, span, 1.0)
-
-    def apply(x):
-        out = (x - lo) / safe
-        out[:, span == 0] = 0.0
-        return out
-
-    return apply(train), (apply(test) if test is not None else None)
-
-
-def _stratified_split(labels, test_per_class, train_per_class, rng):
-    classes = np.unique(labels)
-    test_idx = []
-    train_idx = []
-    for c in classes:
-        members = np.flatnonzero(labels == c)
-        rng.shuffle(members)
-        if test_per_class > len(members):
-            raise ConfigError(
-                f"class {c:g}: requested {test_per_class} test rows, "
-                f"have {len(members)}")
-        test_idx.extend(members[:test_per_class])
-        rest = members[test_per_class:]
-        if train_per_class is not None:
-            if train_per_class > len(rest):
-                raise ConfigError(
-                    f"class {c:g}: requested {train_per_class} train rows, "
-                    f"have {len(rest)} after the test split")
-            rest = rest[:train_per_class]
-        train_idx.extend(rest)
-    return np.sort(np.asarray(train_idx)), np.sort(np.asarray(test_idx))
-
-
-def ingest(path, label_col, feature_cols=None, test_per_class=None,
-           train_per_class=None, test_fraction=None, seed=0):
-    """Load a labeled CSV, split, and min-max normalize from the train split.
-
-    Returns (train Dataset, test Dataset or None, feature names).  Ingestion
-    is idempotent: re-ingesting an already normalized training file leaves
-    the values unchanged.
-    """
-    header, mat = _read_numeric_csv(path)
-    if label_col not in header:
-        raise ConfigError(f"label column {label_col!r} not in header {header}")
-    li = header.index(label_col)
-    if feature_cols:
-        for c in feature_cols:
-            if c not in header:
-                raise ConfigError(f"feature column {c!r} not in header")
-        fidx = [header.index(c) for c in feature_cols]
-    else:
-        fidx = [i for i in range(len(header)) if i != li]
-    names = [header[i] for i in fidx]
-    X = mat[:, fidx]
-    y = mat[:, li]
-
-    if test_fraction is not None and not 0.0 <= test_fraction < 1.0:
-        raise ConfigError(f"test fraction must lie in [0, 1), got {test_fraction}")
-    for what, count in (("test", test_per_class), ("train", train_per_class)):
-        if count is not None and count < 0:
-            raise ConfigError(f"{what} rows per class must be >= 0, got {count}")
-    rng = np.random.default_rng(seed)
-    if test_per_class is not None:
-        tr, te = _stratified_split(y, test_per_class, train_per_class, rng)
-    elif test_fraction:
-        perm = rng.permutation(len(y))
-        n_test = int(round(test_fraction * len(y)))
-        te = np.sort(perm[:n_test])
-        tr = np.sort(perm[n_test:])
-    else:
-        tr = np.arange(len(y))
-        te = np.array([], dtype=int)
-    if not tr.size:
-        raise ConfigError("the split leaves no training rows")
-
-    X_train, X_test = min_max_normalize(X[tr], X[te] if te.size else None)
-    train = Dataset(X_train, _as_labels(y[tr]))
-    test = Dataset(X_test, _as_labels(y[te])) if te.size else None
-    return train, test, names
-
-
-def _as_labels(y):
-    """Whole-number labels as class indices; any other labels as they are."""
-    if np.all(y == np.round(y)):
-        return np.round(y).astype(int)
-    return y
-
-
-def _write_dataset_csv(path, ds, names, label_col):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names + [label_col])
-        for xi, yi in zip(ds.inputs, ds.targets):
-            writer.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
-
-
-def cmd_ingest(args):
-    try:
-        feature_cols = _split_list(args.features) if args.features else None
-        train, test, names = ingest(
-            args.csv, args.label, feature_cols=feature_cols,
-            test_per_class=args.test_per_class,
-            train_per_class=args.train_per_class,
-            test_fraction=args.test_fraction, seed=args.seed)
-    except ConfigError as exc:
-        print(f"ingest error: {exc}", file=sys.stderr)
-        return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_dataset_csv(out / "train.csv", train, names, args.label)
-    summary = {"train_rows": train.n, "features": names, "seed": args.seed}
-    if test is not None:
-        _write_dataset_csv(out / "test.csv", test, names, args.label)
-        summary["test_rows"] = test.n
-    print(json.dumps(summary, sort_keys=True))
     return 0
 
 
@@ -436,17 +263,6 @@ def main(argv=None):
     p_run.add_argument("--parallel", type=int, default=1,
                        help="trial-level worker processes")
 
-    p_ing = sub.add_parser("ingest", help="normalize and split a labeled CSV")
-    p_ing.add_argument("csv")
-    p_ing.add_argument("--label", required=True, help="label column name")
-    p_ing.add_argument("--features", default=None,
-                       help="feature columns (comma-separated; default: all others)")
-    p_ing.add_argument("--test-per-class", type=int, default=None)
-    p_ing.add_argument("--train-per-class", type=int, default=None)
-    p_ing.add_argument("--test-fraction", type=float, default=None)
-    p_ing.add_argument("--seed", type=int, default=0)
-    p_ing.add_argument("--out", default="ingested")
-
     p_mest = sub.add_parser("mest", help="location/scale estimates of a 1-D sample")
     p_mest.add_argument("data", help="text file, one number per line")
     p_mest.add_argument("--rho", default="gudermannian",
@@ -462,8 +278,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "run":
         return cmd_run(args)
-    if args.command == "ingest":
-        return cmd_ingest(args)
     if args.command == "mest":
         return cmd_mest(args)
     if args.command == "families":

@@ -74,6 +74,9 @@ class RhoFunction:
             np.add(1.0, dp, out=dp)  # 1 + u^2/2
             np.sqrt(dp, out=p)
             np.divide(u, p, out=p)
+            # past |u| ~ 1.9e154, 1 + u^2/2 overflows and u / sqrt(inf) is 0
+            # or nan: psi keeps its bound sign(u) sqrt(2) there
+            np.copysign(np.sqrt(2.0), u, out=p, where=dp == np.inf)
             np.power(dp, -1.5, out=dp)
             return p, dp
         if self.kind == "quadratic_test_only":

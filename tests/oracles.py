@@ -92,7 +92,9 @@ def psi_reference(kind, u):
     if kind == "log_cosh":
         return np.tanh(u)
     if kind == "pseudo_huber":
-        return u / np.sqrt(1.0 + 0.5 * u * u)
+        t = 1.0 + 0.5 * u * u
+        # the bound sign(u) sqrt(2) where t overflows
+        return np.where(t == np.inf, np.copysign(np.sqrt(2.0), u), u / np.sqrt(t))
     return u
 
 

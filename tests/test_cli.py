@@ -1,16 +1,20 @@
-"""Command-line interface: config handling, output artifacts, ingestion,
-and the standalone estimation utility."""
+"""Command-line interface: config handling, output artifacts, the command
+set, and the standalone estimation utility."""
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from robustgd.cli import main, ingest, min_max_normalize
+from robustgd.cli import main
 from robustgd.mest import ChiFunction, FixedPointSettings, RhoFunction, confidence_scale, rescale
 
 from oracles import locate_oracle
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL_CONFIG = """\
 [experiment]
@@ -232,136 +236,6 @@ class TestRun:
         assert {r[1] for r in rows} == {"erm"}
 
 
-class TestIngest:
-    def write_csv(self, tmp_path, rows, header=("x1", "x2", "y"),
-                  name="data.csv"):
-        p = tmp_path / name
-        with open(p, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-        return p
-
-    def test_min_max_feature_scaling(self, tmp_path):
-        p = self.write_csv(tmp_path, [[2, 5, 0], [4, 5, 1], [6, 5, 0]])
-        train, test, names = ingest(str(p), "y")
-        assert names == ["x1", "x2"]
-        assert np.allclose(train.inputs[:, 0], [0.0, 0.5, 1.0])
-        # constant feature maps to zero
-        assert np.allclose(train.inputs[:, 1], 0.0)
-        assert test is None
-
-    def test_idempotent_on_normalized_output(self, tmp_path):
-        rng = np.random.default_rng(0)
-        rows = np.column_stack([rng.uniform(-3, 9, 20), rng.uniform(0, 2, 20),
-                                rng.integers(0, 2, 20)])
-        p = self.write_csv(tmp_path, rows.tolist())
-        train, _, names = ingest(str(p), "y")
-        out = tmp_path / "norm.csv"
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(names + ["y"])
-            for xi, yi in zip(train.inputs, train.targets):
-                w.writerow(list(xi) + [yi])
-        again, _, _ = ingest(str(out), "y")
-        assert np.allclose(again.inputs, train.inputs, atol=1e-12)
-
-    def test_balanced_split_sizes(self, tmp_path):
-        rng = np.random.default_rng(1)
-        n_pos, n_neg = 1296, 2000
-        rows = ([[rng.normal(), rng.normal(), 1] for _ in range(n_pos)]
-                + [[rng.normal(), rng.normal(), 0] for _ in range(n_neg)])
-        p = self.write_csv(tmp_path, rows)
-        train, test, _ = ingest(str(p), "y", test_per_class=296,
-                                train_per_class=1000, seed=4)
-        assert test.n == 592
-        assert train.n == 2000
-        assert int((np.asarray(test.targets) == 1).sum()) == 296
-        assert int((np.asarray(train.targets) == 1).sum()) == 1000
-
-    def test_normalization_statistics_from_train_only(self, tmp_path):
-        rows = [[i, 0, i % 2] for i in range(10)]
-        p = self.write_csv(tmp_path, rows)
-        train, test, _ = ingest(str(p), "y", test_fraction=0.3, seed=0)
-        assert train.inputs[:, 0].min() == 0.0
-        assert train.inputs[:, 0].max() == 1.0
-        # test rows may fall outside [0,1]; they reuse train statistics
-        assert test.n == 3
-
-    def test_missing_values_error_lists_rows(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("x,y\n1,0\n,1\n2,\n")
-        with pytest.raises(Exception) as exc:
-            ingest(str(p), "y")
-        assert "3" in str(exc.value) and "4" in str(exc.value)
-
-    def test_non_numeric_error(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("x,y\n1,0\nfoo,1\n")
-        with pytest.raises(Exception) as exc:
-            ingest(str(p), "y")
-        assert "non-numeric" in str(exc.value)
-
-    @pytest.mark.parametrize("text, rows", [
-        ("x,y\n1,0\nnan,1\n2,0\n", "[3]"),
-        ("x,y\n1,0\n2,1\n-inf,0\n3,1\ninf,0\n", "[4, 6]"),
-        ("x,y\n1,0\n2,nan\n", "[3]"),
-    ], ids=["nan_feature", "inf_features", "nan_label"])
-    def test_cli_ingest_non_finite_exits_2(self, tmp_path, capsys, text, rows):
-        p = tmp_path / "bad.csv"
-        p.write_text(text)
-        out = tmp_path / "ing"
-        assert main(["ingest", str(p), "--label", "y", "--out", str(out)]) == 2
-        assert f"non-finite values in rows: {rows}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_real_labels_are_not_rounded(self, tmp_path):
-        p = self.write_csv(tmp_path, [[1, 2, 1000.001], [3, 4, 2000.002],
-                                      [5, 6, 3000.003]])
-        train, _, _ = ingest(str(p), "y")
-        assert train.targets.tolist() == [1000.001, 2000.002, 3000.003]
-        p = self.write_csv(tmp_path, [[1, 2, 0.0], [3, 4, 2.0], [5, 6, 1.0]])
-        train, _, _ = ingest(str(p), "y")
-        assert train.targets.dtype.kind == "i"
-        assert train.targets.tolist() == [0, 2, 1]
-
-    def test_cli_ingest_writes_files(self, tmp_path, capsys):
-        p = self.write_csv(tmp_path, [[1, 2, 0], [3, 4, 1], [5, 6, 0],
-                                      [7, 8, 1]])
-        out = tmp_path / "ing"
-        rc = main(["ingest", str(p), "--label", "y", "--test-per-class", "1",
-                   "--out", str(out)])
-        assert rc == 0
-        assert (out / "train.csv").exists() and (out / "test.csv").exists()
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["test_rows"] == 2
-
-    @pytest.mark.parametrize("flags, error", [
-        (["--test-fraction", "-0.2"], "test fraction must lie in [0, 1)"),
-        (["--test-fraction", "1.5"], "test fraction must lie in [0, 1)"),
-        (["--test-fraction", "0.95"], "no training rows"),
-        (["--test-per-class", "-1"], "test rows per class must be >= 0"),
-        (["--test-per-class", "1", "--train-per-class", "-1"],
-         "train rows per class must be >= 0"),
-        (["--test-per-class", "1", "--train-per-class", "0"], "no training rows"),
-    ])
-    def test_cli_ingest_bad_split_exits_2(self, tmp_path, capsys, flags, error):
-        # five rows, two per class 0 and 1 and one of class 2
-        p = self.write_csv(tmp_path, [[1, 2, 0], [3, 4, 1], [5, 6, 0], [7, 8, 1],
-                                      [9, 10, 2]])
-        out = tmp_path / "ing"
-        assert main(["ingest", str(p), "--label", "y", "--out", str(out)] + flags) == 2
-        assert error in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_min_max_normalize_helper(self):
-        train = np.array([[0.0, 1.0], [10.0, 1.0]])
-        test = np.array([[5.0, 1.0], [20.0, 1.0]])
-        tr, te = min_max_normalize(train, test)
-        assert np.allclose(tr, [[0, 0], [1, 0]])
-        assert np.allclose(te, [[0.5, 0], [2.0, 0]])
-
-
 class TestMest:
     def write_column(self, tmp_path, values, name="col.txt"):
         p = tmp_path / name
@@ -433,3 +307,25 @@ class TestListing:
     def test_version(self, capsys):
         assert main(["version"]) == 0
         assert capsys.readouterr().out.strip() == "0.1.0"
+
+
+def parser_commands(capsys):
+    """The subcommands of main's parser, read from its --help usage line."""
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    return re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1).split(",")
+
+
+class TestCommands:
+    def test_ingest_is_an_unknown_command(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "x.csv", "--label", "y"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'ingest'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_readme_command_block_names_the_parser_commands(self, capsys):
+        block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+        documented = re.findall(r"^robustgd (\S+)", block.split("```")[1], flags=re.M)
+        assert sorted(documented) == sorted(parser_commands(capsys))

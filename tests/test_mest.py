@@ -81,6 +81,18 @@ class TestRhoFamily:
         assert np.all(np.diff(rho.psi(v)) > 0)
         assert np.all(dpsi_reference(kind, v) > 0)
 
+    def test_pseudo_huber_psi_keeps_its_bound_past_overflow(self):
+        # 1 + u^2/2 overflows past |u| ~ 1.9e154; u / sqrt(inf) is 0 there
+        # (nan at inf) and would take the outliers' pull out of locate
+        rho = RhoFunction("pseudo_huber")
+        big = np.array([1e155, 1e300, np.inf])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(rho.psi(big), np.full(3, np.sqrt(2.0)))
+            assert np.array_equal(rho.psi(-big), np.full(3, -np.sqrt(2.0)))
+            assert np.all(np.diff(rho.psi([1e150, 1e154, 1e155, 1e308, np.inf])) >= 0)
+            at = [locate(np.array([0, 0, 0, c, c]), 1.0, rho) for c in (1e100, 1e200)]
+        assert at[0] == at[1] == pytest.approx(1.2649110640670942, rel=1e-12)
+
     def test_quadratic_kind_is_identity_influence(self):
         u = np.linspace(-5, 5, 11)
         assert np.allclose(QUAD.psi(u), u)
@@ -530,7 +542,10 @@ class TestSolverOracle:
         # x - theta overflows at theta = 1.5e308, and pseudo-Huber's u / p is
         # then inf / inf: the reference loop warned "invalid value" there;
         # the compacted loop runs the whole solve under one np.errstate
-        # block, so only the overflows still warn
+        # block, so only the overflows still warn.  psi(-inf) = -sqrt(2)
+        # sends the solve into bisection next to 1.8e308, where the
+        # reference's 0.5 * (lc + hc) also overflows; the library's estimate
+        # is then the other bounded kinds' to the bit
         X = np.array([[-1.5e308], [1.5e308], [1.5e308]])
         rho = RhoFunction("pseudo_huber")
         with warnings.catch_warnings(record=True) as seen:
@@ -538,12 +553,15 @@ class TestSolverOracle:
             got = locate_columns(X, np.ones(1), rho)
         with warnings.catch_warnings(record=True) as seen_ref:
             warnings.simplefilter("always")
-            want = locate_columns_reference(X, np.ones(1), rho)
-        assert np.array_equal(bits(got[0]), bits(want[0])) and got[0][0] == 1.5e308
+            locate_columns_reference(X, np.ones(1), rho)
+        with np.errstate(over="ignore"):
+            for kind in ("gudermannian", "log_cosh"):
+                theta, _ = locate_columns(X, np.ones(1), RhoFunction(kind))
+                assert np.array_equal(bits(got[0]), bits(theta))
         messages = {str(w.message) for w in seen}
         assert messages and all(m.startswith("overflow") for m in messages)
         assert {str(w.message) for w in seen_ref} == messages | {
-            "invalid value encountered in divide"}
+            "invalid value encountered in divide", "overflow encountered in add"}
 
     @pytest.mark.parametrize("kind", RHO_KINDS)
     def test_bisection_stays_finite_at_the_float_limit(self, kind):
