@@ -57,9 +57,10 @@ def summarize(pairs, metrics):
     per seed; ``metrics`` maps each end-to-end metric to "lower" or
     "higher", the direction that is better.  A metric's ``gap`` is the
     parent's median minus the change's, signed so that a positive gap is
-    a gain, and ``gap_exceeds_parent_iqr`` compares it with the parent's
-    quartile spread.  ``reference_s`` gives each side's median reference
-    time, where a run reported one.
+    a gain and a negative one a regression, and ``gap_exceeds_parent_iqr``
+    compares its size with the parent's quartile spread, either way.
+    ``reference_s`` gives each side's median reference time, where a run
+    reported one.
     """
     out = {}
     for name, better in metrics.items():
@@ -68,7 +69,7 @@ def summarize(pairs, metrics):
         won = sum(sign * (p["parent"][name] - p["change"][name]) > 0 for p in pairs)
         gap = sign * (sides["parent"]["median"] - sides["change"]["median"])
         out[name] = {**sides, "change_won": won, "gap": gap,
-                     "gap_exceeds_parent_iqr": gap > sides["parent"]["iqr"],
+                     "gap_exceeds_parent_iqr": abs(gap) > sides["parent"]["iqr"],
                      "ratio": sides["change"]["median"] / sides["parent"]["median"]}
     refs = {s: [p[s]["reference_s"] for p in pairs if "reference_s" in p[s]]
             for s in SIDES}
@@ -81,11 +82,12 @@ def format_summary(workload, summary):
     lines = [f"{workload}: {summary['pairs']} pairs"]
     for name, m in summary["metrics"].items():
         p, c = m["parent"], m["change"]
+        way = "gain" if m["gap"] > 0 else "regression" if m["gap"] < 0 else "tie"
         lines.append(
             f"  {name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
             f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
             f"  ratio {m['ratio']:.4f}  change won {m['change_won']} of "
-            f"{summary['pairs']}  gap {m['gap']:.4g} vs parent IQR {p['iqr']:.4g}"
+            f"{summary['pairs']}  gap {m['gap']:.4g} ({way}) vs parent IQR {p['iqr']:.4g}"
             f" ({'exceeds' if m['gap_exceeds_parent_iqr'] else 'within'})")
     ref = summary["reference_s"]
     lines.append(f"  reference_s median: parent {ref['parent']}  change {ref['change']}")

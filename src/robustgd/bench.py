@@ -98,7 +98,7 @@ class ExperimentConfig:
     of the run could use is rejected when the config is built."""
 
     task: str
-    methods: tuple = ()
+    methods: tuple[str, ...] = ()
     n: int = 500
     d: int = 2
     alpha: float = 0.1
@@ -112,13 +112,13 @@ class ExperimentConfig:
     init_delta: float = 5.0
     noise: NoiseSpec = field(default_factory=lambda: poc_noise("lognormal"))
     # sweep / grid parameters
-    init_deltas: tuple = (2.5, 5.0, 10.0)
-    n_values: tuple = (10, 40, 160, 640)
-    d_values: tuple = (2, 8, 32, 128)
-    families: tuple = ("normal", "lognormal", "loglogistic", "triangular_sym")
-    levels: tuple = (8,)
-    grid_n: tuple = (30,)
-    grid_d: tuple = (5,)
+    init_deltas: tuple[float, ...] = (2.5, 5.0, 10.0)
+    n_values: tuple[int, ...] = (10, 40, 160, 640)
+    d_values: tuple[int, ...] = (2, 8, 32, 128)
+    families: tuple[str, ...] = ("normal", "lognormal", "loglogistic", "triangular_sym")
+    levels: tuple[int, ...] = (8,)
+    grid_n: tuple[int, ...] = (30,)
+    grid_d: tuple[int, ...] = (5,)
     # classification task parameters
     classes: int = 3
     features: int = 20
@@ -127,8 +127,6 @@ class ExperimentConfig:
     separation: float = 3.0
     label_noise: float = 0.05
     init_scale: float = 0.05
-    # advanced overrides
-    trial_seeds: tuple | None = None
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -156,11 +154,6 @@ class ExperimentConfig:
         for key in _CONDITION_LISTS:
             if len(getattr(self, key)) == 0:
                 raise ValueError(f"{key} must list at least one value")
-        if self.trial_seeds is not None:
-            if len(self.trial_seeds) != self.trials:
-                raise ValueError("trial_seeds must have one entry per trial")
-            if min(self.trial_seeds) < 0:
-                raise ValueError("trial_seeds must be >= 0")
         sizes = [(o.get("n", self.n), o.get("d", self.d)) for _, o in _conditions(self)]
         for key, values in zip(("n", "d"), zip(*sizes)):
             if min(values) < 1:
@@ -207,8 +200,6 @@ def _parse_method(name):
 
 
 def _trial_seed(cfg, trial):
-    if cfg.trial_seeds is not None:
-        return int(cfg.trial_seeds[trial])
     return int(cfg.seed) + trial
 
 
@@ -379,8 +370,7 @@ def _regression_setup(cfg, overrides, trial_seed):
                               w_star=w_star)
     if grid:
         test, _ = gen_regression(cfg.test_size, d, noise, data_rng, w_star=w_star)
-    sd = noise_sd(noise)
-    risk = SyntheticRisk(w_star, noise_second_moment=sd * sd if np.isfinite(sd) else np.nan)
+    risk = SyntheticRisk(w_star)
     w_ols = _ols_weights(train)
     rhat_star = empirical_risk(LinearModel(w_ols), train)
     stop = StoppingRule(max_iters=cfg.iters, grad_norm_tol=cfg.grad_norm_tol)

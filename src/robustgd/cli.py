@@ -11,6 +11,7 @@ import configparser
 import csv
 import json
 import sys
+import typing
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -29,15 +30,6 @@ from .datagen import (
 )
 from .mest import ChiFunction, FixedPointSettings, RhoFunction, confidence_scale, locate, rescale
 
-_INT_KEYS = ("n", "d", "iters", "trials", "test_size", "seed", "classes",
-             "features", "budget_factor")
-_FLOAT_KEYS = ("alpha", "delta", "init_delta", "grad_norm_tol", "reg_strength",
-               "separation", "label_noise", "init_scale")
-_STR_KEYS = ("task", "rho")
-_TUPLE_FLOAT_KEYS = ("init_deltas",)
-_TUPLE_INT_KEYS = ("n_values", "d_values", "levels", "grid_n", "grid_d")
-_TUPLE_STR_KEYS = ("methods", "families")
-
 
 class ConfigError(Exception):
     pass
@@ -47,23 +39,31 @@ def _split_list(raw):
     return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
+def _value(section, key, hint, raw):
+    """``raw`` as a value of the field type ``hint``: a scalar type,
+    ``T | None`` read as T, or a comma-separated ``tuple[T, ...]``.  A value
+    that fails to convert names its key."""
+    args = typing.get_args(hint)
+    try:
+        if typing.get_origin(hint) is tuple:
+            return tuple(args[0](v) for v in _split_list(raw))
+        return (args[0] if args else hint)(raw.strip())
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+
+
+# the [experiment] keys and their types: ExperimentConfig's fields but noise,
+# which has a section of its own
+_EXPERIMENT_KEYS = {key: hint for key, hint
+                    in typing.get_type_hints(ExperimentConfig).items() if key != "noise"}
+
+
 def _parse_experiment_section(section):
     kwargs = {}
     for key, raw in section.items():
-        if key in _INT_KEYS:
-            kwargs[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(raw)
-        elif key in _STR_KEYS:
-            kwargs[key] = raw.strip()
-        elif key in _TUPLE_FLOAT_KEYS:
-            kwargs[key] = tuple(float(v) for v in _split_list(raw))
-        elif key in _TUPLE_INT_KEYS:
-            kwargs[key] = tuple(int(v) for v in _split_list(raw))
-        elif key in _TUPLE_STR_KEYS:
-            kwargs[key] = _split_list(raw)
-        else:
+        if key not in _EXPERIMENT_KEYS:
             raise ConfigError(f"unknown key in [experiment]: {key!r}")
+        kwargs[key] = _value("experiment", key, _EXPERIMENT_KEYS[key], raw)
     return kwargs
 
 
@@ -75,9 +75,9 @@ def _parse_noise_section(section):
         if key == "family":
             family = raw.strip()
         elif key == "level":
-            level = int(raw)
+            level = _value("noise", key, int, raw)
         else:
-            params[key] = float(raw)
+            params[key] = _value("noise", key, float, raw)
     if family is None:
         raise ConfigError("[noise] section needs a 'family' key")
     try:
@@ -141,9 +141,9 @@ def _echo_config(cfg, seed, parallelism):
     lines.append(f"version = {__version__}")
     lines.append(f"base_seed = {seed}")
     lines.append(f"parallelism = {parallelism}")
-    # seed and noise have their own lines; trial_seeds is not a config key
+    # seed and noise have their own lines
     for f in fields(cfg):
-        if f.name not in ("seed", "noise", "trial_seeds"):
+        if f.name not in ("seed", "noise"):
             lines.append(f"{f.name} = {getattr(cfg, f.name)}")
     lines.append(f"noise = {cfg.noise.label()}")
     return lines

@@ -244,10 +244,10 @@ def w_star_sequence(k):
     return np.pi / 4 + sign * (k - 1) * np.pi / 8
 
 
-def gen_w_star(d, rng, pool_size=500):
+def gen_w_star(d, rng):
     """Target vector with entries drawn from the deterministic sequence at
-    uniformly sampled indices in [1, pool_size]."""
-    idx = rng.integers(1, pool_size + 1, size=d)
+    uniformly sampled indices in [1, 500]."""
+    idx = rng.integers(1, 501, size=d)
     return w_star_sequence(idx)
 
 
@@ -291,16 +291,12 @@ def initial_point(w_star, delta, rng):
 @dataclass
 class SyntheticRisk:
     """Quadratic risk with curvature ``sigma`` (identity when None) and
-    minimum at ``w_star``; exposes the exact risk, gradient and extreme
-    curvature eigenvalues for oracle runs and closed-form checks.
-
-    ``noise_second_moment`` is E[eps^2] of the centered observation noise,
-    the risk offset at the minimum (half of it); excess risk never needs it.
+    minimum at ``w_star``; exposes the exact excess risk, gradient and
+    extreme curvature eigenvalues for oracle runs and closed-form checks.
     """
 
     w_star: np.ndarray
     sigma: np.ndarray | None = None
-    noise_second_moment: float = 0.0
 
     def __post_init__(self):
         self.w_star = np.asarray(self.w_star, dtype=float)
@@ -339,7 +335,4 @@ class SyntheticRisk:
         else:
             out = 0.5 * ((v @ self.sigma) * v).sum(axis=1)
         return float(out[0]) if np.ndim(w) == 1 else out
-
-    def exact_risk(self, w):
-        return self.exact_excess_risk(w) + 0.5 * self.noise_second_moment
 

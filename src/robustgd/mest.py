@@ -46,10 +46,6 @@ class RhoFunction:
             raise ValueError(f"unknown rho kind: {kind!r}; expected one of {RHO_KINDS}")
         self.kind = kind
 
-    @property
-    def bounded(self):
-        return self.kind != "quadratic_test_only"
-
     def psi(self, u):
         """Influence psi(u), the first output of ``psi_dpsi``; a scalar u
         gives a numpy scalar."""

@@ -26,19 +26,15 @@ from .robust_grad import column_scales, robust_gradient
 
 @dataclass
 class OptimState:
-    """Current iterate, step size and accounting counters."""
+    """Starting iterate and step size."""
 
     w: np.ndarray
     alpha: float
-    t: int = 0
-    grad_evals: int = 0
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float)
         if not self.alpha > 0:
             raise ValueError("step size alpha must be positive")
-        if self.t < 0 or self.grad_evals < 0:
-            raise ValueError("counters must be non-negative")
 
 
 @dataclass
@@ -95,17 +91,11 @@ class Trajectory:
     iterates: np.ndarray
     grad_evals: np.ndarray
     stop_reason: str
-    alpha: float
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def final_w(self):
         return self.iterates[-1]
-
-    @property
-    def final_state(self):
-        return OptimState(self.iterates[-1].copy(), self.alpha,
-                          t=int(self.steps[-1]), grad_evals=int(self.grad_evals[-1]))
 
     @property
     def diverged(self):
@@ -127,8 +117,8 @@ def _batch_descent(grad_fn, step_cost, state, constraint, stop, record_every):
     """
     every = max(1, int(record_every))
     W = np.array(state.w, dtype=float)
-    t, evals = state.t, state.grad_evals
-    last, budget, tol, alpha = t + stop.max_iters, stop.budget, stop.grad_norm_tol, state.alpha
+    t = evals = 0
+    last, budget, tol, alpha = stop.max_iters, stop.budget, stop.grad_norm_tol, state.alpha
     live = np.arange(W.shape[0])
     records = [[(t, w, evals)] for w in W]
     reasons = [None] * live.size
@@ -172,14 +162,13 @@ def _batch_descent(grad_fn, step_cost, state, constraint, stop, record_every):
             iterates=np.asarray(iterates, dtype=float),
             grad_evals=np.asarray(spent, dtype=int),
             stop_reason=reason,
-            alpha=state.alpha,
         ))
     return out
 
 
 def _as_batch(state):
     """One trial's state as a batch of one."""
-    return OptimState(state.w[None], state.alpha, state.t, state.grad_evals)
+    return OptimState(state.w[None], state.alpha)
 
 
 def _descent(grad_fn, step_cost, state, constraint, stop, record_every):
@@ -187,12 +176,6 @@ def _descent(grad_fn, step_cost, state, constraint, stop, record_every):
     traj, = _batch_descent(lambda W, t, live: grad_fn(W[0], t)[None], step_cost,
                            _as_batch(state), constraint, stop, record_every)
     return traj
-
-
-def _row_mean(G):
-    """``G.mean(axis=0)`` bit for bit; a lone row skips numpy's mean wrapper
-    and adds +0.0 instead, which turns -0.0 into +0.0 as the mean's sum does."""
-    return G[0] + 0.0 if G.shape[0] == 1 else G.mean(axis=0)
 
 
 def _stack_datasets(model, datasets):
@@ -267,7 +250,7 @@ def _robust_descent(rows, cfg, state, constraint, stop, record_every, cost,
     return trajs
 
 
-def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
+def rgd_run(model, dataset, cfg, state, stop, constraint=None, rng=None,
             batch_size=None, coordinate_subset_size=None, record_every=1):
     """Robust gradient descent: each step summarizes the per-row gradient
     matrix by coordinate-wise location estimates (``robust_gradient``) and
@@ -282,7 +265,6 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
     rest take their plain mean.  Per-column solver fallbacks are tallied,
     never raised.
     """
-    stop = stop or StoppingRule(max_iters=100)
     n = dataset.n
     if batch_size is None:
         rows = _trial_rows(model, *_stack_datasets(model, [dataset]))
@@ -315,7 +297,7 @@ def rgd_run(model, dataset, cfg, state, constraint=None, stop=None, rng=None,
     return traj
 
 
-def rgd_stacked_run(model, datasets, cfg, state, constraint=None, stop=None,
+def rgd_stacked_run(model, datasets, cfg, state, stop, constraint=None,
                     record_every=1):
     """Full-batch ``rgd_run`` of T trials at once, one stacked M-estimate per
     step: trial k descends from row k of ``state.w`` on ``datasets[k]``, all
@@ -323,24 +305,22 @@ def rgd_stacked_run(model, datasets, cfg, state, constraint=None, stop=None,
     entry.  Returns one Trajectory per trial, each bit for bit its own
     ``rgd_run``.
     """
-    stop = stop or StoppingRule(max_iters=100)
     Xs, ys = _stack_datasets(model, datasets)
     return _robust_descent(_trial_rows(model, Xs, ys), cfg, state, constraint,
                            stop, record_every, Xs.shape[1])
 
 
-def erm_gd_run(model, dataset, state, constraint=None, stop=None, record_every=1):
+def erm_gd_run(model, dataset, state, stop, constraint=None, record_every=1):
     """Gradient descent on the empirical risk (sample-mean gradient)."""
-    traj, = erm_gd_stacked_run(model, [dataset], _as_batch(state), constraint,
-                               stop, record_every)
+    traj, = erm_gd_stacked_run(model, [dataset], _as_batch(state), stop,
+                               constraint, record_every)
     return traj
 
 
-def erm_gd_stacked_run(model, datasets, state, constraint=None, stop=None,
+def erm_gd_stacked_run(model, datasets, state, stop, constraint=None,
                        record_every=1):
     """``erm_gd_run`` of T trials at once, as ``rgd_stacked_run`` stacks
     ``rgd_run``."""
-    stop = stop or StoppingRule(max_iters=100)
     Xs, ys = _stack_datasets(model, datasets)
     rows = _trial_rows(model, Xs, ys)
     return _batch_descent(lambda W, t, live: rows(live, W).mean(axis=1),
@@ -348,38 +328,33 @@ def erm_gd_stacked_run(model, datasets, state, constraint=None, stop=None,
                           record_every)
 
 
-def oracle_gd_run(grad, state, constraint=None, stop=None, record_every=1):
+def oracle_gd_run(grad, state, stop, constraint=None, record_every=1):
     """Descent on an exact gradient map ``grad(w)``; consumes no evaluations."""
-    stop = stop or StoppingRule(max_iters=100)
     return _descent(lambda w, t: grad(w), lambda t: 0, state, constraint, stop,
                     record_every)
 
 
-def sgd_run(model, dataset, state, stop, rng, constraint=None, batch_size=1,
-            record_every=1):
-    """Stochastic gradient descent on uniformly sampled rows, whose gradient
-    rows come from ``model.grad_rows`` on data checked once at entry."""
+def sgd_run(model, dataset, state, stop, rng, constraint=None, record_every=1):
+    """Stochastic gradient descent on one uniformly sampled row per step,
+    whose gradient comes from ``model.grad_rows`` on data checked once at
+    entry."""
     X, y = row_arrays(model, dataset)
     n = dataset.n
 
     def grad_fn(w, t):
-        if batch_size == 1:
-            # a scalar draw consumes the stream as a size-1 draw does
-            i = int(rng.integers(n))
-            idx = slice(i, i + 1)
-        else:
-            idx = rng.integers(n, size=batch_size)
-        return _row_mean(model.grad_rows(w, X[idx], y[idx]))
+        # a scalar draw consumes the stream as a size-1 draw does
+        i = int(rng.integers(n))
+        # adding +0.0 turns -0.0 into +0.0, as a one-row mean's sum does
+        return model.grad_rows(w, X[i:i + 1], y[i:i + 1])[0] + 0.0
 
-    return _descent(grad_fn, lambda t: batch_size, state, constraint, stop,
-                    record_every)
+    return _descent(grad_fn, lambda t: 1, state, constraint, stop, record_every)
 
 
-def svrg_run(model, dataset, state, stop, rng, constraint=None,
-             inner_steps=None, record_every=1):
+def svrg_run(model, dataset, state, stop, rng, constraint=None, record_every=1):
     """Variance-reduced stochastic descent: full-gradient snapshots (n
-    evaluations each) anchor inner loops of single-sample corrected steps
-    (1 evaluation each), repeated until the budget or iteration cap.
+    evaluations each) anchor inner loops of max(1, n // 2) single-sample
+    corrected steps (1 evaluation each), repeated until the budget or
+    iteration cap.
 
     A snapshot is charged together with the first inner step it anchors,
     so the budget never pays for a snapshot that no step uses.  Data is
@@ -390,11 +365,11 @@ def svrg_run(model, dataset, state, stop, rng, constraint=None,
     """
     X, y = row_arrays(model, dataset)
     n = dataset.n
-    inner_len = max(1, n // 2 if inner_steps is None else int(inner_steps))
+    inner_len = max(1, n // 2)
     snap = {}
 
     def epoch_start(t):
-        return (t - state.t) % inner_len == 0
+        return t % inner_len == 0
 
     def grad_fn(w, t):
         if epoch_start(t):
@@ -470,8 +445,8 @@ def default_partition_count(n, d):
     return max(2, n // (2 * d))
 
 
-def median_of_means_gd_run(model, dataset, partitions, state, constraint=None,
-                           stop=None, record_every=1, median_tol=1e-10):
+def median_of_means_gd_run(model, dataset, partitions, state, stop,
+                           constraint=None, record_every=1):
     """Descent on geometric-median-aggregated block-mean gradients.
 
     Rows are split into ``partitions`` equal blocks of q = n // partitions
@@ -480,7 +455,6 @@ def median_of_means_gd_run(model, dataset, partitions, state, constraint=None,
     reshape of the gradient rows, the last block's mean on its own, and
     aggregates the block means by geometric median.
     """
-    stop = stop or StoppingRule(max_iters=100)
     n = dataset.n
     partitions = int(partitions)
     if partitions < 2:
@@ -494,6 +468,6 @@ def median_of_means_gd_run(model, dataset, partitions, state, constraint=None,
         _, G = loss_and_grad_rows(model.with_weights(w), dataset)
         means = np.vstack([G[:head].reshape(partitions - 1, q, -1).mean(axis=1),
                            G[head:].mean(axis=0)])
-        return geometric_median(means, tol=median_tol)
+        return geometric_median(means)
 
     return _descent(grad_fn, lambda t: n, state, constraint, stop, record_every)

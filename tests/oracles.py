@@ -452,7 +452,7 @@ def svrg_reference_run(model, dataset, state, stop, rng):
     snap = {}
 
     def epoch_start(t):
-        return (t - state.t) % inner_len == 0
+        return t % inner_len == 0
 
     def grad_fn(w, t):
         if epoch_start(t):

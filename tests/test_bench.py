@@ -47,11 +47,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(rho="quadratic_test_only")
 
-    def test_negative_trial_seed_rejected(self):
-        # a key config files cannot set, so the CLI's exit-2 cases miss it
-        with pytest.raises(ValueError, match="trial_seeds must be >= 0"):
-            small_cfg(trial_seeds=(3, -1))
-
     def test_default_methods_per_task(self):
         assert ExperimentConfig(task="quadratic_poc", trials=1).methods == (
             "oracle", "erm", "rgd")
@@ -174,15 +169,6 @@ class TestRunExperiment:
         # methods x trials x iterations x metrics
         assert len(res.rows()) == 2 * 2 * 5 * 3
         assert res.n_aborted == 0
-
-    def test_equal_trial_seeds_have_zero_variance(self):
-        res = run_experiment(small_cfg(trial_seeds=(7, 7)))
-        agg = res.aggregate()
-        assert all(v["var"] == 0.0 and v["count"] == 2 for v in agg.values())
-        single = run_experiment(small_cfg(trials=1, trial_seeds=(7,)))
-        sagg = single.aggregate()
-        for (m, c, s, met), v in sagg.items():
-            assert agg[(m, c, s, met)]["mean"] == pytest.approx(v["mean"])
 
     def test_oracle_trace_matches_closed_form(self):
         cfg = small_cfg(methods=("oracle",), trials=1, iters=8, init_delta=2.0)

@@ -4,12 +4,14 @@ set, and the standalone estimation utility."""
 import csv
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from robustgd.cli import main
+from robustgd.bench import ExperimentConfig
+from robustgd.cli import load_config, main
 from robustgd.mest import ChiFunction, FixedPointSettings, RhoFunction, confidence_scale, rescale
 
 from oracles import locate_oracle
@@ -37,6 +39,11 @@ def write_config(tmp_path, text=MINIMAL_CONFIG, name="cfg.ini"):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+# every [experiment] key: the fields of ExperimentConfig but noise, which is
+# a section of its own
+EXPERIMENT_KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "noise"]
 
 
 class TestRun:
@@ -83,6 +90,36 @@ class TestRun:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "warp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("n = 40", "n = abc", "[experiment] n: "),
+        ("d = 2", "d = 2\nalpha = fast", "[experiment] alpha: "),
+        ("d = 2", "d = 2\ngrad_norm_tol = none", "[experiment] grad_norm_tol: "),
+        ("d = 2", "d = 2\nn_values = 10, 4x", "[experiment] n_values: "),
+        ("d = 2", "d = 2\ninit_deltas = 2.5, wide", "[experiment] init_deltas: "),
+        ("log_scale = 1.75", "log_scale = x", "[noise] log_scale: "),
+        ("log_loc = 0.0\nlog_scale = 1.75", "level = 2.5", "[noise] level: "),
+    ])
+    def test_unconvertible_value_exits_2_naming_its_key(self, tmp_path, capsys,
+                                                       old, new, named):
+        cfg = write_config(tmp_path, MINIMAL_CONFIG.replace(old, new))
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: {named}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", EXPERIMENT_KEYS)
+    def test_default_round_trips_through_config_text(self, tmp_path, key):
+        # every key's resolved default, written as config text, loads back
+        # equal and of the same type, element by element for lists
+        want = getattr(ExperimentConfig(task="quadratic_poc"), key)
+        text = ", ".join(map(str, want)) if isinstance(want, tuple) else str(want)
+        settings = {"task": "quadratic_poc", key: text}
+        body = "".join(f"{k} = {v}\n" for k, v in settings.items())
+        got = getattr(load_config(write_config(tmp_path, "[experiment]\n" + body)), key)
+        assert got == want and type(got) is type(want)
+        if isinstance(want, tuple):
+            assert list(map(type, got)) == list(map(type, want))
 
     def test_unknown_noise_param_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL_CONFIG + "warp = 9\n")
@@ -329,3 +366,8 @@ class TestCommands:
         block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
         documented = re.findall(r"^robustgd (\S+)", block.split("```")[1], flags=re.M)
         assert sorted(documented) == sorted(parser_commands(capsys))
+
+    def test_readme_config_grammar_names_the_experiment_keys(self):
+        grammar = README.read_text(encoding="utf-8").split("### Config grammar", 1)[1]
+        sentence = grammar.split("section sets", 1)[1].split("Lists are", 1)[0]
+        assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(EXPERIMENT_KEYS)

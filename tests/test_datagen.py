@@ -223,10 +223,6 @@ class TestSyntheticRisk:
         with pytest.raises(ValueError):
             SyntheticRisk(np.zeros(2), sigma=-np.eye(2))
 
-    def test_risk_offset(self):
-        risk = SyntheticRisk(np.zeros(2), noise_second_moment=4.0)
-        assert risk.exact_risk(np.zeros(2)) == pytest.approx(2.0)
-
 
 def test_initial_point_box():
     rng = np.random.default_rng(10)

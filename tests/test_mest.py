@@ -96,7 +96,6 @@ class TestRhoFamily:
     def test_quadratic_kind_is_identity_influence(self):
         u = np.linspace(-5, 5, 11)
         assert np.allclose(QUAD.psi(u), u)
-        assert not QUAD.bounded
 
     @pytest.mark.parametrize("kind", ROBUST_KINDS + ("quadratic_test_only",))
     def test_rho_matches_half_square_near_zero(self, kind):

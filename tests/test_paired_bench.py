@@ -60,6 +60,19 @@ def test_gap_within_the_parent_spread_is_no_gain():
     assert not m["gap_exceeds_parent_iqr"]
 
 
+def test_regression_beyond_the_parent_spread_exceeds_it():
+    # the change's median is 0.06 worse, more than the parent's IQR of 0.04
+    parent = [1.00, 1.02, 0.98, 1.04, 0.96]
+    change = [1.06, 1.08, 1.04, 1.10, 1.02]
+    s = paired_bench.summarize(pairs_of(parent, change), METRICS)
+    m = s["metrics"]["wall_norm_s"]
+    assert m["change_won"] == 0
+    assert m["gap"] == pytest.approx(-0.06) and m["parent"]["iqr"] == pytest.approx(0.04)
+    assert m["gap_exceeds_parent_iqr"]
+    line = paired_bench.format_summary("wide_d", s).splitlines()[1]
+    assert "(regression)" in line and line.endswith("(exceeds)")
+
+
 def test_higher_is_better_flips_the_sign():
     m = paired_bench.summarize(pairs_of([1.0, 2.0], [3.0, 1.0]),
                                {"wall_norm_s": "higher"})["metrics"]["wall_norm_s"]
@@ -86,6 +99,7 @@ def test_summary_text_names_every_metric():
     assert text.splitlines()[0] == "cls_budget: 2 pairs"
     assert "wall_norm_s:" in text and "peak_rss_mb:" in text
     assert "change won 2 of 2" in text and "reference_s median" in text
+    assert "(gain)" in text and "(tie)" in text
 
 
 @pytest.mark.parametrize("text, seeds", [("0-3", [0, 1, 2, 3]), ("5", [5]),

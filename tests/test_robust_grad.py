@@ -12,7 +12,7 @@ from robustgd.mest import (
     rescale,
 )
 from robustgd.models import Dataset, LinearModel
-from robustgd.optim import OptimState, rgd_run
+from robustgd.optim import OptimState, StoppingRule, rgd_run
 from robustgd.robust_grad import (
     RobustConfig,
     robust_gradient,
@@ -152,8 +152,8 @@ class TestSubsetVariant:
         X = np.random.default_rng(0).normal(size=(8, 3))
         with pytest.raises(ValueError, match="coordinate_subset_size must be >= 1"):
             rgd_run(LinearModel(np.zeros(3)), Dataset(X, X.sum(axis=1)), GUD_CFG,
-                    OptimState(np.zeros(3), 0.1), rng=np.random.default_rng(0),
-                    coordinate_subset_size=0)
+                    OptimState(np.zeros(3), 0.1), StoppingRule(max_iters=1),
+                    rng=np.random.default_rng(0), coordinate_subset_size=0)
 
 
 class TestRobustRisk:
