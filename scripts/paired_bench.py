@@ -9,8 +9,9 @@ each side: the export runs the parent's sources, this checkout its own
 working tree.  The two runs of a seed form a pair, and the side that runs
 first alternates from seed to seed.  For every end-to-end metric that
 ``BENCHMARK.json`` declares, it prints each side's median and quartiles, the
-pairs the change won (ties count for neither side), and the gap between the
-medians against the parent's interquartile range; it also prints each
+median and quartiles of the per-pair ratio change / parent, the pairs the
+change won (ties count for neither side), and the gap between the medians
+against the parent's interquartile range; it also prints each
 side's ``reference_s`` median, the allocator check of the normalisation.
 ``--json`` writes the same summary with every run's numbers.
 """
@@ -59,8 +60,10 @@ def summarize(pairs, metrics):
     parent's median minus the change's, signed so that a positive gap is
     a gain and a negative one a regression, and ``gap_exceeds_parent_iqr``
     compares its size with the parent's quartile spread, either way.
-    ``reference_s`` gives each side's median reference time, where a run
-    reported one.
+    ``ratio`` divides the change's median by the parent's; ``pair_ratio``
+    gives the spread of change / parent within each pair, which cancels
+    the host's drift from one pair to the next.  ``reference_s`` gives
+    each side's median reference time, where a run reported one.
     """
     out = {}
     for name, better in metrics.items():
@@ -70,7 +73,9 @@ def summarize(pairs, metrics):
         gap = sign * (sides["parent"]["median"] - sides["change"]["median"])
         out[name] = {**sides, "change_won": won, "gap": gap,
                      "gap_exceeds_parent_iqr": abs(gap) > sides["parent"]["iqr"],
-                     "ratio": sides["change"]["median"] / sides["parent"]["median"]}
+                     "ratio": sides["change"]["median"] / sides["parent"]["median"],
+                     "pair_ratio": spread([p["change"][name] / p["parent"][name]
+                                           for p in pairs])}
     refs = {s: [p[s]["reference_s"] for p in pairs if "reference_s" in p[s]]
             for s in SIDES}
     return {"pairs": len(pairs), "metrics": out,
@@ -81,12 +86,13 @@ def summarize(pairs, metrics):
 def format_summary(workload, summary):
     lines = [f"{workload}: {summary['pairs']} pairs"]
     for name, m in summary["metrics"].items():
-        p, c = m["parent"], m["change"]
+        p, c, r = m["parent"], m["change"], m["pair_ratio"]
         way = "gain" if m["gap"] > 0 else "regression" if m["gap"] < 0 else "tie"
         lines.append(
             f"  {name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
             f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
-            f"  ratio {m['ratio']:.4f}  change won {m['change_won']} of "
+            f"  ratio {m['ratio']:.4f}  pair ratio {r['median']:.4f}"
+            f" [{r['q1']:.4f}, {r['q3']:.4f}]  change won {m['change_won']} of "
             f"{summary['pairs']}  gap {m['gap']:.4g} ({way}) vs parent IQR {p['iqr']:.4g}"
             f" ({'exceeds' if m['gap_exceeds_parent_iqr'] else 'within'})")
     ref = summary["reference_s"]

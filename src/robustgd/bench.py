@@ -239,19 +239,28 @@ class ExperimentResult:
     def completed(self):
         return [t for t in self.trials if not t.aborted]
 
+    def trial_tables(self):
+        """The long-format row order, one completed trial at a time:
+        (trial, step keys, sorted metric names, their value columns, sorted
+        terminal (step key, metric, value) rows).  A trial's rows are each
+        step key with every metric in name order, then its terminal rows."""
+        for tr in self.completed():
+            keys = [f"{tr.condition}:{step}" if tr.condition else str(step)
+                    for step in tr.steps]
+            names = sorted(tr.metrics)
+            key = tr.condition if tr.condition else "terminal"
+            yield (tr, keys, names, [tr.metrics[m] for m in names],
+                   [(key, m, tr.terminal[m]) for m in sorted(tr.terminal)])
+
     def rows(self):
         """Long-format rows (experiment, method, trial, step, metric, value)."""
         out = []
-        for tr in self.completed():
-            for i, step in enumerate(tr.steps):
-                key = f"{tr.condition}:{step}" if tr.condition else str(step)
-                for metric in sorted(tr.metrics):
-                    out.append((self.config.task, tr.method, tr.trial, key,
-                                metric, tr.metrics[metric][i]))
-            for metric in sorted(tr.terminal):
-                key = tr.condition if tr.condition else "terminal"
-                out.append((self.config.task, tr.method, tr.trial, key,
-                            metric, tr.terminal[metric]))
+        task = self.config.task
+        for tr, keys, names, columns, terminal in self.trial_tables():
+            for i, key in enumerate(keys):
+                out += [(task, tr.method, tr.trial, key, m, col[i])
+                        for m, col in zip(names, columns)]
+            out += [(task, tr.method, tr.trial, *row) for row in terminal]
         return out
 
     def aggregate(self):

@@ -9,7 +9,9 @@ results flagged), 2 unusable config or input.
 import argparse
 import configparser
 import csv
+import io
 import json
+import re
 import sys
 import typing
 from dataclasses import fields, replace
@@ -126,14 +128,44 @@ def _next_run_dir(out_root):
         k += 1
 
 
+# characters that make csv.writer quote a field under minimal quoting
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_field(text):
+    """``text`` as ``csv.writer(lineterminator="\\n")`` writes it inside a
+    row: as is, or through the csv module where it needs quoting."""
+    if _CSV_SPECIAL.search(text) is None:
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 def _write_results_csv(path, result):
+    """Write ``result.rows()`` as ``results.csv``, one trial at a time.
+
+    The bytes are csv.writer's for those rows with every value as
+    ``repr(float(value))``.  Each trial's rows are formatted as one string:
+    its fixed fields once, each step key once, and each metric column
+    converted to floats once.  The file is never held whole: at 250 trials
+    it is megabytes, and freeing a block of 1 MB or more raises the C
+    allocator's mmap threshold for the rest of the process.
+    """
+    task = _csv_field(result.config.task)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["experiment", "method", "trial", "step", "metric",
-                         "value"])
-        for exp, method, trial, step, metric, value in result.rows():
-            writer.writerow([exp, method, trial, step, metric,
-                             repr(float(value))])
+        fh.write("experiment,method,trial,step,metric,value\n")
+        for tr, keys, names, columns, terminal in result.trial_tables():
+            head = f"{task},{_csv_field(tr.method)},{tr.trial},"
+            names = [_csv_field(m) for m in names]
+            columns = [np.asarray(col, dtype=float).tolist() for col in columns]
+            lines = []
+            for i, key in enumerate(keys):
+                lead = f"{head}{_csv_field(key)},"
+                lines += [f"{lead}{m},{col[i]!r}\n" for m, col in zip(names, columns)]
+            lines += [f"{head}{_csv_field(key)},{_csv_field(m)},{float(value)!r}\n"
+                      for key, m, value in terminal]
+            fh.write("".join(lines))
 
 
 def _echo_config(cfg, seed, parallelism):

@@ -65,8 +65,9 @@ class RhoFunction:
         share memory with either output.
         """
         if self.kind == "pseudo_huber":
-            np.multiply(0.5, u, out=dp)
-            np.multiply(dp, u, out=dp)
+            with np.errstate(over="ignore"):
+                np.multiply(0.5, u, out=dp)
+                np.multiply(dp, u, out=dp)
             np.add(1.0, dp, out=dp)  # 1 + u^2/2
             np.sqrt(dp, out=p)
             np.divide(u, p, out=p)
@@ -79,23 +80,24 @@ class RhoFunction:
             np.copyto(p, u)
             dp.fill(1.0)
             return p, dp
-        # e = exp(-|u|) and s = 2e / (1 + e^2) = sech(u); doubling e and
-        # halving it back are exact, so e survives the division
+        # e = exp(-|u|) and sech(u) = 2 (e / (1 + e^2)); doubling is exact,
+        # so it has the bits of 2e / (1 + e^2) and e survives in p.  abs and
+        # negative, not copysign(u, -1): numpy vectorises only the former
         np.abs(u, out=p)
         np.negative(p, out=p)
         np.exp(p, out=p)
         np.multiply(p, p, out=dp)
         np.add(1.0, dp, out=dp)
-        np.multiply(2.0, p, out=p)
         np.divide(p, dp, out=dp)
+        np.multiply(2.0, dp, out=dp)
         if self.kind == "log_cosh":
             np.multiply(dp, dp, out=dp)
             np.tanh(u, out=p)
             return p, dp
-        np.multiply(p, 0.5, out=p)
         np.arctan(p, out=p)
         np.multiply(2.0, p, out=p)
         np.subtract(0.5 * np.pi, p, out=p)
+        # not copysign: psi(-0.0) is +0.0
         np.multiply(np.sign(u), p, out=p)
         return p, dp
 
@@ -118,7 +120,8 @@ class ChiFunction:
         """chi(u), the first output of ``chi_udchi``; a scalar u gives a
         numpy scalar."""
         u = np.asarray(u, dtype=float)
-        with np.errstate(invalid="ignore"):  # u * dchi(u) is nan at u = +-inf
+        # u * u overflows past |u| ~ 1.3e154; u * dchi(u) is nan at u = +-inf
+        with np.errstate(over="ignore", invalid="ignore"):
             return self.chi_udchi(u, np.empty_like(u), np.empty_like(u))[0][()]
 
     def chi_udchi(self, u, c, d):
@@ -127,18 +130,20 @@ class ChiFunction:
         With w = 1/(1+u^2), computed once: chi(u) = 1 - w - c and
         u chi'(u) = u (2u w w).  Every intermediate lives in the two
         outputs.  u is left unchanged and must not share memory with either
-        output.
+        output.  The kernel sets no floating-point error state: u * u
+        overflows past |u| ~ 1.3e154 (to w = 0, chi = 1 - c), so callers
+        hold over="ignore" themselves, as ``rescale_columns`` does for its
+        whole solve.
         """
-        with np.errstate(over="ignore"):
-            np.multiply(u, u, out=c)
-            np.add(1.0, c, out=c)
-            np.divide(1.0, c, out=c)  # w
-            np.multiply(2.0, u, out=d)
-            np.multiply(d, c, out=d)
-            np.multiply(d, c, out=d)
-            np.multiply(u, d, out=d)
-            np.subtract(1.0, c, out=c)
-            np.subtract(c, self.c, out=c)
+        np.multiply(u, u, out=c)
+        np.add(1.0, c, out=c)
+        np.divide(1.0, c, out=c)  # w
+        np.multiply(2.0, u, out=d)
+        np.multiply(d, c, out=d)
+        np.multiply(d, c, out=d)
+        np.multiply(u, d, out=d)
+        np.subtract(1.0, c, out=c)
+        np.subtract(c, self.c, out=c)
         return c, d
 
 

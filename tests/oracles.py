@@ -606,10 +606,10 @@ def rescale_columns_reference(x, pivots, chi, fp=DEFAULT_FP):
 
     def residual(z, cols):
         m = cols.size
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # chi_udchi leaves it to its caller
             u = np.multiply(_open_rows(rt, cols, ub[:m]), np.exp(-z)[:, None],
                             out=ub[:m])
-        c, udchi = chi.chi_udchi(u, cb[:m], db[:m])
+            c, udchi = chi.chi_udchi(u, cb[:m], db[:m])
         return c.mean(axis=1), -udchi.mean(axis=1)
 
     z, fell_back = solve_columns_reference(residual, np.clip(start, lo, hi), lo, hi, fp)

@@ -2,6 +2,7 @@
 set, and the standalone estimation utility."""
 
 import csv
+import io
 import json
 import re
 from dataclasses import fields
@@ -10,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustgd.bench import ExperimentConfig
-from robustgd.cli import load_config, main
+from robustgd.bench import ExperimentConfig, ExperimentResult, TrialResult, run_experiment
+from robustgd.cli import _csv_field, _write_results_csv, load_config, main
 from robustgd.mest import ChiFunction, FixedPointSettings, RhoFunction, confidence_scale, rescale
 
 from oracles import locate_oracle
@@ -271,6 +272,97 @@ class TestRun:
         with open(tmp_path / "out" / "run-001" / "results.csv") as fh:
             rows = list(csv.reader(fh))[1:]
         assert {r[1] for r in rows} == {"erm"}
+
+
+HEADER = ["experiment", "method", "trial", "step", "metric", "value"]
+
+# small runs that reach each kind of row: trace rows on a task without
+# conditions, condition-prefixed trace rows, quoted grid labels, non-finite
+# values beside aborted cells, and classification's terminal rows
+CONTRACT_CONFIGS = {
+    "quadratic_poc": dict(task="quadratic_poc", methods=("oracle", "erm", "rgd"),
+                          n=40, d=2, iters=5, trials=2, seed=5),
+    "init_sweep": dict(task="init_sweep", init_deltas=(2.5, 10.0), n=40, d=2,
+                       iters=4, trials=2, seed=4),
+    "regression_grid": dict(task="regression_grid", methods=("ols", "rgd", "mom"),
+                            families=("normal", "lognormal"), levels=(4,),
+                            grid_n=(30,), grid_d=(3,), iters=10, trials=2,
+                            test_size=50, seed=8),
+    "quadratic_poc.diverging": dict(task="quadratic_poc", methods=("erm", "rgd", "mom"),
+                                    n=4, d=2, alpha=5.0, iters=300, trials=6, seed=11),
+    "classification": dict(task="classification_budget", methods=("sgd", "rgd_mb10"),
+                           n=200, features=6, classes=3, trials=2, test_size=100,
+                           budget_factor=2, seed=3),
+}
+
+
+def csv_writer_bytes(rows):
+    """What csv.writer writes for the header and ``rows``, each value as
+    repr(float(value))."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(HEADER)
+    for *fields_, value in rows:
+        writer.writerow([*fields_, repr(float(value))])
+    return buf.getvalue().encode("utf-8")
+
+
+class TestResultsCsv:
+    """results.csv is the header and ``ExperimentResult.rows()``, written as
+    csv.writer writes them with every value as repr(float(value))."""
+
+    def check(self, path, result):
+        _write_results_csv(path, result)
+        with open(path, newline="", encoding="utf-8") as fh:
+            parsed = list(csv.reader(fh))
+        rows = result.rows()
+        assert parsed == [HEADER] + [[e, m, str(t), k, metric, repr(float(v))]
+                                     for e, m, t, k, metric, v in rows]
+        assert path.read_bytes() == csv_writer_bytes(rows)
+        return parsed[1:]
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("name", CONTRACT_CONFIGS)
+    def test_file_is_the_rows(self, tmp_path, name):
+        result = run_experiment(ExperimentConfig(**CONTRACT_CONFIGS[name]))
+        parsed = self.check(tmp_path / "results.csv", result)
+        assert parsed
+        if name == "regression_grid":
+            raw = (tmp_path / "results.csv").read_text()
+            assert raw.count('"fam=normal,lvl=4,n=30,d=3"') == 2 * 3 * 3
+        if name == "quadratic_poc.diverging":
+            assert result.n_aborted > 0
+            assert {"nan", "inf"} & {row[-1] for row in parsed}
+        if name == "classification":
+            assert {"budget_spent", "baseline_misclassification"} <= {
+                row[4] for row in parsed if row[3] == "terminal"}
+
+    def test_values_and_labels_of_any_type(self, tmp_path):
+        # an int column is written as floats (3.0); signed zeros, nan and
+        # inf keep their repr; labels with commas, quotes or line breaks are
+        # quoted as csv.writer quotes them
+        trials = [
+            TrialResult("erm", 'a,"b"', 0, [1, 2, 3],
+                        {"count": np.array([3, 4, 5]), "z": [-0.0, np.nan, -np.inf]},
+                        {"n": 3, "w": np.float64(0.1)}),
+            TrialResult("rgd", "c\rd\ne", 1, [7], {"count": [True]}),
+            TrialResult("rgd", "", 2, [], {}, aborted=True, note="diverged"),
+            TrialResult("mom", "", 3, [], {}, {"only": np.int64(-2)}),
+        ]
+        result = ExperimentResult(ExperimentConfig(task="init_sweep"), trials)
+        parsed = self.check(tmp_path / "results.csv", result)
+        assert [row[-1] for row in parsed[:6]] == ["3.0", "-0.0", "4.0", "nan", "5.0", "-inf"]
+        assert parsed[6:8] == [["init_sweep", "erm", "0", 'a,"b"', "n", "3.0"],
+                               ["init_sweep", "erm", "0", 'a,"b"', "w", "0.1"]]
+        assert parsed[-1] == ["init_sweep", "mom", "3", "terminal", "only", "-2.0"]
+
+    @pytest.mark.parametrize("text", ["", "plain", "a b", "a,b", 'a"b', "a\nb",
+                                      "a\rb", "a;b", " lead", "del=2.5:17"])
+    def test_field_quoting_is_csv_writers(self, text):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text, "x"])
+        assert f"{_csv_field(text)},x\n" == buf.getvalue()
 
 
 class TestMest:

@@ -3,6 +3,7 @@ values, and the solver invariants."""
 
 import ast
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import robustgd.mest as mest
+import robustgd.robust_grad as robust_grad
 from robustgd.datagen import gen_classification
 from robustgd.mest import (
     DEFAULT_FP,
@@ -30,6 +32,7 @@ from robustgd.mest import (
     rescale_columns,
 )
 from robustgd.models import LogisticModel, loss_and_grad_rows
+from robustgd.robust_grad import RobustConfig, robust_gradient
 
 from oracles import (
     chi_reference,
@@ -92,6 +95,18 @@ class TestRhoFamily:
             assert np.all(np.diff(rho.psi([1e150, 1e154, 1e155, 1e308, np.inf])) >= 0)
             at = [locate(np.array([0, 0, 0, c, c]), 1.0, rho) for c in (1e100, 1e200)]
         assert at[0] == at[1] == pytest.approx(1.2649110640670942, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", RHO_KINDS)
+    def test_huge_residuals_warn_nothing(self, kind):
+        # u * u overflows inside the pseudo-Huber kernel at 1e300
+        rho = RhoFunction(kind)
+        x = np.array([0.0, 1.0, 1e300, -1e300, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = rho.psi(x)
+            theta = locate(x, 1.0, rho)
+        assert np.array_equal(psi[2:4], [rho.psi(1e300), -rho.psi(1e300)])
+        assert x.min() <= theta <= x.max()
 
     def test_quadratic_kind_is_identity_influence(self):
         u = np.linspace(-5, 5, 11)
@@ -393,7 +408,8 @@ class TestFusedKernels:
     def test_chi_udchi_bits(self):
         # inf residuals arise in rescale_columns from rt * exp(-z)
         u = np.concatenate([KERNEL_INPUTS, [np.inf, -np.inf]])
-        with np.errstate(invalid="ignore"):
+        # the kernel leaves the error state to its caller: u * u overflows
+        with np.errstate(over="ignore", invalid="ignore"):
             chi, udchi = CHI.chi_udchi(u, np.empty_like(u), np.empty_like(u))
             want = u * dchi_reference(u)
         assert np.array_equal(np.isnan(udchi), np.isnan(want))
@@ -416,6 +432,22 @@ def heavy_rows(seed=7):
     over a few decades."""
     rng = np.random.default_rng(seed)
     return rng.standard_t(2.0, size=(500, 128)) * rng.lognormal(0, 1, size=128)
+
+
+class _CountingNumpy:
+    """numpy as seen through a module's ``np``: every call of a numpy
+    function, or of one of its methods (``np.add.reduce``), counts."""
+
+    def __init__(self, counts, target=np, name="np"):
+        self._counts, self._target, self._name = counts, target, name
+
+    def __getattr__(self, attr):
+        value = getattr(self._target, attr)
+        return _CountingNumpy(self._counts, value, attr) if callable(value) else value
+
+    def __call__(self, *args, **kwargs):
+        self._counts[self._name] += 1
+        return self._target(*args, **kwargs)
 
 
 class TestSolverBuffers:
@@ -475,6 +507,17 @@ class TestSolverBuffers:
         locate_columns(X, confidence_scale(sigma, X.shape[0], 0.005), RhoFunction(kind))
         chi_cols, psi_cols = self.EVALUATIONS[shape]
         assert seen == {"chi_udchi": chi_cols, "psi_dpsi": psi_cols[kind]}
+
+    def test_numpy_calls_of_a_small_robust_gradient_pinned(self, monkeypatch):
+        # at 10x40 each call into numpy costs about as much as its
+        # arithmetic, so the calls one robust_gradient makes are its cost;
+        # unlike wall time, the count does not move with the host's load
+        X = logistic_minibatch_rows()
+        counts = Counter()
+        for module in (mest, robust_grad):
+            monkeypatch.setattr(module, "np", _CountingNumpy(counts))
+        robust_gradient(X, RobustConfig())
+        assert sum(counts.values()) == 212, counts
 
 
 def solver_samples(n, k, seed):

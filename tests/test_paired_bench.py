@@ -43,6 +43,25 @@ def test_medians_quartiles_and_wins():
     assert m["ratio"] == pytest.approx(0.93)
 
 
+def test_pair_ratios_cancel_drift_between_pairs():
+    # the host runs each pair 1.5x slower than the last; within every pair
+    # the change takes 0.9 of the parent's time, so the side medians overlap
+    # but every pair ratio reads 0.9
+    parent = [1.0, 1.5, 2.25, 3.375, 5.0625]
+    change = [0.9 * p for p in parent]
+    s = paired_bench.summarize(pairs_of(parent, change), METRICS)
+    m = s["metrics"]["wall_norm_s"]
+    assert not m["gap_exceeds_parent_iqr"]
+    assert m["pair_ratio"] == {"median": pytest.approx(0.9), "q1": pytest.approx(0.9),
+                               "q3": pytest.approx(0.9), "iqr": pytest.approx(0.0),
+                               "runs": 5}
+    uneven = paired_bench.summarize(pairs_of([1.0, 1.0, 2.0], [0.5, 1.0, 3.0]),
+                                    METRICS)["metrics"]["wall_norm_s"]["pair_ratio"]
+    assert (uneven["q1"], uneven["median"], uneven["q3"]) == (0.75, 1.0, 1.25)
+    line = paired_bench.format_summary("poc_heavy", s).splitlines()[1]
+    assert "pair ratio 0.9000 [0.9000, 0.9000]" in line
+
+
 def test_ties_count_for_neither_side():
     s = paired_bench.summarize(pairs_of([1.0, 1.0], [1.0, 0.9]), METRICS)
     assert s["metrics"]["wall_norm_s"]["change_won"] == 1
