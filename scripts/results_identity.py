@@ -8,9 +8,10 @@ the repository (``paired_bench.export``), then runs ``robustgd run
 perfbench workloads, read from ``perfbench/workloads.py``, at seeds 0 and 1;
 one small config per task that runs every method kind the task accepts;
 each production rho kind; classification at ``reg_strength`` 0 and 0.05;
-and a ``quadratic_poc`` config whose iterates diverge.  For each config it
-prints whether the sha256 of ``results.csv`` and of ``manifest.echo`` match
-the parent's.  Where ``results.csv`` differs it prints, per metric, the
+and a ``quadratic_poc`` config whose iterates diverge, with enough trials
+that cells abort as ``diverged``, so ``manifest.echo``'s abort notes are
+compared too.  For each config it prints whether the sha256 of
+``results.csv`` and of ``manifest.echo`` match the parent's.  Where ``results.csv`` differs it prints, per metric, the
 largest relative change over the rows both sides wrote and the number of
 rows only one side wrote.  Exits 1 if any config differs or fails to run.
 """
@@ -76,7 +77,7 @@ SMALL = (
     ("classification.reg0", _CLASSIFICATION + "reg_strength = 0\n"),
     ("classification.reg0.05", _CLASSIFICATION + "reg_strength = 0.05\n"),
     ("quadratic_poc.diverging", "task = quadratic_poc\nmethods = erm, rgd, mom\n"
-     "n = 4\nd = 2\nalpha = 5\niters = 300\ntrials = 3\nseed = 11\n" + _LOGNORMAL),
+     "n = 4\nd = 2\nalpha = 5\niters = 300\ntrials = 6\nseed = 11\n" + _LOGNORMAL),
 )
 
 

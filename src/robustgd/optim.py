@@ -10,7 +10,10 @@ The rgd, erm, sgd and svrg steps take their gradient rows from
 ``model.grad_rows`` on plain arrays, checked once at entry (``row_arrays``);
 the full-batch rgd and erm descents stack T trials' data once and build all
 their rows per step in one call over the trial axis, for either model, and
-each svrg snapshot builds its n one-row gradients in one call.
+each svrg snapshot builds its n one-row gradients in one call.  The stacked
+descents take every trial's row mean from one (n, T d) layout of the rows,
+summed row by row per column in ``np.add.reduce(G, 1)``'s order, so each
+trial keeps the bits of its own mean.
 Median-of-means steps and svrg's snapshot gradients evaluate through
 ``loss_and_grad_rows``.
 """
@@ -206,33 +209,58 @@ def _trial_rows(model, Xs, ys):
     return rows
 
 
+def _row_means(G, Dt=None):
+    """The (T, d) row means of T trials' (T, n, d) gradient rows G, bit for
+    bit ``np.add.reduce(G, 1) / n`` (``G.mean(axis=1)``).
+
+    For d > 1 numpy sums each column row by row, one accumulator per column
+    starting from +0.0, but over G's middle axis its inner loop is only d
+    long.  With T > 1 the same sums are taken over axis 0 of one C-ordered
+    (n, T d) array, the transpose of ``Dt``, the rows as a C-ordered
+    (T d, n) matrix (built here when not given), whose inner loop runs over
+    all T d columns.  At T = 1 (row by row) and d = 1 (pairwise) numpy
+    already reduces G in long loops, and G is reduced as it is, with no copy.
+    """
+    T, n, d = G.shape
+    if T == 1 or d == 1:
+        return np.add.reduce(G, 1) / n
+    if Dt is None:
+        Dt = G.transpose(0, 2, 1).reshape(-1, n)
+    return (np.add.reduce(np.ascontiguousarray(Dt.T), 0) / n).reshape(T, d)
+
+
 def _robust_descent(rows, cfg, state, constraint, stop, record_every, cost,
                     draw_cols=None):
     """Robust descent of the trials whose starting points are the rows of
     ``state.w``; ``rows(live, W)`` gives the (T, n, d) gradient rows of the
     trials ``live`` at their iterates W.
 
-    Each step copies the rows of every live trial whose row mean is finite
-    into one C-ordered (T d, n) matrix and solves its transpose, all T d
-    columns, in one ``robust_gradient`` call, which reduces every column
-    alone, so each trial's estimate has the bits of its own solve; a trial
-    whose row mean is not finite descends on it, so the loop stops it as
-    "diverged".  ``draw_cols()``, when given, draws a lone trial's
-    coordinate subset for each step that reaches the solver.  Per-column
-    solver fallbacks are tallied per trial, never raised.
+    Each step copies the live trials' rows once into a C-ordered (T d, n)
+    matrix.  Its transpose, copied to C order as an (n, T d) array, gives
+    the row means (``_row_means``): each column is summed row by row, in
+    ``np.add.reduce(G, 1)``'s order, so each trial's mean has the bits of
+    its own.  The rows of every trial whose row mean is finite are solved,
+    all their columns, in one ``robust_gradient`` call on the (T d, n)
+    matrix's transpose, which reduces every column alone, so each trial's
+    estimate has the bits of its own solve; a trial whose row mean is not
+    finite descends on it, so the loop stops it as "diverged".
+    ``draw_cols()``, when given, draws a lone trial's coordinate subset for
+    each step that reaches the solver.  Per-column solver fallbacks are
+    tallied per trial, never raised.
     """
     diags = [{"locate_fallbacks": 0, "scale_fallbacks": 0} for _ in state.w]
 
     def grad_fn(W, t, live):
         G = rows(live, W)
-        g = np.add.reduce(G, 1) / G.shape[1]  # G.mean(axis=1)
+        n = G.shape[1]
+        # robust_gradient copies D.T to C order, which this transpose already is
+        Dt = G.transpose(0, 2, 1).reshape(-1, n)
+        g = _row_means(G, Dt)
         ok = np.isfinite(g).all(axis=1).nonzero()[0]
         if not ok.size:
             return g
         if ok.size < live.size:
-            G = G[ok]
-        # robust_gradient copies D.T to C order, which this transpose already is
-        Dt = G.transpose(0, 2, 1).reshape(-1, G.shape[1])
+            Dt = Dt.reshape(live.size, -1, n)[ok].reshape(-1, n)
         cols = None if draw_cols is None else draw_cols()
         theta, info = robust_gradient(Dt.T, cfg, cols)
         g[ok] = theta.reshape(ok.size, -1)
@@ -323,7 +351,7 @@ def erm_gd_stacked_run(model, datasets, state, stop, constraint=None,
     ``rgd_run``."""
     Xs, ys = _stack_datasets(model, datasets)
     rows = _trial_rows(model, Xs, ys)
-    return _batch_descent(lambda W, t, live: rows(live, W).mean(axis=1),
+    return _batch_descent(lambda W, t, live: _row_means(rows(live, W)),
                           lambda t: Xs.shape[1], state, constraint, stop,
                           record_every)
 

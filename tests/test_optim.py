@@ -9,6 +9,7 @@ from robustgd.datagen import SyntheticRisk, gen_regression, NoiseSpec
 from robustgd.mest import FixedPointSettings, RhoFunction
 from robustgd.models import Dataset, LinearModel, LogisticModel, loss_and_grad_rows
 from robustgd.optim import (
+    _row_means,
     L2Ball,
     OptimState,
     StoppingRule,
@@ -55,16 +56,20 @@ def regression_problem(n=60, d=3, seed=0, heavy=False):
     return ds, w_star, rng
 
 
-def mixed_batch(d=3, n=60, seed=0):
+def mixed_batch(d=3, n=60, seed=0, zero_column=False):
     """Datasets and starts of four trials that stop differently at step size
     0.1, 60 updates and grad_norm_tol 1e-3: one runs to the cap, one
     diverges mid-run (inputs scaled up 3000-fold), one reaches grad_tol
-    (noiseless, started near the target) and one runs to the cap."""
+    (noiseless, started near the target) and one runs to the cap.
+    ``zero_column`` zeroes every trial's first input column, so that
+    gradient column holds only signed zeros."""
     rng = np.random.default_rng(seed)
     w_star = rng.normal(size=d)
     datasets, starts = [], []
     for kind in ("run", "diverge", "grad_tol", "run"):
         X = rng.normal(size=(n, d)) * (3000.0 if kind == "diverge" else 1.0)
+        if zero_column:
+            X[:, 0] = 0.0
         y = X @ w_star
         if kind != "grad_tol":
             y = y + rng.lognormal(0.0, 1.75, size=n)
@@ -103,14 +108,81 @@ def assert_same_trajectory(a, b):
     assert a.diagnostics == b.diagnostics
 
 
+def wide_range_rows(T, n, d, seed=0):
+    """(T, n, d) rows whose magnitudes span about 1e-9 to 1e9, so that summing
+    them in another order moves their low bits."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(T, n, d)) * np.exp(rng.uniform(-20.0, 20.0, size=(T, n, d)))
+
+
+class TestRowMeans:
+    """``_row_means`` is np.add.reduce(G, 1) / n bit for bit, given the
+    (T d, n) rows or not."""
+
+    @staticmethod
+    def assert_reduce_bits(G):
+        T, n, d = G.shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.add.reduce(G, 1) / n
+            got = _row_means(G)
+            given = _row_means(G, G.transpose(0, 2, 1).reshape(-1, n))
+        assert same_bits(got, want)
+        assert same_bits(given, want)
+        return got
+
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    @pytest.mark.parametrize("d", [1, 2, 40])
+    @pytest.mark.parametrize("T", [1, 4, 20])
+    def test_matches_the_middle_axis_reduce(self, T, d, n):
+        self.assert_reduce_bits(wide_range_rows(T, n, d, seed=T * d + n))
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("T", [1, 4])
+    def test_negative_zero_column_gives_positive_zero(self, T, d, n):
+        # numpy's reduce adds each column to +0.0, so a column of -0.0 sums
+        # to +0.0 (a sequential cumsum would give -0.0)
+        G = wide_range_rows(T, n, d)
+        G[:, :, -1] = -0.0
+        got = self.assert_reduce_bits(G)
+        assert not np.signbit(got[:, -1]).any()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("T", [1, 4])
+    def test_overflowing_rows(self, T, d):
+        # the first column overflows to inf before its negative rows come;
+        # the others alternate in sign and cancel
+        G = np.full((T, 6, d), 1e308)
+        G[:, 2::3, 0] = -1e308
+        G[:, ::2, 1:] *= -1.0
+        got = self.assert_reduce_bits(G)
+        assert (got[:, 0] == np.inf).all() and (got[:, 1:] == 0.0).all()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("T", [1, 4])
+    def test_nan_and_inf_entries(self, T, d):
+        G = wide_range_rows(T, 7, d)
+        G[0, 3, 0] = np.nan
+        G[-1, 0, -1] = np.inf
+        G[-1, 5, 0] = -np.inf
+        if T > 1:
+            G[1, 2, -1] = np.inf
+            G[1, 4, -1] = -np.inf
+        got = self.assert_reduce_bits(G)
+        assert np.isnan(got[0, 0]) and not np.isfinite(got[-1]).all()
+
+
 class TestStackedRuns:
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
-    @pytest.mark.parametrize("record_every", [1, 7])
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "seed, record_every, zero_column",
+        [pytest.param(seed, every, False, id=f"{seed}-{every}")
+         for seed in (0, 1) for every in (1, 7)]
+        + [pytest.param(0, 1, True, id="0-1-zero_column")])
     @pytest.mark.parametrize("method", ["rgd", "erm"])
-    def test_stacked_equals_solo(self, method, seed, record_every):
-        datasets, W0 = mixed_batch(seed=seed)
+    def test_stacked_equals_solo(self, method, seed, record_every, zero_column):
+        datasets, W0 = mixed_batch(seed=seed, zero_column=zero_column)
         stop = StoppingRule(max_iters=60, grad_norm_tol=1e-3)
         model, cfg = LinearModel(np.zeros(3)), RobustConfig()
         kw = dict(stop=stop, record_every=record_every)
