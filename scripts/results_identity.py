@@ -8,12 +8,16 @@ the repository (``paired_bench.export``), then runs ``robustgd run
 perfbench workloads, read from ``perfbench/workloads.py``, at seeds 0 and 1;
 one small config per task that runs every method kind the task accepts;
 each production rho kind; classification at ``reg_strength`` 0 and 0.05;
-and a ``quadratic_poc`` config whose iterates diverge, with enough trials
+a ``quadratic_poc`` config whose iterates diverge, with enough trials
 that cells abort as ``diverged``, so ``manifest.echo``'s abort notes are
-compared too.  For each config it prints whether the sha256 of
-``results.csv`` and of ``manifest.echo`` match the parent's.  Where ``results.csv`` differs it prints, per metric, the
-largest relative change over the rows both sides wrote and the number of
-rows only one side wrote.  Exits 1 if any config differs or fails to run.
+compared too; and a classification config at ``alpha = 10000`` whose sgd
+cells abort as ``diverged`` after a one-row gradient whose scores are not
+finite, so the one-row kernel's fallback is compared too.  For each config
+it prints whether the sha256 of ``results.csv`` and of ``manifest.echo``
+match the parent's.  Where ``results.csv`` differs it prints, per metric,
+the largest relative change over the rows both sides wrote and the number
+of rows only one side wrote.  Exits 1 if any config differs or fails to
+run.
 """
 
 import argparse
@@ -78,6 +82,8 @@ SMALL = (
     ("classification.reg0.05", _CLASSIFICATION + "reg_strength = 0.05\n"),
     ("quadratic_poc.diverging", "task = quadratic_poc\nmethods = erm, rgd, mom\n"
      "n = 4\nd = 2\nalpha = 5\niters = 300\ntrials = 6\nseed = 11\n" + _LOGNORMAL),
+    ("classification.diverging", _CLASSIFICATION.replace("alpha = 0.1", "alpha = 10000")
+     + "reg_strength = 0.05\n"),
 )
 
 

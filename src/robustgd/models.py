@@ -15,8 +15,16 @@ kernels also take leading axes: a stacked full-batch descent builds every
 trial's rows in one call, and svrg builds a snapshot's n one-row gradients
 in one call over (n, 1, F) inputs.  A ``Dataset`` stores its inputs
 C-ordered, so a trial's rows have the same bits stacked or alone.
+
+A stochastic step's logistic call, a 1-D w against one (1, F) row, takes a
+one-row branch: its few class scores go through the log-sum-exp as Python
+floats, and numpy is called only where the bits are numpy's.  The branch
+has the array kernel's bits; a row whose scores, score spread or
+log-sum-exp is not finite goes to the array kernel, whose fallback handles
+it.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -133,8 +141,52 @@ class LogisticModel:
         """(n, d) gradient rows at weights ``w`` for inputs X and class
         indices y, unchecked (see ``row_arrays``).  Leading axes broadcast,
         each item with the bits of its own call: w (T, d) for a trial axis,
-        or one w against X (n, 1, F) for n one-row calls."""
+        or one w against X (n, 1, F) for n one-row calls.  A 1-D w against
+        one (1, F) row, a stochastic step's call, runs ``_one_row`` with
+        ``_rows``' bits; a row whose scores, score spread or log-sum-exp is
+        not finite goes to ``_rows``."""
+        if w.ndim == 1 and X.ndim == 2 and X.shape[0] == 1:
+            G = self._one_row(w, X, int(y[0]))
+            if G is not None:
+                return G
         return self._rows(w, X, y, False)[1]
+
+    def _one_row(self, w, X, label):
+        """``_rows``' gradient row of one (1, F) row, or None where a score,
+        the score spread or the log-sum-exp is not finite.  numpy makes
+        the scores, the exps, their sum, log1p, the log of a tie count,
+        the outer product and the regularizer, each as ``_rows`` makes it;
+        the maximum, tie count, shifts, one-hot and the log-sum-exp's
+        additions run on Python floats, whose IEEE operations have the
+        same bits."""
+        k = self.classes - 1
+        # the matmul call _scores makes
+        full, = np.matmul(X, w.reshape(k, self.features).T).tolist()
+        full.append(0.0)  # the reference class
+        top = max(full)
+        # catches inf, an overflowing spread and a nan that max or min
+        # returns; a nan they skip makes the exp sum and the lse nan
+        if not math.isfinite(top - min(full)):
+            return None
+        m = full.count(top)
+        # the maxima's exps are left out (exp(-inf) = 0) and counted in m
+        s = float(np.add.reduce(np.exp([-math.inf if v == top else v - top
+                                        for v in full])))
+        lse = float(np.log1p(s / m))
+        if m > 1:
+            # at m = 1, _rows adds log(1) = +0.0 to a log1p >= +0.0: no bit moves
+            lse += float(np.log(m))
+        lse += top
+        if not math.isfinite(lse):
+            return None
+        p = np.exp([v - lse for v in full[:k]])  # class probabilities
+        if label < k:
+            p[label] -= 1.0
+        G = np.multiply.outer(p, X).reshape(1, w.shape[0])
+        a = self.reg_strength
+        if a > 0:
+            G += 2.0 * a * w
+        return G
 
     def _rows(self, w, X, y, want_loss):
         k = self.classes - 1

@@ -14,6 +14,8 @@ the steps: the stochastic steps build a Dataset and a model per step, and
 the full-batch ones build each trial's rows alone and ``np.hstack`` them
 for the robust solve.  The ``*_columns_reference`` solvers are the column
 solvers with their root loop as first written, for bit comparisons.
+``CountingNumpy`` counts the numpy calls a module makes, for tests that pin
+them.
 """
 
 import numpy as np
@@ -335,6 +337,24 @@ def logistic_rows_oracle(model, dataset):
         losses = losses + a * model.weights @ model.weights
         G = G + 2.0 * a * model.weights
     return losses, G
+
+
+class CountingNumpy:
+    """numpy as seen through a module's ``np``: every call of a numpy
+    function, or of one of its methods (``np.add.reduce``), counts.  Array
+    operators and array methods do not go through ``np`` and are not
+    counted."""
+
+    def __init__(self, counts, target=np, name="np"):
+        self._counts, self._target, self._name = counts, target, name
+
+    def __getattr__(self, attr):
+        value = getattr(self._target, attr)
+        return CountingNumpy(self._counts, value, attr) if callable(value) else value
+
+    def __call__(self, *args, **kwargs):
+        self._counts[self._name] += 1
+        return self._target(*args, **kwargs)
 
 
 def geometric_median_oracle(points, restarts=6, seed=0):

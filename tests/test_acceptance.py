@@ -32,6 +32,8 @@ from robustgd.datagen import (
     NoiseSpec,
     SyntheticRisk,
     gen_regression,
+    gen_w_star,
+    initial_point,
     sample_noise,
     target_sd,
 )
@@ -51,8 +53,9 @@ from robustgd.optim import (
     geometric_median,
     oracle_gd_run,
     rgd_run,
+    rgd_stacked_run,
 )
-from robustgd.robust_grad import RobustConfig
+from robustgd.robust_grad import RobustConfig, robust_gradient
 
 from oracles import (
     finite_difference_gradient,
@@ -352,3 +355,48 @@ def test_criterion_11_deterministic_results(tmp_path):
     ok = a == b and n_rows == 2 * 3 * 10 * 3
     assert report("11 byte-identical reruns", ok, elapsed, 60.0,
                   f"results.csv identical: {a == b}, rows {n_rows}")
+
+
+def test_criterion_12_gradient_deviation_along_descent():
+    # the robust update "does not deviate far from the ideal gradient-based
+    # update": at each of rgd's 50 iterates on quadratic_poc data, the
+    # distance of rgd's estimate and of the row mean from the exact risk
+    # gradient, pooled over 100 trials; compared at the 1 - delta quantile
+    t0 = time.time()
+    n, d, trials, iters, q = 500, 2, 100, 50, 0.995
+    cfg = RobustConfig()
+    model = LinearModel(np.zeros(d))
+    ratios = {}
+    for kind in ("lognormal", "normal"):
+        data, w0 = [], []
+        for trial in range(trials):
+            # the draws of quadratic_poc's trial at seed 0: a data stream
+            # and an initial-point stream spawned from the trial's seed
+            data_ss, init_ss = np.random.SeedSequence(trial).spawn(2)
+            rng = np.random.default_rng(data_ss)
+            w_star = gen_w_star(d, rng)
+            ds, _ = gen_regression(n, d, poc_noise(kind), rng, w_star=w_star)
+            data.append((ds, SyntheticRisk(w_star)))
+            w0.append(initial_point(w_star, 5.0, np.random.default_rng(init_ss)))
+        trajs = rgd_stacked_run(model, [ds for ds, _ in data], cfg,
+                                OptimState(np.array(w0), 0.1),
+                                StoppingRule(max_iters=iters))
+        dev = {"rgd": [], "mean": []}
+        for (ds, risk), traj in zip(data, trajs):
+            W = traj.iterates[:-1]  # the iterates a step was taken from
+            G = model.grad_rows(W, ds.inputs, ds.targets)  # (iters, n, d)
+            # robust_gradient solves each column alone, so one call over
+            # every iterate's columns gives each iterate its own estimate
+            theta, _ = robust_gradient(G.transpose(1, 0, 2).reshape(n, -1), cfg)
+            truth = risk.exact_gradient(W)
+            dev["rgd"].append(np.linalg.norm(theta.reshape(-1, d) - truth, axis=1))
+            dev["mean"].append(np.linalg.norm(G.mean(axis=1) - truth, axis=1))
+        rgd_q, mean_q = (float(np.quantile(np.concatenate(dev[m]), q))
+                         for m in ("rgd", "mean"))
+        ratios[kind] = (rgd_q, mean_q, rgd_q / mean_q)
+    elapsed = time.time() - t0
+    ok = ratios["lognormal"][2] <= 0.25 and abs(ratios["normal"][2] - 1.0) <= 0.1
+    assert report("12 gradient deviation along the descent", ok, elapsed, 30.0,
+                  "; ".join(f"{kind} rgd {r:.3f} / mean {m:.3f} = {x:.3f}"
+                            for kind, (r, m, x) in ratios.items())
+                  + f" at the {q} quantile (lognormal <= 0.25, normal within 10%)")

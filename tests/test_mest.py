@@ -35,6 +35,7 @@ from robustgd.models import LogisticModel, loss_and_grad_rows
 from robustgd.robust_grad import RobustConfig, robust_gradient
 
 from oracles import (
+    CountingNumpy,
     chi_reference,
     dchi_reference,
     dpsi_reference,
@@ -434,22 +435,6 @@ def heavy_rows(seed=7):
     return rng.standard_t(2.0, size=(500, 128)) * rng.lognormal(0, 1, size=128)
 
 
-class _CountingNumpy:
-    """numpy as seen through a module's ``np``: every call of a numpy
-    function, or of one of its methods (``np.add.reduce``), counts."""
-
-    def __init__(self, counts, target=np, name="np"):
-        self._counts, self._target, self._name = counts, target, name
-
-    def __getattr__(self, attr):
-        value = getattr(self._target, attr)
-        return _CountingNumpy(self._counts, value, attr) if callable(value) else value
-
-    def __call__(self, *args, **kwargs):
-        self._counts[self._name] += 1
-        return self._target(*args, **kwargs)
-
-
 class TestSolverBuffers:
     """Each solve works in one buffer set sliced to its open columns."""
 
@@ -515,7 +500,7 @@ class TestSolverBuffers:
         X = logistic_minibatch_rows()
         counts = Counter()
         for module in (mest, robust_grad):
-            monkeypatch.setattr(module, "np", _CountingNumpy(counts))
+            monkeypatch.setattr(module, "np", CountingNumpy(counts))
         robust_gradient(X, RobustConfig())
         assert sum(counts.values()) == 212, counts
 

@@ -3,6 +3,7 @@ convexity/regularizer consistency."""
 
 import ast
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+import robustgd.models as models
 from robustgd.models import (
     Dataset,
     LinearModel,
@@ -24,6 +26,7 @@ from robustgd.models import (
 )
 
 from oracles import (
+    CountingNumpy,
     finite_difference_gradient,
     logistic_rows_oracle,
     stacked_rows_reference,
@@ -326,6 +329,132 @@ class TestGradRowsTrialAxis:
         X = np.asfortranarray(np.random.default_rng(0).normal(size=(50, 3)))
         ds = Dataset(X, np.zeros(50))
         assert ds.inputs.flags.c_contiguous and np.array_equal(ds.inputs, X)
+
+
+def one_row_cases(classes, seed):
+    """(w, x) pairs whose k = classes - 1 scores are the first k columns of
+    the ``lse_cases`` rows, plus all-zero scores that tie the reference
+    class.  x is k ones, a -0.0 and a normal draw; w puts each score on its
+    own one, -0.0 against the normal draw and a normal draw against the
+    -0.0, so the gradient rows hold signed zeros."""
+    k = classes - 1
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate(lse_cases(3, classes, seed)[:-1] + [np.zeros((1, classes))])
+    x = np.concatenate([np.ones(k), [-0.0, rng.normal()]])
+    out = []
+    for scores in rows[:, :k]:
+        W = np.zeros((k, k + 2))
+        W[np.arange(k), np.arange(k)] = scores
+        W[:, k] = rng.normal(size=k)
+        W[:, k + 1] = -0.0
+        out.append((W.ravel(), x))
+    return out
+
+
+class TestOneRow:
+    """A 1-D w against one (1, F) row runs ``LogisticModel._one_row``."""
+
+    @pytest.mark.parametrize("classes", [2, 3, 4, 5])
+    @pytest.mark.parametrize("reg", [0.0, 0.05])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_bits_equal_rows_and_oracle_on_hard_rows(self, classes, reg, dtype):
+        # every label, the reference class's included; where _rows is
+        # silent the branch must be too
+        model = LogisticModel(classes, classes + 1, np.zeros((classes - 1) * (classes + 1)),
+                              reg_strength=reg)
+        silent = 0
+        for w, x in one_row_cases(classes, seed=classes):
+            X = x[None]
+            for label in range(classes):
+                y = np.array([label], dtype=dtype)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    want = model._rows(w, X, y, False)[1]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error" if not caught else "ignore")
+                    got = model.grad_rows(w, X, y)
+                silent += not caught
+                with warnings.catch_warnings(), np.errstate(all="ignore"):
+                    warnings.simplefilter("ignore")
+                    _, oracle = logistic_rows_oracle(model.with_weights(w), Dataset(X, y))
+                assert got.shape == (1, model.dim)
+                assert np.array_equal(bits(got), bits(want))
+                assert np.array_equal(bits(got), bits(oracle))
+        assert silent > 0
+
+    @pytest.mark.parametrize("classes", [2, 3, 10, 50])
+    def test_bits_equal_rows_on_random_rows(self, classes):
+        rng = np.random.default_rng(classes)
+        F = 6
+        model = LogisticModel(classes, F, np.zeros((classes - 1) * F), reg_strength=0.3)
+        for i in range(300):
+            w = rng.normal(scale=10.0 ** rng.integers(-3, 3), size=model.dim)
+            X = rng.normal(size=(1, F))
+            if i % 3 == 0:  # rounded entries tie scores
+                w, X = np.round(w), np.round(X)
+            w[rng.random(model.dim) < 0.2] = -0.0
+            X[rng.random((1, F)) < 0.2] = -0.0
+            y = rng.integers(classes, size=1)
+            assert np.array_equal(bits(model.grad_rows(w, X, y)),
+                                  bits(model._rows(w, X, y, False)[1]))
+
+    def test_only_non_finite_rows_enter_rows(self, monkeypatch):
+        model, ds = random_logistic(seed=2, classes=3, features=4, n=5)
+        X, y = row_arrays(model, ds)
+        entered = []
+        rows = LogisticModel._rows
+
+        def counted(self, *args):
+            entered.append(args[1].shape)
+            return rows(self, *args)
+
+        monkeypatch.setattr(LogisticModel, "_rows", counted)
+        model.grad_rows(model.weights, X[:1], y[:1])
+        assert entered == []
+        # a non-finite first score, and a nan second one that max and min
+        # skip, which the log-sum-exp check catches
+        for i, bad in ((1, np.inf), (1, -np.inf), (1, np.nan), (5, np.nan)):
+            w = model.weights.copy()
+            w[i] = bad
+            with np.errstate(all="ignore"):
+                model.grad_rows(w, X[:1], y[:1])
+        # finite scores whose spread overflows
+        w = np.zeros(model.dim)
+        w[0], w[4] = 1e308, -1e308
+        with np.errstate(over="ignore"):
+            model.grad_rows(w, np.array([[1.7, 0.0, 0.0, 0.0]]), y[:1])
+        # every other shape: n rows, a trial axis, one-row items
+        model.grad_rows(model.weights, X, y)
+        model.grad_rows(model.weights[None], X[None, :1], y[None, :1])
+        model.grad_rows(model.weights, X[:1, None, :], y[:1, None])
+        assert entered == [(1, 4)] * 5 + [(5, 4), (1, 1, 4), (1, 1, 4)]
+
+    def test_finite_row_never_enters_rows(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_rows entered")
+
+        monkeypatch.setattr(LogisticModel, "_rows", refuse)
+        for classes in (2, 3, 10):
+            model, ds = random_logistic(seed=classes, classes=classes, features=5,
+                                        n=50, reg=0.1)
+            X, y = row_arrays(model, ds)
+            for i in range(50):
+                model.grad_rows(model.weights, X[i:i + 1], y[i:i + 1])
+
+    @pytest.mark.parametrize("reg", [0.0, 0.05])
+    def test_numpy_calls_of_a_one_row_call_pinned(self, monkeypatch, reg):
+        # a one-row call costs its calls into numpy, not its arithmetic;
+        # array operators and array methods (tolist, reshape, +=) do not go
+        # through ``np`` and are not counted
+        model, ds = random_logistic(seed=1, classes=3, features=20, n=1, reg=reg)
+        X, y = row_arrays(model, ds)
+        branch, kernel = Counter(), Counter()
+        monkeypatch.setattr(models, "np", CountingNumpy(branch))
+        model.grad_rows(model.weights, X, y)
+        monkeypatch.setattr(models, "np", CountingNumpy(kernel))
+        model._rows(model.weights, X, y, False)
+        assert sum(branch.values()) == 6, branch
+        assert sum(kernel.values()) == 12, kernel
 
 
 class TestPrediction:

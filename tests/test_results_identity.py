@@ -73,7 +73,7 @@ def test_config_list_covers_every_task_and_method_kind(tmp_path):
     assert len(set(names)) == len(names)
     assert {f"{w}.seed{s}" for w in ("poc_heavy", "wide_d", "cls_budget")
             for s in (0, 1)} <= set(names)
-    kinds, rhos, regs = {}, set(), set()
+    kinds, rhos, regs, alphas = {}, set(), set(), set()
     for name, text in configs:
         path = tmp_path / f"{name}.ini"
         path.write_text(text)
@@ -82,8 +82,11 @@ def test_config_list_covers_every_task_and_method_kind(tmp_path):
         rhos.add(cfg.rho)
         if cfg.task == "classification_budget":
             regs.add(cfg.reg_strength)
+            alphas.add(cfg.alpha)
     assert set(kinds) == set(TASKS)
     for task in TASKS:
         assert kinds[task] == set(_TASK_KINDS[task]), task
     assert rhos == {"gudermannian", "log_cosh", "pseudo_huber"}
     assert {0.0, 0.05} <= regs
+    # a step size at which sgd diverges through a row with non-finite scores
+    assert 10000.0 in alphas
