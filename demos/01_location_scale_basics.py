@@ -1,19 +1,14 @@
 """Location and scale estimation on a contaminated sample.
 
-A tour of the scalar building blocks: the bounded influence function, the
-dispersion criterion, and how the confidence parameter interpolates between
-median-like and mean-like behavior.
+A tour of the building blocks on one column of data: the bounded influence
+function, the dispersion criterion, and how the confidence parameter
+interpolates between median-like and mean-like behavior.  A 1-D sample x is
+estimated as the one-column matrix x[:, None].
 """
 
 import numpy as np
 
-from robustgd import (
-    ChiFunction,
-    RhoFunction,
-    confidence_scale,
-    locate,
-    rescale,
-)
+from robustgd import RhoFunction, RobustConfig, robust_gradient
 
 rng = np.random.default_rng(7)
 
@@ -31,8 +26,8 @@ print("psi(5)   =", gud.psi(5.0))
 print("psi(50)  =", gud.psi(50.0), "(caps at pi/2 =", np.pi / 2, ")")
 
 # Dispersion about the mean: calibrated so Gaussian data gives ~ its sd.
-chi = ChiFunction()
-sigma = rescale(x, x.mean(), chi)
+_, info = robust_gradient(x[:, None], RobustConfig(rho=gud))
+sigma = info["sigma"][0]
 print("\ndispersion estimate:", sigma, "(clean-data sd is 1; the outliers")
 print("inflate it far less than the sample sd", x.std(), ")")
 
@@ -40,10 +35,10 @@ print("inflate it far less than the sample sd", x.std(), ")")
 # delta gets stricter.  Wide scale -> close to the mean; narrow -> median.
 print("\n{:>8} {:>10} {:>12}".format("delta", "scale s", "estimate"))
 for delta in (0.5, 0.05, 0.005):
-    s = confidence_scale(sigma, len(x), delta)
-    theta = locate(x, s, gud)
-    print(f"{delta:8.3f} {s:10.2f} {theta:12.6f}")
+    theta, info = robust_gradient(x[:, None], RobustConfig(rho=gud, delta=delta))
+    print(f"{delta:8.3f} {info['s'][0]:10.2f} {theta[0]:12.6f}")
 
 print("\nWith the quadratic test kind the estimate is exactly the mean:")
 quad = RhoFunction("quadratic_test_only")
-print("locate(quadratic) =", locate(x, 1.0, quad), "vs mean", x.mean())
+theta, _ = robust_gradient(x[:, None], RobustConfig(rho=quad))
+print("estimate(quadratic) =", theta[0], "vs mean", x.mean())

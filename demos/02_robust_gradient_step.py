@@ -7,7 +7,7 @@ estimates barely move.
 
 import numpy as np
 
-from robustgd import RobustConfig, robust_gradient, robust_risk
+from robustgd import RobustConfig, robust_gradient
 
 rng = np.random.default_rng(3)
 
@@ -33,8 +33,8 @@ theta_sub, _ = robust_gradient(G, cfg, cols=subset)
 print("\nsubset coordinates:", subset)
 print("subset estimate   :", np.round(theta_sub, 3))
 
-# The same machinery summarizes a scalar loss sample.
+# The same machinery summarizes a scalar loss sample, as one column.
 losses = np.abs(rng.normal(size=100))
 losses[:3] = [90.0, 120.0, 75.0]
 print("\nmean loss   :", losses.mean())
-print("robust loss :", robust_risk(losses, cfg))
+print("robust loss :", robust_gradient(losses[:, None], cfg)[0][0])

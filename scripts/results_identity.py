@@ -16,8 +16,11 @@ finite, so the one-row kernel's fallback is compared too.  For each config
 it prints whether the sha256 of ``results.csv`` and of ``manifest.echo``
 match the parent's.  Where ``results.csv`` differs it prints, per metric,
 the largest relative change over the rows both sides wrote and the number
-of rows only one side wrote.  Exits 1 if any config differs or fails to
-run.
+of rows only one side wrote.  It then compares the stdout bytes of
+``robustgd mest`` on four columns (normal draws with two outliers,
+[-1, 1], a constant column and [0, 0, 0, 10]), each at every rho kind and
+delta 0.05 and 0.005, and once at ``--scale 1.0``.  Exits 1 if any config
+or ``mest`` case differs or fails to run.
 """
 
 import argparse
@@ -30,6 +33,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -85,6 +90,26 @@ SMALL = (
     ("classification.diverging", _CLASSIFICATION.replace("alpha = 0.1", "alpha = 10000")
      + "reg_strength = 0.05\n"),
 )
+
+
+RHO_KINDS = ("gudermannian", "log_cosh", "pseudo_huber", "quadratic_test_only")
+
+
+def mest_cases():
+    """(name, column file text, flags) for every ``robustgd mest`` run, in
+    a fixed order: each column at every rho kind and delta, then once at
+    ``--scale 1.0``."""
+    rng = np.random.default_rng(6)
+    columns = (("outliers", np.concatenate([rng.normal(size=30), [80.0, 120.0]])),
+               ("pair", [-1.0, 1.0]), ("constant", [3.5] * 5),
+               ("spike", [0.0, 0.0, 0.0, 10.0]))
+    out = []
+    for col, values in columns:
+        text = "".join(f"{float(v)!r}\n" for v in values)
+        out += [(f"mest.{col}.{rho}.delta{delta}", text, ["--rho", rho, "--delta", delta])
+                for rho in RHO_KINDS for delta in ("0.05", "0.005")]
+        out.append((f"mest.{col}.scale1", text, ["--scale", "1.0"]))
+    return out
 
 
 def config_list():
@@ -147,6 +172,18 @@ def run_config(checkout, config, out_dir):
     return runs[-1], None
 
 
+def run_mest(checkout, column_path, flags):
+    """stdout bytes of ``robustgd mest`` on ``column_path`` with
+    ``checkout``'s sources; returns (stdout, None), or (None, the reason)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "robustgd.cli", "mest", str(column_path), *flags],
+        cwd=checkout, env=env, capture_output=True)
+    if proc.returncode:
+        return None, f"exit {proc.returncode}: {proc.stderr.decode().strip()[-300:]}"
+    return proc.stdout, None
+
+
 def compare_config(dirs):
     """Lines reporting one config's outputs on both sides; returns
     (identical, lines)."""
@@ -187,8 +224,23 @@ def main(argv=None):
             identical, lines = compare_config(dirs)
             failures += not identical
             print(f"{name}: {lines[0]}", *lines[1:], sep="\n", flush=True)
+        cases = mest_cases()
+        (tmp / "mest").mkdir()
+        mest_failures = 0
+        for name, text, flags in cases:
+            column = tmp / "mest" / f"{name}.txt"
+            column.write_text(text, encoding="utf-8")
+            out = {side: run_mest(checkouts[side], column, flags) for side in SIDES}
+            why = [f"{side} failed ({reason})" for side, (_, reason) in out.items() if reason]
+            if why:
+                verdict = "; ".join(why)
+            else:
+                verdict = "stdout same" if out["parent"] == out["change"] else "stdout DIFFERS"
+            mest_failures += verdict != "stdout same"
+            print(f"{name}: {verdict}", flush=True)
     print(f"{len(configs) - failures} of {len(configs)} configs byte-identical")
-    return 1 if failures else 0
+    print(f"{len(cases) - mest_failures} of {len(cases)} mest cases byte-identical")
+    return 1 if failures or mest_failures else 0
 
 
 if __name__ == "__main__":

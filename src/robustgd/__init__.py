@@ -3,19 +3,11 @@ M-estimates of gradient location and scale in place of the sample mean."""
 
 __version__ = "0.1.0"
 
-from .mest import (
-    ChiFunction,
-    FixedPointSettings,
-    RhoFunction,
-    confidence_scale,
-    locate,
-    rescale,
-)
-from .robust_grad import (
-    RobustConfig,
-    robust_gradient,
-    robust_risk,
-)
+from .mest import ChiFunction, FixedPointSettings, RhoFunction, confidence_scale
+# ``locate``, ``rescale`` and ``robust_risk`` were removed: a one-column
+# ``robust_gradient(x[:, None], cfg)`` takes the same estimate, and
+# ``robustgd.mest``'s ``locate_columns`` and ``rescale_columns`` its stages
+from .robust_grad import RobustConfig, robust_gradient
 from .models import (
     Dataset,
     LinearModel,
@@ -65,8 +57,7 @@ from .bench import (
 
 __all__ = [
     "ChiFunction", "FixedPointSettings", "RhoFunction", "confidence_scale",
-    "locate", "rescale",
-    "RobustConfig", "robust_gradient", "robust_risk",
+    "RobustConfig", "robust_gradient",
     "Dataset", "LinearModel", "LogisticModel", "empirical_risk",
     "loss_and_grad_rows", "misclassification_rate", "predict", "row_arrays",
     "L2Ball", "OptimState", "StoppingRule", "Trajectory",

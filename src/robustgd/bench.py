@@ -547,7 +547,9 @@ def run_experiment(cfg, parallelism=1):
         raise ValueError("parallelism must be >= 1")
     chunks = []
     for cond, ov in _conditions(cfg):
-        size = max(1, _CHUNK_COLUMNS // ov.get("d", cfg.d))
+        d = ((cfg.classes - 1) * cfg.features if cfg.task == "classification_budget"
+             else ov.get("d", cfg.d))  # the gradient width
+        size = max(1, _CHUNK_COLUMNS // d)
         chunks += [(cond, ov, range(lo, min(lo + size, cfg.trials)))
                    for lo in range(0, cfg.trials, size)]
     trials = []

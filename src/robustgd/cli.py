@@ -30,7 +30,8 @@ from .datagen import (
     noise_sd,
     target_sd,
 )
-from .mest import ChiFunction, FixedPointSettings, RhoFunction, confidence_scale, locate, rescale
+from .mest import RhoFunction, locate_columns
+from .robust_grad import RobustConfig, robust_gradient
 
 
 class ConfigError(Exception):
@@ -245,17 +246,17 @@ def cmd_mest(args):
             raise ConfigError(f"--delta must lie in (0, 1), got {args.delta}")
         if args.scale is not None and not 0.0 < args.scale < np.inf:
             raise ConfigError(f"--scale must be positive and finite, got {args.scale}")
+        cfg = RobustConfig(rho=rho, delta=args.delta)
     except (ConfigError, ValueError) as exc:
         print(f"mest error: {exc}", file=sys.stderr)
         return 2
-    chi = ChiFunction()
-    fp = FixedPointSettings()
-    sigma = rescale(x, float(x.mean()), chi, fp)
-    s = args.scale if args.scale is not None else confidence_scale(
-        sigma, len(x), args.delta)
-    theta = locate(x, s, rho, fp)
-    print(json.dumps({"n": len(x), "theta_hat": theta, "sigma_hat": sigma,
-                      "s": s}, sort_keys=True))
+    theta, info = robust_gradient(x[:, None], cfg)
+    s = float(info["s"][0])
+    if args.scale is not None:
+        s = args.scale
+        theta, _ = locate_columns(x[:, None], [s], rho)
+    print(json.dumps({"n": len(x), "theta_hat": float(theta[0]),
+                      "sigma_hat": float(info["sigma"][0]), "s": s}, sort_keys=True))
     return 0
 
 

@@ -175,17 +175,6 @@ _BISECT_STEPS = 200
 _WIDTH = 1e-15
 
 
-def _check_sample(x, ndim):
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise ValueError("data must contain at least one observation")
-    if not np.isfinite(x).all():
-        raise ValueError("data contains non-finite entries")
-    if x.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-D sample")
-    return x
-
-
 def _solve_columns(residual, z, lo, hi, fp):
     """Per-column roots of decreasing residuals, each bracketed by [lo, hi].
 
@@ -281,7 +270,7 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP):
     marks columns still unresolved after ``fp.max_iters`` steps.  Every
     reduction runs over one column alone (see ``column_means``), so theta[j]
     depends on column j only, bit for bit.  x must be a finite float array;
-    callers check it once (``locate``, ``robust_gradient``).
+    ``robust_gradient`` checks it once.
     """
     s = np.asarray(s, dtype=float)
     s = s if s.shape == x.shape[1:] else np.broadcast_to(s, x.shape[1:])
@@ -305,18 +294,6 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP):
 
     return _solve_columns(residual, _row_medians(xt, ub), np.minimum.reduce(xt, 1),
                           np.maximum.reduce(xt, 1), fp)
-
-
-def locate(data, s, rho, fp=DEFAULT_FP):
-    """Location M-estimate of a 1-D sample at truncation scale s > 0.
-
-    Solves sum_i psi((x_i - theta)/s) = 0 for the even loss ``rho``; the
-    result always lies in [min(data), max(data)].  With the quadratic test
-    kind this is exactly the sample mean.
-    """
-    data = _check_sample(data, 1)
-    theta, _ = locate_columns(data[:, None], np.asarray([s], dtype=float), rho, fp)
-    return float(theta[0])
 
 
 def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
@@ -364,18 +341,6 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
         z, fell_back = _solve_columns(residual, np.minimum(np.maximum(start, lo), hi),
                                       lo, hi, fp)
     return np.maximum(np.exp(z), floor), fell_back
-
-
-def rescale(data, pivot, chi, fp=DEFAULT_FP):
-    """Dispersion M-estimate of a 1-D sample about ``pivot``.
-
-    The estimate is scale-equivariant (rescale(c*x, c*pivot) = c*rescale(x,
-    pivot)) and equals the floor when the residuals carry no spread.
-    """
-    data = _check_sample(data, 1)
-    sigma, _ = rescale_columns(data[:, None], np.asarray([pivot], dtype=float),
-                               chi, fp)
-    return float(sigma[0])
 
 
 def confidence_scale(sigma_hat, n, delta):

@@ -133,29 +133,31 @@ def _batch_descent(grad_fn, step_cost, state, constraint, stop, record_every):
                 records[k].append((t, w, evals))
         return live[~gone], W[~gone]
 
-    while live.size and t < last:
-        cost = step_cost(t)
-        if budget is not None and evals + cost > budget:
-            live, W = leave(np.ones(live.size, dtype=bool), "budget")
-            break
-        G = grad_fn(W, t, live)
-        evals += cost
-        if tol > 0:
-            small = np.max(np.abs(G), axis=1) < tol
-            if small.any():
-                live, W = leave(small, "grad_tol")
-                if not live.size:
-                    break
-                G = G[~small]
-        W = W - alpha * G
-        if constraint is not None:
-            W = np.array([constraint.project(w) for w in W])
-        t += 1
-        if not np.isfinite(W).all():
-            live, W = leave(~np.isfinite(W).all(axis=1), "diverged")
-        if t % every == 0:
-            for k, w in zip(live, W):
-                records[k].append((t, w, evals))
+    # an overflow or invalid value ends as a diverged trial or is harmless
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size and t < last:
+            cost = step_cost(t)
+            if budget is not None and evals + cost > budget:
+                live, W = leave(np.ones(live.size, dtype=bool), "budget")
+                break
+            G = grad_fn(W, t, live)
+            evals += cost
+            if tol > 0:
+                small = np.max(np.abs(G), axis=1) < tol
+                if small.any():
+                    live, W = leave(small, "grad_tol")
+                    if not live.size:
+                        break
+                    G = G[~small]
+            W = W - alpha * G
+            if constraint is not None:
+                W = np.array([constraint.project(w) for w in W])
+            t += 1
+            if not np.isfinite(W).all():
+                live, W = leave(~np.isfinite(W).all(axis=1), "diverged")
+            if t % every == 0:
+                for k, w in zip(live, W):
+                    records[k].append((t, w, evals))
     leave(np.ones(live.size, dtype=bool), "max_iters")
     out = []
     for rec, reason in zip(records, reasons):

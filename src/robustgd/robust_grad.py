@@ -89,15 +89,3 @@ def robust_gradient(D, cfg, cols=None):
     return theta, {"sigma": sigma, "s": s, "scale_fallback": scale_fb,
                    "locate_fallback": loc_fb}
 
-
-def robust_risk(losses, cfg):
-    """Robust location estimate of a scalar loss sample.
-
-    Same pipeline as a single gradient column: pivot at the mean, dispersion
-    root, confidence widening, locate.
-    """
-    losses = np.asarray(losses, dtype=float)
-    if losses.ndim != 1:
-        raise ValueError("expected a 1-D loss sample")
-    theta, _ = robust_gradient(losses[:, None], cfg)
-    return float(theta[0])

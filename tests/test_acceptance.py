@@ -37,14 +37,7 @@ from robustgd.datagen import (
     sample_noise,
     target_sd,
 )
-from robustgd.mest import (
-    ChiFunction,
-    FixedPointSettings,
-    RhoFunction,
-    confidence_scale,
-    locate,
-    rescale,
-)
+from robustgd.mest import FixedPointSettings, RhoFunction
 from robustgd.models import Dataset, LinearModel, LogisticModel, loss_and_grad_rows
 from robustgd.optim import (
     OptimState,
@@ -132,7 +125,7 @@ def test_criterion_02_locate_oracle_equivalence():
     t0 = time.time()
     rng = np.random.default_rng(12345)
     gud = RhoFunction("gudermannian")
-    chi = ChiFunction()
+    cfg = RobustConfig(rho=gud, delta=0.05, fp=TIGHT)
     worst = 0.0
     for i in range(100):
         n = (5, 50, 500)[i % 3]
@@ -140,10 +133,8 @@ def test_criterion_02_locate_oracle_equivalence():
         k = int(rng.integers(0, n // 4 + 2))
         if k:
             x[:k] += rng.choice([-1.0, 1.0], size=k) * rng.uniform(5, 30, size=k)
-        sigma = rescale(x, float(x.mean()), chi, TIGHT)
-        s = confidence_scale(sigma, n, 0.05)
-        got = locate(x, s, gud, TIGHT)
-        worst = max(worst, abs(got - locate_oracle(x, s, gud)))
+        theta, info = robust_gradient(x[:, None], cfg)
+        worst = max(worst, abs(theta[0] - locate_oracle(x, info["s"][0], gud)))
     elapsed = time.time() - t0
     ok = worst <= 1e-8
     assert report("02 location-estimate oracle equivalence", ok, elapsed, 10.0,

@@ -1,6 +1,7 @@
 """Experiment harness: trial orchestration, aggregation, metrics, coverage
 checks."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +164,21 @@ class TestMethodOutcomes:
         assert {r[1] for r in res.rows()} == {"rgd_mb10"}
 
 
+    def test_diverging_descent_warns_nothing(self):
+        # the classification.diverging config of scripts/results_identity.py:
+        # both sgd cells overflow, and the runs say so only in their notes
+        cfg = ExperimentConfig(
+            task="classification_budget",
+            methods=("erm", "rgd", "rgd_mb10", "rgd_sub5", "sgd", "svrg"), n=200,
+            features=6, classes=3, trials=2, test_size=100, budget_factor=2,
+            alpha=1e4, reg_strength=0.05, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_experiment(cfg)
+        assert [(t.trial, t.method, t.note) for t in res.trials if t.aborted] == [
+            (0, "sgd", "diverged"), (1, "sgd", "diverged")]
+
+
 class TestRunExperiment:
     def test_row_count_quadratic(self):
         res = run_experiment(small_cfg())
@@ -244,6 +260,26 @@ class TestRunExperiment:
         for method in (f"rgd_sub{d}", f"rgd_sub{d + 3}"):
             sub = run_experiment(replace(cfg, methods=(method,))).rows()
             assert [r[:1] + ("rgd",) + r[2:] for r in sub] == rows
+
+    @pytest.mark.parametrize("features, chunks", [
+        (20, [[0], [1], [2], [3], [4]]),  # 40 gradient columns a trial
+        (6, [[0, 1, 2], [3, 4]]),  # 12 columns a trial
+    ])
+    def test_classification_chunks_sized_by_gradient_width(self, monkeypatch,
+                                                           features, chunks):
+        seen = []
+        worker = bench._chunk_worker
+
+        def spy(cfg, condition, overrides, trials):
+            seen.append(list(trials))
+            return worker(cfg, condition, overrides, trials)
+
+        monkeypatch.setattr(bench, "_chunk_worker", spy)
+        cfg = ExperimentConfig(task="classification_budget", methods=("sgd",), n=30,
+                               features=features, classes=3, trials=5, test_size=10,
+                               budget_factor=1, seed=2)
+        run_experiment(cfg)
+        assert seen == chunks
 
     def test_parallelism_below_one_rejected(self):
         with pytest.raises(ValueError, match="parallelism"):

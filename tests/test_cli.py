@@ -13,7 +13,8 @@ import pytest
 
 from robustgd.bench import ExperimentConfig, ExperimentResult, TrialResult, run_experiment
 from robustgd.cli import _csv_field, _write_results_csv, load_config, main
-from robustgd.mest import ChiFunction, FixedPointSettings, RhoFunction, confidence_scale, rescale
+from robustgd.mest import RhoFunction
+from robustgd.robust_grad import RobustConfig, robust_gradient
 
 from oracles import locate_oracle
 
@@ -70,6 +71,20 @@ class TestRun:
         a = (tmp_path / "out" / "run-001" / "results.csv").read_bytes()
         b = (tmp_path / "out" / "run-002" / "results.csv").read_bytes()
         assert a == b
+
+    def test_parallel_classification_run_is_byte_identical(self, tmp_path):
+        # 3 classes on 20 features are 40 gradient columns, one chunk per
+        # trial, so the two workers share the five trials
+        cfg = write_config(tmp_path, "[experiment]\ntask = classification_budget\n"
+                           "methods = sgd, rgd_mb10, rgd\nn = 60\nfeatures = 20\n"
+                           "classes = 3\ntrials = 5\ntest_size = 30\n"
+                           "budget_factor = 2\nseed = 9\n")
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", str(cfg), "--out", out]) == 0
+        assert main(["run", "--config", str(cfg), "--out", out, "--parallel", "2"]) == 0
+        a = (tmp_path / "out" / "run-001" / "results.csv").read_bytes()
+        b = (tmp_path / "out" / "run-002" / "results.csv").read_bytes()
+        assert a == b and a.count(b"\n") > 5 * 3
 
     def test_unknown_noise_family_exits_2(self, tmp_path, capsys):
         bad = MINIMAL_CONFIG.replace("family = lognormal", "family = cauchy")
@@ -389,10 +404,9 @@ class TestMest:
         p = self.write_column(tmp_path, x)
         assert main(["mest", str(p), "--delta", "0.05"]) == 0
         out = json.loads(capsys.readouterr().out)
-        sigma = rescale(x, x.mean(), ChiFunction())
-        assert out["sigma_hat"] == pytest.approx(sigma, rel=1e-6)
-        s = confidence_scale(sigma, len(x), 0.05)
-        oracle = locate_oracle(x, s, RhoFunction("gudermannian"))
+        _, info = robust_gradient(x[:, None], RobustConfig(delta=0.05))
+        assert out["sigma_hat"] == pytest.approx(info["sigma"][0], rel=1e-6)
+        oracle = locate_oracle(x, info["s"][0], RhoFunction("gudermannian"))
         assert out["theta_hat"] == pytest.approx(oracle, abs=1e-6)
 
     def test_scale_override(self, tmp_path, capsys):

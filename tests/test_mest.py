@@ -25,10 +25,8 @@ from robustgd.mest import (
     RhoFunction,
     column_means,
     confidence_scale,
-    locate,
     locate_columns,
     _row_medians,
-    rescale,
     rescale_columns,
 )
 from robustgd.models import LogisticModel, loss_and_grad_rows
@@ -53,6 +51,20 @@ ROBUST_KINDS = ("gudermannian", "log_cosh", "pseudo_huber")
 TIGHT = FixedPointSettings(max_iters=200, rel_tolerance=1e-13)
 
 samples = st.lists(st.floats(-100, 100), min_size=1, max_size=40).map(np.asarray)
+
+
+def locate1(x, s, rho, fp=DEFAULT_FP):
+    """The location estimate of the 1-D sample x at scale s, from
+    ``locate_columns`` of x as one column."""
+    theta, _ = locate_columns(np.asarray(x, dtype=float)[:, None], [s], rho, fp)
+    return float(theta[0])
+
+
+def rescale1(x, pivot, fp=DEFAULT_FP):
+    """The dispersion estimate of the 1-D sample x about ``pivot``, from
+    ``rescale_columns`` of x as one column."""
+    sigma, _ = rescale_columns(np.asarray(x, dtype=float)[:, None], [pivot], CHI, fp)
+    return float(sigma[0])
 
 
 def logistic_minibatch_rows(seed=2):
@@ -94,7 +106,7 @@ class TestRhoFamily:
             assert np.array_equal(rho.psi(big), np.full(3, np.sqrt(2.0)))
             assert np.array_equal(rho.psi(-big), np.full(3, -np.sqrt(2.0)))
             assert np.all(np.diff(rho.psi([1e150, 1e154, 1e155, 1e308, np.inf])) >= 0)
-            at = [locate(np.array([0, 0, 0, c, c]), 1.0, rho) for c in (1e100, 1e200)]
+            at = [locate1(np.array([0, 0, 0, c, c]), 1.0, rho) for c in (1e100, 1e200)]
         assert at[0] == at[1] == pytest.approx(1.2649110640670942, rel=1e-12)
 
     @pytest.mark.parametrize("kind", RHO_KINDS)
@@ -105,7 +117,7 @@ class TestRhoFamily:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             psi = rho.psi(x)
-            theta = locate(x, 1.0, rho)
+            theta = locate1(x, 1.0, rho)
         assert np.array_equal(psi[2:4], [rho.psi(1e300), -rho.psi(1e300)])
         assert x.min() <= theta <= x.max()
 
@@ -177,57 +189,58 @@ class TestChiFamily:
 
 class TestLocate:
     def test_quadratic_reduces_to_mean(self):
-        assert locate([1, 2, 3], 1.0, QUAD) == pytest.approx(2.0, abs=1e-14)
+        assert locate1([1, 2, 3], 1.0, QUAD) == pytest.approx(2.0, abs=1e-14)
 
     def test_symmetric_sample(self):
-        assert locate([-5, 5], 1.0, GUD) == pytest.approx(0.0, abs=1e-12)
+        assert locate1([-5, 5], 1.0, GUD) == pytest.approx(0.0, abs=1e-12)
 
     def test_outlier_sample_matches_brute_force(self):
         x = np.array([0.0, 0.0, 0.0, 10.0])
-        got = locate(x, 1.0, GUD, TIGHT)
+        got = locate1(x, 1.0, GUD, TIGHT)
         assert got == pytest.approx(locate_oracle(x, 1.0, GUD), abs=1e-10)
         # frozen value from the extended-precision golden-section oracle
         assert got == pytest.approx(0.5492456156742342, abs=1e-9)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            locate([], 1.0, GUD)
-        with pytest.raises(ValueError):
-            locate([1.0, np.nan], 1.0, GUD)
-        with pytest.raises(ValueError):
-            locate([1.0, 2.0], 0.0, GUD)
+        # robust_gradient checks the sample once; locate_columns checks s
+        with pytest.raises(ValueError, match="non-empty"):
+            robust_gradient(np.empty((0, 1)), RobustConfig())
+        with pytest.raises(ValueError, match="non-finite"):
+            robust_gradient(np.array([[1.0], [np.nan]]), RobustConfig())
+        with pytest.raises(ValueError, match="scale s"):
+            locate1([1.0, 2.0], 0.0, GUD)
 
     @settings(max_examples=50, deadline=None)
     @given(samples, st.floats(-1000, 1000))
     def test_shift_equivariance(self, x, a):
-        base = locate(x, 1.0, GUD, TIGHT)
-        shifted = locate(x + a, 1.0, GUD, TIGHT)
+        base = locate1(x, 1.0, GUD, TIGHT)
+        shifted = locate1(x + a, 1.0, GUD, TIGHT)
         assert shifted == pytest.approx(base + a, abs=1e-9 * (1 + abs(a)))
 
     @settings(max_examples=50, deadline=None)
     @given(samples, st.floats(1e-3, 1e3))
     def test_scale_consistency(self, x, c):
-        base = locate(x, 1.0, GUD, TIGHT)
-        scaled = locate(c * x, c * 1.0, GUD, TIGHT)
+        base = locate1(x, 1.0, GUD, TIGHT)
+        scaled = locate1(c * x, c * 1.0, GUD, TIGHT)
         assert scaled == pytest.approx(c * base, rel=1e-9, abs=1e-9 * c)
 
     @settings(max_examples=100, deadline=None)
     @given(samples, st.floats(1e-2, 1e4))
     def test_bracketing(self, x, s):
-        t = locate(x, s, GUD)
+        t = locate1(x, s, GUD)
         assert x.min() - 1e-12 <= t <= x.max() + 1e-12
 
     def test_mean_limit_large_scale(self):
         rng = np.random.default_rng(3)
         x = rng.lognormal(0, 1.5, 200)
         r = x.max() - x.min()
-        assert abs(locate(x, 1e6 * r, GUD) - x.mean()) <= 1e-6 * r
+        assert abs(locate1(x, 1e6 * r, GUD) - x.mean()) <= 1e-6 * r
 
     def test_quadratic_identity_any_scale(self):
         rng = np.random.default_rng(4)
         x = rng.normal(5, 3, 57)
         for s in (1e-3, 1.0, 1e5):
-            assert locate(x, s, QUAD) == pytest.approx(x.mean(), abs=1e-10)
+            assert locate1(x, s, QUAD) == pytest.approx(x.mean(), abs=1e-10)
 
     def test_vectorized_columns_match_scalar(self):
         rng = np.random.default_rng(5)
@@ -235,7 +248,7 @@ class TestLocate:
         s = np.linspace(0.5, 4.0, 6)
         theta, fb = locate_columns(X, s, GUD, TIGHT)
         for j in range(6):
-            assert theta[j] == pytest.approx(locate(X[:, j], s[j], GUD, TIGHT),
+            assert theta[j] == pytest.approx(locate1(X[:, j], s[j], GUD, TIGHT),
                                              abs=1e-12)
         assert not fb.any()
 
@@ -260,7 +273,7 @@ class TestLocate:
 
 class TestRescale:
     def test_degenerate_returns_floor(self):
-        got = rescale([7.0, 7.0, 7.0], 7.0, CHI)
+        got = rescale1([7.0, 7.0, 7.0], 7.0)
         assert got == pytest.approx(SIGMA_FLOOR * (1 + 7.0))
 
     @pytest.mark.parametrize("factor", [2.0, 1e160])
@@ -270,9 +283,9 @@ class TestRescale:
         rng = np.random.default_rng(6)
         x = rng.lognormal(0, 1, 60)
         piv = x.mean()
-        got = rescale(factor * x, factor * piv, CHI)
+        got = rescale1(factor * x, factor * piv)
         assert np.isfinite(got)
-        assert got == pytest.approx(factor * rescale(x, piv, CHI), rel=1e-7)
+        assert got == pytest.approx(factor * rescale1(x, piv), rel=1e-7)
 
     def test_overflowing_spread_stays_finite(self):
         # squared residuals overflow at this scale; the estimate must still
@@ -287,24 +300,25 @@ class TestRescale:
     def test_standard_normal_dispersion_is_one(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=10 ** 5)
-        assert rescale(x, x.mean(), CHI) == pytest.approx(1.0, abs=0.05)
+        assert rescale1(x, x.mean()) == pytest.approx(1.0, abs=0.05)
 
     def test_root_residual_small(self):
         rng = np.random.default_rng(9)
         x = rng.standard_t(3, 200)
-        sig = rescale(x, x.mean(), CHI)
+        sig = rescale1(x, x.mean())
         resid = CHI.chi((x - x.mean()) / sig).mean()
         assert abs(resid) <= 1e-8
 
     def test_no_root_when_most_residuals_vanish(self):
         # 3 of 4 residuals exactly zero: the chi sum stays negative for all
         # sigma, so the estimate lands on the floor
-        got = rescale([5.0, 5.0, 5.0, 6.0], 5.0, CHI)
+        got = rescale1([5.0, 5.0, 5.0, 6.0], 5.0)
         assert got == pytest.approx(SIGMA_FLOOR * 6.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            rescale([], 0.0, CHI)
+        # the sample check in robust_gradient comes before the scale stage
+        with pytest.raises(ValueError, match="non-empty"):
+            robust_gradient(np.empty((0, 1)), RobustConfig())
 
     def test_capped_column_falls_back(self):
         x = np.array([-3.0, -1.0, 0.0, 0.004, 0.01, 2.0, 50.0])
@@ -312,7 +326,7 @@ class TestRescale:
         sig, fb = rescale_columns(x[:, None], x.mean(), CHI, fp)
         assert fb.tolist() == [True]
         assert abs(CHI.chi((x - x.mean()) / sig[0]).mean()) <= fp.rel_tolerance
-        assert sig[0] == pytest.approx(rescale(x, x.mean(), CHI, TIGHT), rel=1e-7)
+        assert sig[0] == pytest.approx(rescale1(x, x.mean(), TIGHT), rel=1e-7)
 
     def test_default_settings_flag_nothing_on_minibatch_gradients(self):
         G = logistic_minibatch_rows()
@@ -327,7 +341,7 @@ class TestRescale:
         piv = X.mean(axis=0)
         sig, _ = rescale_columns(X, piv, CHI, TIGHT)
         for j in range(4):
-            assert sig[j] == pytest.approx(rescale(X[:, j], piv[j], CHI, TIGHT),
+            assert sig[j] == pytest.approx(rescale1(X[:, j], piv[j], TIGHT),
                                            rel=1e-10)
 
 
@@ -646,11 +660,11 @@ class TestConfidenceScale:
         rng = np.random.default_rng(11)
         x = rng.lognormal(0, 1.75, 200)
         piv = x.mean()
-        sig = rescale(x, piv, CHI)
+        sig = rescale1(x, piv)
         dist = []
         for delta in (0.5, 0.1, 0.01):  # decreasing delta -> smaller s
             s = confidence_scale(sig, len(x), delta)
-            dist.append(abs(locate(x, s, GUD, TIGHT) - x.mean()))
+            dist.append(abs(locate1(x, s, GUD, TIGHT) - x.mean()))
         assert dist[0] <= dist[1] + 1e-9 <= dist[2] + 2e-9
 
 

@@ -2,6 +2,7 @@
 the config list it runs."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from robustgd.bench import TASKS, _TASK_KINDS, _parse_method
 from robustgd.cli import load_config
+from robustgd.mest import RHO_KINDS
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "results_identity.py"
 _spec = importlib.util.spec_from_file_location("results_identity", _PATH)
@@ -90,3 +92,36 @@ def test_config_list_covers_every_task_and_method_kind(tmp_path):
     assert {0.0, 0.05} <= regs
     # a step size at which sgd diverges through a row with non-finite scores
     assert 10000.0 in alphas
+
+
+def test_mest_cases_cover_every_rho_kind_delta_and_scale():
+    cases = results_identity.mest_cases()
+    names = [name for name, _, _ in cases]
+    assert len(set(names)) == len(names)
+    runs = {}
+    for _, text, flags in cases:
+        opts = dict(zip(flags[::2], flags[1::2]))
+        runs.setdefault(text, set()).add(
+            (opts.get("--rho"), opts.get("--delta"), opts.get("--scale")))
+    columns = [[float(v) for v in text.split()] for text in runs]
+    assert [-1.0, 1.0] in columns and [0.0, 0.0, 0.0, 10.0] in columns
+    assert any(len(set(c)) == 1 for c in columns)
+    assert any(len(c) > 20 and max(c) >= 80.0 for c in columns)
+    want = {(rho, delta, None) for rho in RHO_KINDS for delta in ("0.05", "0.005")}
+    assert all(seen == want | {(None, None, "1.0")} for seen in runs.values())
+
+
+def test_run_mest_returns_the_commands_stdout(tmp_path):
+    name, text, flags = results_identity.mest_cases()[-1]
+    assert name == "mest.spike.scale1"
+    column = tmp_path / "column.txt"
+    column.write_text(text)
+    out, reason = results_identity.run_mest(results_identity.ROOT, column, flags)
+    assert reason is None
+    got = json.loads(out)
+    assert sorted(got) == ["n", "s", "sigma_hat", "theta_hat"]
+    assert got["n"] == 4 and got["s"] == 1.0
+    assert got["theta_hat"] == pytest.approx(0.5492456156742342, abs=1e-6)
+    out, reason = results_identity.run_mest(results_identity.ROOT, column,
+                                            ["--delta", "2"])
+    assert out is None and reason.startswith("exit 2: mest error: --delta")

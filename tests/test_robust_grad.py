@@ -3,21 +3,10 @@
 import numpy as np
 import pytest
 
-from robustgd.mest import (
-    ChiFunction,
-    FixedPointSettings,
-    RhoFunction,
-    confidence_scale,
-    locate,
-    rescale,
-)
+from robustgd.mest import FixedPointSettings, RhoFunction, locate_columns
 from robustgd.models import Dataset, LinearModel
 from robustgd.optim import OptimState, StoppingRule, rgd_run
-from robustgd.robust_grad import (
-    RobustConfig,
-    robust_gradient,
-    robust_risk,
-)
+from robustgd.robust_grad import RobustConfig, robust_gradient
 
 from oracles import locate_oracle
 
@@ -46,9 +35,8 @@ class TestRobustGradient:
 
     def test_single_outlier_column_matches_oracle(self):
         col = np.array([0.0, 0.0, 0.0, 0.0, 100.0])
-        theta = robust_gradient(col[:, None], GUD_CFG)[0][0]
-        sigma = rescale(col, col.mean(), ChiFunction(), TIGHT)
-        s = confidence_scale(sigma, 5, 0.1)
+        theta, info = robust_gradient(col[:, None], GUD_CFG)
+        theta, s = theta[0], info["s"][0]
         assert theta == pytest.approx(
             locate_oracle(col, s, RhoFunction("gudermannian")), abs=1e-8)
         # frozen pipeline value (sigma ~ 37.15, s ~ 47.99)
@@ -75,7 +63,8 @@ class TestRobustGradient:
         for M in (1e3, 1e6):
             col = np.zeros(n)
             col[-1] = M
-            theta[M] = locate(col, 5.0, RhoFunction("gudermannian"), TIGHT)
+            theta[M], = locate_columns(col[:, None], [5.0],
+                                       RhoFunction("gudermannian"), TIGHT)[0]
             assert abs(col.mean()) == M / n
         assert theta[1e6] <= 2.0 * theta[1e3]
         assert theta[1e6] > 0
@@ -143,8 +132,10 @@ class TestSubsetVariant:
         assert info["s"].shape == (1,)
         means = D.mean(axis=0)
         assert theta[0] == means[0] and theta[2] == means[2]
-        sigma = rescale(D[:, 1], means[1], ChiFunction(), TIGHT)
-        s = confidence_scale(sigma, 12, 0.1)
+        # column 1 alone gives the same estimate and scale
+        alone, alone_info = robust_gradient(D[:, 1:2], GUD_CFG)
+        s = info["s"][0]
+        assert theta[1] == alone[0] and s == alone_info["s"][0]
         assert theta[1] == pytest.approx(
             locate_oracle(D[:, 1], s, RhoFunction("gudermannian")), abs=1e-8)
 
@@ -157,20 +148,22 @@ class TestSubsetVariant:
 
 
 class TestRobustRisk:
+    """A scalar loss sample is estimated as one column of ``robust_gradient``."""
+
     def test_constant_losses(self):
-        assert robust_risk(np.full(9, 4.2), GUD_CFG) == pytest.approx(4.2, abs=1e-12)
+        got = robust_gradient(np.full((9, 1), 4.2), GUD_CFG)[0][0]
+        assert got == pytest.approx(4.2, abs=1e-12)
 
     def test_quadratic_rho_is_mean_loss(self):
         losses = np.abs(heavy_matrix()[:, 0])
-        assert robust_risk(losses, QUAD_CFG) == pytest.approx(losses.mean(),
-                                                              abs=1e-10)
+        got = robust_gradient(losses[:, None], QUAD_CFG)[0][0]
+        assert got == pytest.approx(losses.mean(), abs=1e-10)
 
     def test_outlier_losses_between_median_and_mean(self):
         losses = np.array([1.0, 1.0, 1.0, 1.0, 50.0])
         cfg = RobustConfig(rho=RhoFunction("gudermannian"), delta=0.005, fp=TIGHT)
-        got = robust_risk(losses, cfg)
-        sigma = rescale(losses, losses.mean(), ChiFunction(), TIGHT)
-        s = confidence_scale(sigma, 5, 0.005)
+        theta, info = robust_gradient(losses[:, None], cfg)
+        got, s = theta[0], info["s"][0]
         assert got == pytest.approx(
             locate_oracle(losses, s, RhoFunction("gudermannian")), abs=1e-8)
         # frozen oracle value; strictly between the median and the mean
