@@ -11,8 +11,11 @@ first alternates from seed to seed.  For every end-to-end metric that
 ``BENCHMARK.json`` declares, it prints each side's median and quartiles, the
 median and quartiles of the per-pair ratio change / parent, the pairs the
 change won (ties count for neither side), and the gap between the medians
-against the parent's interquartile range; it also prints each
-side's ``reference_s`` median, the allocator check of the normalisation.
+against the parent's interquartile range.  It also prints each side's
+``reference_s`` median, the allocator check of the normalisation, and the
+raw pass time ``wall_s`` summarised as the metrics are (side medians and
+quartiles, pair ratio and pairs won), which tells a gain in the program
+apart from a moved reference kernel.
 ``--json`` writes the same summary with every run's numbers.
 """
 
@@ -51,6 +54,17 @@ def spread(values):
             "iqr": q3 - q1, "runs": len(values)}
 
 
+def paired(pairs, name, better="lower"):
+    """Each side's ``spread`` of metric ``name``, the pairs the change won
+    (ties count for neither side) and the ``spread`` of the per-pair ratio
+    change / parent."""
+    sign = 1.0 if better == "lower" else -1.0
+    return {**{s: spread([p[s][name] for p in pairs]) for s in SIDES},
+            "change_won": sum(sign * (p["parent"][name] - p["change"][name]) > 0
+                              for p in pairs),
+            "pair_ratio": spread([p["change"][name] / p["parent"][name] for p in pairs])}
+
+
 def summarize(pairs, metrics):
     """Summary of the runs of one workload.
 
@@ -63,24 +77,25 @@ def summarize(pairs, metrics):
     ``ratio`` divides the change's median by the parent's; ``pair_ratio``
     gives the spread of change / parent within each pair, which cancels
     the host's drift from one pair to the next.  ``reference_s`` gives
-    each side's median reference time, where a run reported one.
+    each side's median reference time, where a run reported one, and
+    ``wall_s`` the ``paired`` summary of the raw pass time over the pairs
+    whose runs both reported it (None when none did).
     """
     out = {}
     for name, better in metrics.items():
-        sign = 1.0 if better == "lower" else -1.0
-        sides = {s: spread([p[s][name] for p in pairs]) for s in SIDES}
-        won = sum(sign * (p["parent"][name] - p["change"][name]) > 0 for p in pairs)
-        gap = sign * (sides["parent"]["median"] - sides["change"]["median"])
-        out[name] = {**sides, "change_won": won, "gap": gap,
-                     "gap_exceeds_parent_iqr": abs(gap) > sides["parent"]["iqr"],
-                     "ratio": sides["change"]["median"] / sides["parent"]["median"],
-                     "pair_ratio": spread([p["change"][name] / p["parent"][name]
-                                           for p in pairs])}
+        m = paired(pairs, name, better)
+        gap = (1.0 if better == "lower" else -1.0) * (
+            m["parent"]["median"] - m["change"]["median"])
+        out[name] = {**m, "gap": gap,
+                     "gap_exceeds_parent_iqr": abs(gap) > m["parent"]["iqr"],
+                     "ratio": m["change"]["median"] / m["parent"]["median"]}
     refs = {s: [p[s]["reference_s"] for p in pairs if "reference_s" in p[s]]
             for s in SIDES}
+    raw = [p for p in pairs if all("wall_s" in p[s] for s in SIDES)]
     return {"pairs": len(pairs), "metrics": out,
             "reference_s": {s: statistics.median(v) if v else None
-                            for s, v in refs.items()}}
+                            for s, v in refs.items()},
+            "wall_s": paired(raw, "wall_s") if raw else None}
 
 
 def format_summary(workload, summary):
@@ -97,6 +112,14 @@ def format_summary(workload, summary):
             f" ({'exceeds' if m['gap_exceeds_parent_iqr'] else 'within'})")
     ref = summary["reference_s"]
     lines.append(f"  reference_s median: parent {ref['parent']}  change {ref['change']}")
+    raw = summary["wall_s"]
+    if raw:
+        p, c, r = raw["parent"], raw["change"], raw["pair_ratio"]
+        lines.append(
+            f"  wall_s (raw): parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
+            f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
+            f"  pair ratio {r['median']:.4f} [{r['q1']:.4f}, {r['q3']:.4f}]"
+            f"  change won {raw['change_won']} of {p['runs']}")
     return "\n".join(lines)
 
 

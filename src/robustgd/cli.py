@@ -222,17 +222,21 @@ def cmd_run(args):
 
 def _read_column_file(path):
     values = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise ConfigError(f"line {lineno}: not a number: {line!r}") from None
-            if not np.isfinite(values[-1]):
-                raise ConfigError(f"line {lineno}: not a finite number: {line!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read data: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise ConfigError(f"line {lineno}: not a number: {line!r}") from None
+        if not np.isfinite(values[-1]):
+            raise ConfigError(f"line {lineno}: not a finite number: {line!r}")
     if not values:
         raise ConfigError("no numbers found in input file")
     return np.asarray(values)
@@ -250,11 +254,14 @@ def cmd_mest(args):
     except (ConfigError, ValueError) as exc:
         print(f"mest error: {exc}", file=sys.stderr)
         return 2
-    theta, info = robust_gradient(x[:, None], cfg)
-    s = float(info["s"][0])
-    if args.scale is not None:
-        s = args.scale
-        theta, _ = locate_columns(x[:, None], [s], rho)
+    # a column sum, or the sum of its two middle values, may overflow on its
+    # way to the pivot or the median, which are then taken another way
+    with np.errstate(over="ignore"):
+        theta, info = robust_gradient(x[:, None], cfg)
+        s = float(info["s"][0])
+        if args.scale is not None:
+            s = args.scale
+            theta, _ = locate_columns(x[:, None], [s], rho)
     print(json.dumps({"n": len(x), "theta_hat": float(theta[0]),
                       "sigma_hat": float(info["sigma"][0]), "s": s}, sort_keys=True))
     return 0

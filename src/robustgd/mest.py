@@ -9,7 +9,12 @@ Location is solved in theta, dispersion in log sigma.  Each psi kind and
 chi has one formula, a fused kernel that gives a residual evaluation's
 value and slope in one call: ``RhoFunction.psi_dpsi`` and
 ``ChiFunction.chi_udchi``.  ``psi`` and ``chi`` return their first
-outputs; the loss rho itself is never evaluated.  Each solve allocates one
+outputs; the loss rho itself is never evaluated.  The Gudermannian psi is
+gd(u) = atan(sinh u), within 2 ulp, and psi' = 1 / cosh u, within 2 ulp up
+to |u| ~ 710.5, where cosh overflows and psi' (a subnormal) is 0.  Neither
+kernel sets a floating-point error state: sinh, cosh and u * u overflow
+for large |u| to values that are correct in the limit, so ``psi``, ``chi``
+and each root solve hold over="ignore" themselves.  Each solve allocates one
 buffer set and slices it to the columns still open, and carries those
 columns' points and brackets compacted from step to step.
 """
@@ -50,24 +55,35 @@ class RhoFunction:
         """Influence psi(u), the first output of ``psi_dpsi``; a scalar u
         gives a numpy scalar."""
         u = np.asarray(u, dtype=float)
-        return self.psi_dpsi(u, np.empty_like(u), np.empty_like(u))[0][()]
+        with np.errstate(over="ignore"):  # sinh, cosh and u * u overflow
+            return self.psi_dpsi(u, np.empty_like(u), np.empty_like(u))[0][()]
 
     def psi_dpsi(self, u, p, dp):
         """(psi(u), psi'(u)) written into the float arrays p and dp.
 
-        Per kind, with e = exp(-|u|): gudermannian
-        sign(u) (pi/2 - 2 atan(e)) and sech(u) = 2e / (1 + e^2); log_cosh
-        tanh(u) and sech(u)^2; pseudo_huber u / sqrt(1 + u^2/2) and
-        (1 + u^2/2)^-1.5; quadratic_test_only u and 1.  The subexpression
-        the two share (e, or 1 + u^2/2) is computed once and every
-        intermediate lives in the two outputs.  The Gudermannian kind also
-        takes sign(u) as one temporary.  u is left unchanged and must not
-        share memory with either output.
+        Per kind: gudermannian atan(sinh u) and 1 / cosh u; log_cosh
+        tanh(u) and sech(u)^2 = (2e / (1 + e^2))^2 with e = exp(-|u|);
+        pseudo_huber u / sqrt(1 + u^2/2) and (1 + u^2/2)^-1.5;
+        quadratic_test_only u and 1.  Every intermediate lives in the two
+        outputs.  u is left unchanged and must not share memory with
+        either output.  The kernel sets no floating-point error state:
+        past |u| ~ 710 sinh and cosh overflow (psi is then +-pi/2 and psi'
+        0), and past |u| ~ 1.9e154 u * u does, so callers hold
+        over="ignore" themselves, as ``psi`` and the root solves do.
         """
+        if self.kind == "gudermannian":
+            # psi within 2 ulp, and odd to the signed zero, where the equal
+            # form pi/2 - 2 atan(exp(-|u|)) cancels for small |u|; psi'
+            # within 2 ulp until it is a subnormal that cosh's overflow
+            # flushes to 0
+            np.sinh(u, out=p)
+            np.arctan(p, out=p)
+            np.cosh(u, out=dp)
+            np.divide(1.0, dp, out=dp)
+            return p, dp
         if self.kind == "pseudo_huber":
-            with np.errstate(over="ignore"):
-                np.multiply(0.5, u, out=dp)
-                np.multiply(dp, u, out=dp)
+            np.multiply(0.5, u, out=dp)
+            np.multiply(dp, u, out=dp)
             np.add(1.0, dp, out=dp)  # 1 + u^2/2
             np.sqrt(dp, out=p)
             np.divide(u, p, out=p)
@@ -81,8 +97,8 @@ class RhoFunction:
             dp.fill(1.0)
             return p, dp
         # e = exp(-|u|) and sech(u) = 2 (e / (1 + e^2)); doubling is exact,
-        # so it has the bits of 2e / (1 + e^2) and e survives in p.  abs and
-        # negative, not copysign(u, -1): numpy vectorises only the former
+        # so it has the bits of 2e / (1 + e^2).  abs and negative, not
+        # copysign(u, -1): numpy vectorises only the former
         np.abs(u, out=p)
         np.negative(p, out=p)
         np.exp(p, out=p)
@@ -90,15 +106,8 @@ class RhoFunction:
         np.add(1.0, dp, out=dp)
         np.divide(p, dp, out=dp)
         np.multiply(2.0, dp, out=dp)
-        if self.kind == "log_cosh":
-            np.multiply(dp, dp, out=dp)
-            np.tanh(u, out=p)
-            return p, dp
-        np.arctan(p, out=p)
-        np.multiply(2.0, p, out=p)
-        np.subtract(0.5 * np.pi, p, out=p)
-        # not copysign: psi(-0.0) is +0.0
-        np.multiply(np.sign(u), p, out=p)
+        np.multiply(dp, dp, out=dp)
+        np.tanh(u, out=p)
         return p, dp
 
     def __repr__(self):
@@ -132,8 +141,7 @@ class ChiFunction:
         outputs.  u is left unchanged and must not share memory with either
         output.  The kernel sets no floating-point error state: u * u
         overflows past |u| ~ 1.3e154 (to w = 0, chi = 1 - c), so callers
-        hold over="ignore" themselves, as ``rescale_columns`` does for its
-        whole solve.
+        hold over="ignore" themselves, as ``chi`` and the root solves do.
         """
         np.multiply(u, u, out=c)
         np.add(1.0, c, out=c)
@@ -185,14 +193,14 @@ def _solve_columns(residual, z, lo, hi, fp):
     within ``fp.rel_tolerance`` or its bracket has collapsed; columns still
     open after ``fp.max_iters`` steps finish by bisection and are flagged.
     The open columns' points and brackets travel compacted between steps
-    (lo and hi are overwritten), and divide and invalid warnings are off
-    for the whole solve, residuals included.  The bisection point halves
-    each end before adding, so it stays finite next to +-1.8e308.  Updates
-    z in place; returns (z, fell_back).
+    (lo and hi are overwritten), and overflow, divide and invalid warnings
+    are off for the whole solve, residuals included.  The bisection point
+    halves each end before adding, so it stays finite next to +-1.8e308.
+    Updates z in place; returns (z, fell_back).
     """
     fell_back = np.zeros(z.shape, dtype=bool)
     cols, zc, lc, hc = np.arange(z.size), z, lo, hi
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for it in range(fp.max_iters + 1 + _BISECT_STEPS):
             # max(|lc|, |hc|), as lc <= hc
             keep = (hc - lc > _WIDTH * np.maximum(np.negative(lc), hc)).nonzero()[0]
@@ -203,8 +211,9 @@ def _solve_columns(residual, z, lo, hi, fp):
             if cols.size == 0:
                 break
             f, slope = residual(zc, cols)
-            np.copyto(lc, zc, where=f > 0)
-            np.copyto(hc, zc, where=f < 0)
+            # float zeros: numpy converts a Python int anew on every call
+            np.copyto(lc, zc, where=f > 0.0)
+            np.copyto(hc, zc, where=f < 0.0)
             step = 0.5 * lc + 0.5 * hc
             if it < fp.max_iters:
                 newton = zc - f / slope
@@ -228,22 +237,27 @@ def _open_rows(a, cols, out):
 
 
 def _row_medians(a, scratch):
-    """``np.median(a, axis=1)`` of a finite 2-D array, bit for bit.
+    """``np.median(a, axis=1)`` of a finite 2-D array, bit for bit, except
+    where the mean of the two middle values overflows (np.median gives inf).
 
     numpy's median partitions every row at both middle ranks, which runs a
-    scalar selection per row; partitioning a copy (in ``scratch``) at the
-    upper middle rank alone takes the vectorised one, and the lower middle
-    value is then the maximum below it.  The mean of the two is formed as
-    np.mean forms it.  Only a zero median can depend on which signed zero
-    the selection picked, so those rows take np.median itself.
+    scalar selection per row; sorting a copy (in ``scratch``) in place is
+    one vectorised call, and the middle values are read at ranks h - 1 and
+    h.  The mean of the two is formed as np.mean forms it, or as the sum of
+    their halves where their sum overflows.  Only a zero median can depend
+    on which signed zero the sort put there, so those rows take np.median
+    itself.
     """
     h = a.shape[1] // 2
     np.copyto(scratch, a)
-    scratch.partition(h, axis=1)
+    scratch.sort(axis=1)
     med = scratch[:, h].copy()
     if a.shape[1] % 2 == 0:
-        med += np.maximum.reduce(scratch[:, :h], 1)
+        med += scratch[:, h - 1]
         med /= 2
+        big = np.isinf(med)
+        if big.any():
+            med[big] = 0.5 * scratch[big, h - 1] + 0.5 * scratch[big, h]
     zero = med == 0.0
     if zero.any():
         med[zero] = np.median(a[zero], axis=1)
@@ -281,7 +295,8 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP):
     # Each buffer is its own (k, n) array: a larger block, once freed, would
     # raise the C allocator's mmap threshold for the rest of the process
     ub, pb, dpb = (np.empty(xt.shape) for _ in range(3))
-    n, k = x.shape
+    k = x.shape[1]
+    n = float(x.shape[0])  # divides as the int does, without its conversion
 
     def residual(theta, cols):
         m = cols.size
@@ -321,7 +336,9 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
     a = np.abs(rt, out=ub)
     floor = SIGMA_FLOOR * (1.0 + np.abs(pivots))
     lo = np.log(floor)
-    n = x.shape[0]  # a mean is the sum over n divided by n, as ndarray.mean
+    # a mean is the sum over n divided by n, as ndarray.mean; a float n
+    # divides as the int does, without its conversion
+    n = float(x.shape[0])
     with np.errstate(divide="ignore", over="ignore"):
         # every chi term is negative once sigma > 2 max|r|
         hi = np.maximum(_LOG2 + np.log(np.maximum.reduce(a, 1)), lo)
@@ -337,9 +354,9 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
         c, udchi = chi.chi_udchi(u, cb[:m], db[:m])
         return np.add.reduce(c, 1) / n, np.add.reduce(udchi, 1) / -n
 
-    with np.errstate(over="ignore"):  # rt * exp(-z) may overflow; chi(inf) = 1 - c
-        z, fell_back = _solve_columns(residual, np.minimum(np.maximum(start, lo), hi),
-                                      lo, hi, fp)
+    # rt * exp(-z) may overflow in the solve; chi(inf) = 1 - c
+    z, fell_back = _solve_columns(residual, np.minimum(np.maximum(start, lo), hi),
+                                  lo, hi, fp)
     return np.maximum(np.exp(z), floor), fell_back
 
 

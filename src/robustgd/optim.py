@@ -18,6 +18,7 @@ Median-of-means steps and svrg's snapshot gradients evaluate through
 ``loss_and_grad_rows``.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,10 +154,14 @@ def _batch_descent(grad_fn, step_cost, state, constraint, stop, record_every):
             if constraint is not None:
                 W = np.array([constraint.project(w) for w in W])
             t += 1
-            if not np.isfinite(W).all():
-                live, W = leave(~np.isfinite(W).all(axis=1), "diverged")
+            # a finite sum has finite terms; a sum that is not (a term, or
+            # an overflow) has its terms checked
+            if not math.isfinite(np.add.reduce(W, None)):
+                bad = ~np.isfinite(W).all(axis=1)
+                if bad.any():
+                    live, W = leave(bad, "diverged")
             if t % every == 0:
-                for k, w in zip(live, W):
+                for k, w in zip(live.tolist(), W):
                     records[k].append((t, w, evals))
     leave(np.ones(live.size, dtype=bool), "max_iters")
     out = []
@@ -364,16 +369,30 @@ def oracle_gd_run(grad, state, stop, constraint=None, record_every=1):
                     record_every)
 
 
+# row indices drawn per call into the generator by the stochastic steps
+_DRAW_CHUNK = 256
+
+
+def _row_draws(rng, n):
+    """The row indices ``int(rng.integers(n))`` of successive scalar draws,
+    taken from ``rng`` ``_DRAW_CHUNK`` at a time.  A chunk holds the same
+    indices, in the same order, as that many scalar draws, so only the
+    generator's state after the last index read differs."""
+    while True:
+        yield from rng.integers(n, size=_DRAW_CHUNK).tolist()
+
+
 def sgd_run(model, dataset, state, stop, rng, constraint=None, record_every=1):
     """Stochastic gradient descent on one uniformly sampled row per step,
     whose gradient comes from ``model.grad_rows`` on data checked once at
-    entry."""
+    entry.  The rows are the scalar draws ``rng.integers(n)``, taken from a
+    buffered stream (``_row_draws``)."""
     X, y = row_arrays(model, dataset)
     n = dataset.n
+    draws = _row_draws(rng, n)
 
     def grad_fn(w, t):
-        # a scalar draw consumes the stream as a size-1 draw does
-        i = int(rng.integers(n))
+        i = next(draws)
         # adding +0.0 turns -0.0 into +0.0, as a one-row mean's sum does
         return model.grad_rows(w, X[i:i + 1], y[i:i + 1])[0] + 0.0
 
@@ -391,10 +410,12 @@ def svrg_run(model, dataset, state, stop, rng, constraint=None, record_every=1):
     checked once at entry.  Each snapshot also builds every row at its
     weights in one ``model.grad_rows`` call over n one-row items, each with
     the bits of its own one-row call; an inner step evaluates its row at
-    the iterate and reads the snapshot's.
+    the iterate and reads the snapshot's.  Inner rows are drawn as in
+    ``sgd_run``, from a buffered stream of scalar draws.
     """
     X, y = row_arrays(model, dataset)
     n = dataset.n
+    draws = _row_draws(rng, n)
     inner_len = max(1, n // 2)
     snap = {}
 
@@ -406,7 +427,7 @@ def svrg_run(model, dataset, state, stop, rng, constraint=None, record_every=1):
             _, G = loss_and_grad_rows(model.with_weights(w), dataset)
             snap["grad"] = G.mean(axis=0)
             snap["rows"] = model.grad_rows(w, X[:, None, :], y[:, None])[:, 0]
-        i = int(rng.integers(n))
+        i = next(draws)
         return model.grad_rows(w, X[i:i + 1], y[i:i + 1])[0] - snap["rows"][i] + snap["grad"]
 
     return _descent(grad_fn, lambda t: n + 1 if epoch_start(t) else 1, state,

@@ -49,11 +49,18 @@ def column_scales(D, cfg):
     sample, the scale stage of ``robust_gradient``.
 
     Pivot is the column mean, sigma_hat the dispersion root about it, and s
-    widens sigma_hat by sqrt(n / log(2/delta)).  Returns (sigma_hat, s,
+    widens sigma_hat by sqrt(n / log(2/delta)).  A finite column whose sum
+    overflows takes the pivot sum(x_i / n) instead, which is bounded by
+    max |x_i|; every other pivot keeps its bits.  Returns (sigma_hat, s,
     scale_fallback_mask).
     """
-    sigma, fell_back = rescale_columns(D, column_means(D), _CHI, cfg.fp)
-    return sigma, confidence_scale(sigma, D.shape[0], cfg.delta), fell_back
+    n = D.shape[0]
+    pivots = column_means(D)
+    if not np.isfinite(pivots).all():
+        big = ~np.isfinite(pivots)
+        pivots[big] = np.add.reduce(np.ascontiguousarray(D.T[big]) / n, 1)
+    sigma, fell_back = rescale_columns(D, pivots, _CHI, cfg.fp)
+    return sigma, confidence_scale(sigma, n, cfg.delta), fell_back
 
 
 def robust_gradient(D, cfg, cols=None):

@@ -89,8 +89,8 @@ def psi_reference(kind, u):
     """psi = rho' of ``RhoFunction(kind)``, one expression per kind."""
     u = np.asarray(u, dtype=float)
     if kind == "gudermannian":
-        # odd reflection of pi/2 - 2*atan(exp(-|u|)) avoids exp overflow
-        return np.sign(u) * (0.5 * np.pi - 2.0 * np.arctan(np.exp(-np.abs(u))))
+        # gd(u); sinh overflows to +-inf past |u| ~ 710, where atan gives +-pi/2
+        return np.arctan(np.sinh(u))
     if kind == "log_cosh":
         return np.tanh(u)
     if kind == "pseudo_huber":
@@ -104,8 +104,7 @@ def dpsi_reference(kind, u):
     """psi' of ``RhoFunction(kind)``, one expression per kind."""
     u = np.asarray(u, dtype=float)
     if kind == "gudermannian":
-        e = np.exp(-np.abs(u))  # sech(u), overflow-safe
-        return 2.0 * e / (1.0 + e * e)
+        return 1.0 / np.cosh(u)  # sech(u); 0 where cosh overflows
     if kind == "log_cosh":
         e = np.exp(-np.abs(u))
         s = 2.0 * e / (1.0 + e * e)
@@ -168,9 +167,10 @@ _RHO_COEFFS = _euler_series_coeffs()
 
 
 def gudermannian_psi_ld(u):
-    """2 atan(e^u) - pi/2 in extended precision, overflow-safe."""
-    u = np.asarray(u, dtype=LD)
-    return np.sign(u) * (_PI_2 - 2 * np.arctan(np.exp(-np.abs(u))))
+    """gd(u) = atan(sinh u) = 2 atan(e^u) - pi/2 in extended precision;
+    sinh overflows to +-inf past |u| ~ 11356, where atan gives +-pi/2."""
+    with np.errstate(over="ignore"):
+        return np.arctan(np.sinh(np.asarray(u, dtype=LD)))
 
 
 def gudermannian_rho_ld(u):

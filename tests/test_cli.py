@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -419,6 +420,27 @@ class TestMest:
     def test_bad_file_exits_2(self, tmp_path, capsys):
         p = self.write_column(tmp_path, ["abc"])
         assert main(["mest", str(p)]) == 2
+
+    @pytest.mark.parametrize("where", ["missing.txt", "."])
+    def test_unreadable_path_exits_2(self, tmp_path, capsys, where):
+        # a path that does not exist, and a directory
+        assert main(["mest", str(tmp_path / where)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mest error: cannot read data: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_overflowing_column_sum(self, tmp_path, capsys, n):
+        # the column's sum overflows, and so at n = 4 does its median's
+        # midpoint: the pivot is the sum of x_i / n, the midpoint the sum
+        # of the halves
+        p = self.write_column(tmp_path, [1e308] * n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nor does it warn
+            assert main(["mest", str(p)]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["theta_hat"] == 1e308 and got["n"] == n
+        assert np.isfinite(got["sigma_hat"]) and np.isfinite(got["s"])
 
     @pytest.mark.parametrize("values, flags, error", [
         ([1, 2, 3], ["--delta", "1.5"], "--delta must lie in (0, 1)"),

@@ -1,6 +1,7 @@
 """Descent loops, budgets, projection, and the geometric-median aggregator."""
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ import pytest
 from robustgd.datagen import SyntheticRisk, gen_regression, NoiseSpec
 from robustgd.mest import FixedPointSettings, RhoFunction
 from robustgd.models import Dataset, LinearModel, LogisticModel, loss_and_grad_rows
+import robustgd.models as models
+import robustgd.optim as optim
 from robustgd.optim import (
+    _batch_descent,
+    _row_draws,
     _row_means,
     L2Ball,
     OptimState,
@@ -27,6 +32,7 @@ from robustgd.optim import (
 from robustgd.robust_grad import RobustConfig
 
 from oracles import (
+    CountingNumpy,
     block_means_reference,
     erm_gd_stacked_reference_run,
     geometric_median_objective,
@@ -336,6 +342,21 @@ class TestRgdRun:
                    stop=StoppingRule(max_iters=200))
         assert traj.stop_reason == "diverged"
 
+    def test_finite_iterates_whose_sum_overflows_do_not_diverge(self):
+        # trial 0's coordinates stay finite while their sum overflows; trial
+        # 1's last coordinate overflows to inf at step 1 and leaves as diverged
+        W0 = np.array([[1.7e308, 1.7e308, -1e300], [0.0, 0.0, 1e308]])
+        g = np.array([[0.0, 0.0, 1e300], [0.0, 0.0, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trajs = _batch_descent(lambda W, t, live: g[live], lambda t: 0,
+                                   OptimState(W0, 1.0), None,
+                                   StoppingRule(max_iters=3), 1)
+        assert [t.stop_reason for t in trajs] == ["max_iters", "diverged"]
+        assert trajs[0].steps.tolist() == [0, 1, 2, 3]
+        assert trajs[1].steps.tolist() == [0, 1]
+        assert np.isfinite(trajs[0].iterates).all()
+
     def test_grad_tol_stops_early(self):
         ds, w_star, rng = regression_problem(seed=8)
         w0 = w_star + 0.5
@@ -542,6 +563,51 @@ def _stochastic_run(name, model, ds, rng, max_iters=5):
     if name == "svrg":
         return svrg_run(model, ds, state, stop, rng)
     return rgd_run(model, ds, RobustConfig(), state, stop=stop, rng=rng, batch_size=2)
+
+
+class TestBufferedRowDraws:
+    """sgd and svrg take their rows from ``rng.integers(n, size=256)``
+    chunks, which hold the indices of as many scalar draws."""
+
+    @pytest.mark.parametrize("n", [1, 2, 2000, 2**32 + 1])
+    def test_chunks_equal_scalar_draws(self, n):
+        draws = _row_draws(np.random.default_rng(8), n)
+        scalar = np.random.default_rng(8)
+        got = [next(draws) for _ in range(600)]  # three chunks
+        assert got == [int(scalar.integers(n)) for _ in range(600)]
+        assert all(type(i) is int for i in got)
+
+    @pytest.mark.parametrize("run, reference", [(sgd_run, sgd_reference_run),
+                                                (svrg_run, svrg_reference_run)])
+    def test_runs_across_chunks_equal_scalar_draw_runs(self, run, reference):
+        # 600 steps read three chunks; the references draw one row per call
+        model, ds, w0 = stochastic_problem("logistic_reg")
+        stop = StoppingRule(max_iters=600)
+        got = run(model, ds, OptimState(w0.copy(), 0.05), stop, np.random.default_rng(9))
+        want = reference(model, ds, OptimState(w0.copy(), 0.05), stop,
+                         np.random.default_rng(9))
+        assert got.steps[-1] == 600
+        assert_same_trajectory(got, want)
+
+    def test_numpy_calls_of_an_sgd_step_pinned(self, monkeypatch):
+        # the calls optim and models make for one more step of a one-row
+        # descent, and the calls into the generator, which the buffered
+        # stream makes once per 256 steps
+        model, ds, w0 = stochastic_problem("logistic_reg")
+
+        def calls(steps):
+            counts, draws = Counter(), Counter()
+            with monkeypatch.context() as m:
+                for module in (optim, models):
+                    m.setattr(module, "np", CountingNumpy(counts))
+                rng = CountingNumpy(draws, np.random.default_rng(1), "rng")
+                sgd_run(model, ds, OptimState(w0.copy(), 0.05),
+                        StoppingRule(max_iters=steps), rng)
+            return sum(counts.values()), dict(draws)
+
+        (two, drawn), (three, _) = calls(2), calls(3)
+        assert three - two == 7
+        assert drawn == {"integers": 1} and calls(257)[1] == {"integers": 2}
 
 
 class TestStochasticEntryChecks:

@@ -13,15 +13,18 @@ _spec.loader.exec_module(paired_bench)
 METRICS = {"wall_norm_s": "lower", "peak_rss_mb": "lower"}
 
 
-def pairs_of(parent, change, reference=None):
-    """Pairs from per-seed wall_norm_s values; peak_rss_mb ties at 64."""
+def pairs_of(parent, change, reference=None, wall=None):
+    """Pairs from per-seed wall_norm_s values; peak_rss_mb ties at 64.
+    ``reference`` and ``wall`` give each side's raw reference_s and wall_s
+    per seed."""
     out = []
     for i, (p, c) in enumerate(zip(parent, change)):
         pair = {"parent": {"wall_norm_s": p, "peak_rss_mb": 64.0},
                 "change": {"wall_norm_s": c, "peak_rss_mb": 64.0}}
-        if reference:
-            pair["parent"]["reference_s"] = reference[0][i]
-            pair["change"]["reference_s"] = reference[1][i]
+        for name, raw in (("reference_s", reference), ("wall_s", wall)):
+            if raw:
+                pair["parent"][name] = raw[0][i]
+                pair["change"][name] = raw[1][i]
         out.append(pair)
     return out
 
@@ -105,6 +108,39 @@ def test_reference_medians_per_side():
         "parent": 0.45, "change": 0.35}
     assert paired_bench.summarize(pairs_of([1], [1]), METRICS)["reference_s"] == {
         "parent": None, "change": None}
+
+
+def test_raw_wall_time_summarised_beside_the_reference():
+    # the normalised metric ties in every pair, while the raw pass time and
+    # the reference kernel both read 10% lower on the change: a moved
+    # reference, not a gain in the program
+    wall = ([0.50, 0.52, 0.48, 0.54, 0.46], [0.45, 0.468, 0.432, 0.486, 0.47])
+    reference = ([0.40, 0.41, 0.39, 0.42, 0.38], [0.36, 0.369, 0.351, 0.378, 0.342])
+    s = paired_bench.summarize(pairs_of([1.25] * 5, [1.25] * 5, reference, wall),
+                               METRICS)
+    raw = s["wall_s"]
+    assert s["metrics"]["wall_norm_s"]["change_won"] == 0
+    assert raw["parent"]["median"] == 0.50 and raw["change"]["median"] == 0.468
+    assert raw["parent"]["q1"] == pytest.approx(0.48)
+    assert raw["change"]["q3"] == pytest.approx(0.47)
+    assert raw["change_won"] == 4  # seed 4: 0.47 against 0.46
+    assert raw["pair_ratio"]["median"] == pytest.approx(0.9)
+    assert raw["pair_ratio"]["runs"] == 5
+    line = paired_bench.format_summary("cls_budget", s).splitlines()[-1]
+    assert line.startswith("  wall_s (raw): parent 0.5 [0.48, 0.52]  change 0.468")
+    assert "pair ratio 0.9000" in line and line.endswith("change won 4 of 5")
+
+
+def test_raw_wall_time_over_the_pairs_that_report_it():
+    pairs = pairs_of([1.0, 1.0, 1.0], [0.9, 0.9, 0.9], wall=([2.0, 2.0, 3.0],
+                                                             [1.0, 1.5, 2.0]))
+    del pairs[1]["change"]["wall_s"]
+    raw = paired_bench.summarize(pairs, METRICS)["wall_s"]
+    assert raw["parent"]["runs"] == 2 and raw["change"]["median"] == 1.5
+    assert raw["pair_ratio"]["median"] == pytest.approx(0.5833333333333334)
+    none = paired_bench.summarize(pairs_of([1.0], [0.9]), METRICS)
+    assert none["wall_s"] is None
+    assert "wall_s" not in paired_bench.format_summary("wide_d", none)
 
 
 def test_single_pair_has_no_spread():

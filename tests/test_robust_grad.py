@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from robustgd.mest import FixedPointSettings, RhoFunction, locate_columns
+from robustgd.mest import (
+    ChiFunction,
+    FixedPointSettings,
+    RhoFunction,
+    locate_columns,
+    rescale_columns,
+)
 from robustgd.models import Dataset, LinearModel
 from robustgd.optim import OptimState, StoppingRule, rgd_run
 from robustgd.robust_grad import RobustConfig, robust_gradient
@@ -187,6 +193,43 @@ class TestColumnScales:
             for key in ("sigma", "s", "locate_fallback", "scale_fallback"):
                 assert np.array_equal(info[key][mine], info_b[key])
             assert theta[block].tobytes() == theta_b.tobytes()
+
+    def test_overflowing_column_sum_takes_a_bounded_pivot(self):
+        # finite columns whose sums overflow: three rows of 1e308, and rows
+        # spread over [0.5e308, 1.5e308]; their pivot is sum(x_i / n), and
+        # every column whose sum is finite keeps its bits
+        rng = np.random.default_rng(3)
+        D = heavy_matrix(n=9, d=4)
+        D[:, 1] = 1e308
+        D[:, 3] = 1e308 * rng.uniform(0.5, 1.5, 9)
+        with np.errstate(over="ignore"):
+            theta, info = robust_gradient(D, RobustConfig())
+            for j in (1, 3):
+                x = D[:, [j]]
+                pivot = np.add.reduce(x[:, 0] / 9)
+                assert np.isfinite(pivot)
+                sigma, _ = rescale_columns(x, [pivot], ChiFunction())
+                assert info["sigma"][j] == sigma[0]
+        assert np.isfinite(theta).all() and np.isfinite(info["s"]).all()
+        assert theta[1] == 1e308
+        assert D[:, 3].min() <= theta[3] <= D[:, 3].max()
+        theta_f, info_f = robust_gradient(D[:, [0, 2]], RobustConfig())
+        assert theta[[0, 2]].tobytes() == theta_f.tobytes()
+        assert info["sigma"][[0, 2]].tobytes() == info_f["sigma"].tobytes()
+
+    @pytest.mark.parametrize("column", [
+        [1e308] * 4,
+        # a finite sum, 2e307, whose two middle values sum past 1.8e308
+        [9e307, -1.7e308, 9e307, -1.7e308, 9e307, 9e307],
+    ])
+    def test_median_start_that_overflows_stays_in_the_column_range(self, column):
+        # the even-n median is the midpoint of the middle values, which
+        # overflows to inf; the location solve starts inside [min, max]
+        x = np.array(column)[:, None]
+        with np.errstate(over="ignore"):
+            theta, info = robust_gradient(x, RobustConfig())
+        assert np.isfinite(info["s"]).all()
+        assert x.min() <= theta[0] <= x.max()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
