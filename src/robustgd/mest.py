@@ -5,18 +5,18 @@ influence function psi = rho'; the dispersion estimate is the root of a
 centered chi statistic.  Both root equations are monotone and bracketed, so
 one vectorised kernel solves them column by column: Newton steps that stay
 inside the shrinking bracket, bisection where a step would leave it.
-Location is solved in theta, dispersion in log sigma.  Each psi kind and
-chi has one formula, a fused kernel that gives a residual evaluation's
-value and slope in one call: ``RhoFunction.psi_dpsi`` and
-``ChiFunction.chi_udchi``.  ``psi`` and ``chi`` return their first
-outputs; the loss rho itself is never evaluated.  The Gudermannian psi is
-gd(u) = atan(sinh u), within 2 ulp, and psi' = 1 / cosh u, within 2 ulp up
-to |u| ~ 710.5, where cosh overflows and psi' (a subnormal) is 0.  Neither
-kernel sets a floating-point error state: sinh, cosh and u * u overflow
-for large |u| to values that are correct in the limit, so ``psi``, ``chi``
-and each root solve hold over="ignore" themselves.  Each solve allocates one
-buffer set and slices it to the columns still open, and carries those
-columns' points and brackets compacted from step to step.
+Location is solved in theta, dispersion in log sigma.  Each psi kind has
+one formula, ``RhoFunction.psi_dpsi``, a fused kernel that gives a residual
+evaluation's value and slope in one call; the dispersion residual reads
+only the row means of w = 1/(1+u^2) and w^2 (see ``ChiFunction``).  The
+loss rho is never evaluated.  The Gudermannian psi is gd(u) = atan(sinh
+u), within 2 ulp, and psi' = 1 / cosh u, within 2 ulp up to |u| ~ 710.5,
+where cosh overflows and psi' (a subnormal) is 0.  No kernel sets a
+floating-point error state: sinh, cosh and u * u overflow for large |u| to
+values that are correct in the limit, so ``psi``, ``chi`` and each root
+solve hold over="ignore" themselves.  Each solve allocates one buffer set,
+slices it to the columns still open, and carries those columns' points and
+brackets compacted from step to step.
 """
 
 from dataclasses import dataclass
@@ -120,39 +120,18 @@ class ChiFunction:
 
     The root of sum(chi((x_i - pivot)/sigma)) = 0 in sigma is a robust spread
     measure; the centering constant ``c`` (``GEMAN_C``) makes it match the
-    standard deviation on Gaussian data.
+    standard deviation on Gaussian data.  With w = 1/(1+u^2), chi(u) =
+    1 - w - c and u chi'(u) = 2 w (1 - w), so ``rescale_columns`` solves
+    its root from the means of w and w^2 alone.
     """
 
     c = GEMAN_C
 
     def chi(self, u):
-        """chi(u), the first output of ``chi_udchi``; a scalar u gives a
-        numpy scalar."""
+        """chi(u) = 1 - 1/(1+u^2) - c; a scalar u gives a numpy scalar."""
         u = np.asarray(u, dtype=float)
-        # u * u overflows past |u| ~ 1.3e154; u * dchi(u) is nan at u = +-inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.chi_udchi(u, np.empty_like(u), np.empty_like(u))[0][()]
-
-    def chi_udchi(self, u, c, d):
-        """(chi(u), u chi'(u)) written into the float arrays c and d.
-
-        With w = 1/(1+u^2), computed once: chi(u) = 1 - w - c and
-        u chi'(u) = u (2u w w).  Every intermediate lives in the two
-        outputs.  u is left unchanged and must not share memory with either
-        output.  The kernel sets no floating-point error state: u * u
-        overflows past |u| ~ 1.3e154 (to w = 0, chi = 1 - c), so callers
-        hold over="ignore" themselves, as ``chi`` and the root solves do.
-        """
-        np.multiply(u, u, out=c)
-        np.add(1.0, c, out=c)
-        np.divide(1.0, c, out=c)  # w
-        np.multiply(2.0, u, out=d)
-        np.multiply(d, c, out=d)
-        np.multiply(d, c, out=d)
-        np.multiply(u, d, out=d)
-        np.subtract(1.0, c, out=c)
-        np.subtract(c, self.c, out=c)
-        return c, d
+        with np.errstate(over="ignore"):  # u * u overflows past |u| ~ 1.3e154
+            return (1.0 - 1.0 / (1.0 + u * u) - self.c)[()]
 
 
 @dataclass
@@ -297,15 +276,15 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP):
     ub, pb, dpb = (np.empty(xt.shape) for _ in range(3))
     k = x.shape[1]
     n = float(x.shape[0])  # divides as the int does, without its conversion
+    ns = -n * s  # the slope's divisor
 
     def residual(theta, cols):
         m = cols.size
-        sc = s if m == k else s[cols]
+        sc, nsc = (s, ns) if m == k else (s[cols], ns[cols])
         u = np.subtract(_open_rows(xt, cols, ub[:m]), theta[:, None], out=ub[:m])
         np.divide(u, sc[:, None], out=u)
         psi, dpsi = rho.psi_dpsi(u, pb[:m], dpb[:m])
-        # dividing by -n negates exactly, as -(sum / n) does
-        return np.add.reduce(psi, 1) / n, np.add.reduce(dpsi, 1) / -n / sc
+        return np.add.reduce(psi, 1) / n, np.add.reduce(dpsi, 1) / nsc
 
     return _solve_columns(residual, _row_medians(xt, ub), np.minimum.reduce(xt, 1),
                           np.maximum.reduce(xt, 1), fp)
@@ -320,39 +299,46 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
     (including exactly constant columns, where the chi sum is negative for
     every sigma) return the floor.  The root is found in log sigma on
     [log floor_j, log(2 max_i |r_ij|)] from the mean absolute residual by
-    the safeguarded Newton steps of ``locate_columns``, and fell_back means
-    the same.  Columns are reduced alone and x must be checked, both as in
-    ``locate_columns``.
+    the safeguarded Newton steps of ``locate_columns`` (fell_back means the
+    same), each residual evaluation reading only the row means of
+    w = 1/(1+u^2) and w^2 (see ``ChiFunction``).  Columns are reduced alone
+    and x must be checked, both as in ``locate_columns``; a finite column
+    spread past 1.8e308 overflows its residuals and returns sigma = inf.
     """
     pivots = np.asarray(pivots, dtype=float)
     pivots = pivots if pivots.shape == x.shape[1:] else np.broadcast_to(pivots, x.shape[1:])
     if not np.isfinite(pivots).all():
         raise ValueError("pivot must be finite")
-    # one buffer set per solve, as in locate_columns: the residuals rt, then
-    # the scaled residuals u and the chi terms of the open rows (also the
-    # set-up's scratch)
-    rt, ub, cb, db = (np.empty(x.shape[::-1]) for _ in range(4))
-    np.subtract(x.T, pivots[:, None], out=rt)
-    a = np.abs(rt, out=ub)
+    # one buffer set per solve, as in locate_columns: the residuals rt, and
+    # the scaled residuals of the open rows, which also serve the set-up
+    rt, ub = np.empty(x.shape[::-1]), np.empty(x.shape[::-1])
     floor = SIGMA_FLOOR * (1.0 + np.abs(pivots))
     lo = np.log(floor)
     # a mean is the sum over n divided by n, as ndarray.mean; a float n
     # divides as the int does, without its conversion
     n = float(x.shape[0])
     with np.errstate(divide="ignore", over="ignore"):
+        np.subtract(x.T, pivots[:, None], out=rt)
+        a = np.abs(rt, out=ub)
         # every chi term is negative once sigma > 2 max|r|
         hi = np.maximum(_LOG2 + np.log(np.maximum.reduce(a, 1)), lo)
         start = np.log(np.add.reduce(a, 1) / n)
     # as sigma -> 0 the mean chi tends to (1 - c) minus the share of zero
     # residuals; where that is <= 0 there is no root and the floor is returned
-    no_root = np.add.reduce(np.equal(rt, 0.0, out=cb), 1) / n >= 1.0 - chi.c
+    no_root = np.add.reduce(np.equal(rt, 0.0, out=ub), 1) / n >= 1.0 - chi.c
     np.copyto(hi, lo, where=no_root)
 
     def residual(z, cols):
+        # mean chi = (1 - c) - mean w, and its slope in z = log sigma is
+        # -mean(u chi'(u)) = 2 (mean w^2 - mean w), finite at u = +-inf
         m = cols.size
         u = np.multiply(_open_rows(rt, cols, ub[:m]), np.exp(-z)[:, None], out=ub[:m])
-        c, udchi = chi.chi_udchi(u, cb[:m], db[:m])
-        return np.add.reduce(c, 1) / n, np.add.reduce(udchi, 1) / -n
+        np.multiply(u, u, out=u)
+        np.add(1.0, u, out=u)
+        w = np.divide(1.0, u, out=u)
+        sw = np.add.reduce(w, 1) / n
+        np.multiply(w, w, out=w)
+        return (1.0 - chi.c) - sw, 2.0 * (np.add.reduce(w, 1) / n - sw)
 
     # rt * exp(-z) may overflow in the solve; chi(inf) = 1 - c
     z, fell_back = _solve_columns(residual, np.minimum(np.maximum(start, lo), hi),

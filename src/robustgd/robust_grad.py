@@ -78,7 +78,9 @@ def robust_gradient(D, cfg, cols=None):
     and the scale_fallback and locate_fallback masks of the robustified
     columns.  Estimation never raises on a hard column: a root still open
     after ``cfg.fp.max_iters`` Newton steps is finished by bisection and
-    flagged.
+    flagged, and a finite column whose residuals or scale s overflow is
+    estimated scaled down by 2^-512, its theta, sigma and s scaled back (a
+    sigma or s past 1.8e308 reads inf).
     """
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.size == 0:
@@ -88,7 +90,18 @@ def robust_gradient(D, cfg, cols=None):
     Dt = np.ascontiguousarray(D.T)
     sub = (Dt if cols is None else Dt[cols]).T
     sigma, s, scale_fb = column_scales(sub, cfg)
+    big = ~np.isfinite(s)
+    if big.any():
+        # a finite column spread past about 1e307 overflows its residuals or
+        # its s: it is estimated on a copy scaled by 2^-512 (s = 1 stands in)
+        theta_b, info_b = robust_gradient(np.ldexp(sub[:, big], -512), cfg)
+        s[big] = 1.0
     theta, loc_fb = locate_columns(sub, s, cfg.rho, cfg.fp)
+    if big.any():
+        with np.errstate(over="ignore"):  # a sigma past 1.8e308 reads inf
+            theta[big], sigma[big], s[big] = np.ldexp(
+                [theta_b, info_b["sigma"], info_b["s"]], 512)
+        scale_fb[big], loc_fb[big] = info_b["scale_fallback"], info_b["locate_fallback"]
     if cols is not None:
         full = column_means(Dt.T)
         full[cols] = theta

@@ -2,8 +2,10 @@
 
 The ``*_reference`` formulas are the loss rho with its dilogarithm closed
 form and the per-kind psi, psi', chi and chi' expressions, written out
-separately; the library keeps only the fused kernels ``psi_dpsi`` and
-``chi_udchi``, which must match them bit for bit.  Everything here but ``concentration_pipeline``, the ``*_reference_run``
+separately; the library keeps only the fused kernel ``psi_dpsi`` and
+``chi``, which must match them bit for bit, and the dispersion residual of
+``rescale_columns``, which reads only the means of w = 1/(1+u^2) and w^2
+and must match their means within a few ulp.  Everything here but ``concentration_pipeline``, the ``*_reference_run``
 descents and the ``*_columns_reference`` solvers avoids the library's
 solvers on purpose: brute-force minimization, quadrature, finite
 differences and closed forms are the reference implementations the fast
@@ -14,13 +16,17 @@ the steps: the stochastic steps build a Dataset and a model per step, and
 the full-batch ones build each trial's rows alone and ``np.hstack`` them
 for the robust solve.  The ``*_columns_reference`` solvers are the column
 solvers with their root loop as first written, for bit comparisons.
-``CountingNumpy`` counts the numpy calls a module makes, for tests that pin
-them.
+``CountingNumpy`` counts the numpy calls a module makes, and
+``counting_solve_columns`` the residual evaluations of the root solves, for
+tests that pin them.
 """
+
+import inspect
 
 import numpy as np
 from scipy import optimize, special
 
+import robustgd.mest as mest
 from robustgd.datagen import noise_sd
 from robustgd.mest import (
     DEFAULT_FP,
@@ -350,11 +356,34 @@ class CountingNumpy:
 
     def __getattr__(self, attr):
         value = getattr(self._target, attr)
-        return CountingNumpy(self._counts, value, attr) if callable(value) else value
+        if callable(value):
+            value = CountingNumpy(self._counts, value, attr)
+        setattr(self, attr, value)  # later look-ups skip __getattr__
+        return value
 
     def __call__(self, *args, **kwargs):
         self._counts[self._name] += 1
         return self._target(*args, **kwargs)
+
+
+def counting_solve_columns(log):
+    """A stand-in for ``mest._solve_columns`` that appends (solver, open
+    columns, rows) to ``log`` at each residual evaluation, where solver is
+    the function whose residual closure it is: "rescale_columns" or
+    "locate_columns"."""
+    solve = mest._solve_columns
+
+    def counted(residual, *args):
+        solver = residual.__qualname__.partition(".")[0]
+        rows = int(inspect.getclosurevars(residual).nonlocals["n"])
+
+        def counted_residual(z, cols):
+            log.append((solver, cols.size, rows))
+            return residual(z, cols)
+
+        return solve(counted_residual, *args)
+
+    return counted
 
 
 def geometric_median_oracle(points, restarts=6, seed=0):
@@ -593,7 +622,8 @@ def solve_columns_reference(residual, z, lo, hi, fp):
 
 def locate_columns_reference(x, s, rho, fp=DEFAULT_FP):
     """``mest.locate_columns`` as first written: its residual takes means
-    with ``ndarray.mean`` and it runs ``solve_columns_reference``."""
+    with ``ndarray.mean`` (the slope divides its sum by -n s in one step)
+    and it runs ``solve_columns_reference``."""
     s = np.broadcast_to(np.asarray(s, dtype=float), x.shape[1:])
     xt = np.ascontiguousarray(x.T)
     ub, pb, dpb = (np.empty(xt.shape) for _ in range(3))
@@ -603,7 +633,7 @@ def locate_columns_reference(x, s, rho, fp=DEFAULT_FP):
         u = np.subtract(_open_rows(xt, cols, ub[:m]), theta[:, None], out=ub[:m])
         np.divide(u, sc[:, None], out=u)
         psi, dpsi = rho.psi_dpsi(u, pb[:m], dpb[:m])
-        return psi.mean(axis=1), -dpsi.mean(axis=1) / sc
+        return psi.mean(axis=1), dpsi.sum(axis=1) / (-x.shape[0] * sc)
 
     return solve_columns_reference(residual, _row_medians(xt, ub), xt.min(axis=1),
                                    xt.max(axis=1), fp)
@@ -613,24 +643,27 @@ def rescale_columns_reference(x, pivots, chi, fp=DEFAULT_FP):
     """``mest.rescale_columns`` as first written, as
     ``locate_columns_reference`` is ``locate_columns``."""
     pivots = np.broadcast_to(np.asarray(pivots, dtype=float), x.shape[1:])
-    rt, ub, cb, db = (np.empty(x.shape[::-1]) for _ in range(4))
-    np.subtract(x.T, pivots[:, None], out=rt)
-    a = np.abs(rt, out=ub)
+    rt, ub = np.empty(x.shape[::-1]), np.empty(x.shape[::-1])
     floor = SIGMA_FLOOR * (1.0 + np.abs(pivots))
     lo = np.log(floor)
     with np.errstate(divide="ignore", over="ignore"):
+        np.subtract(x.T, pivots[:, None], out=rt)
+        a = np.abs(rt, out=ub)
         hi = np.maximum(np.log(2.0) + np.log(a.max(axis=1)), lo)
         start = np.log(a.mean(axis=1))
-    no_root = np.equal(rt, 0.0, out=cb).mean(axis=1) >= 1.0 - chi.c
+    no_root = np.equal(rt, 0.0, out=ub).mean(axis=1) >= 1.0 - chi.c
     hi[no_root] = lo[no_root]
 
     def residual(z, cols):
+        # mean chi = (1 - c) - mean w and its slope 2 (mean w^2 - mean w),
+        # with w = 1/(1+u^2)
         m = cols.size
-        with np.errstate(over="ignore"):  # chi_udchi leaves it to its caller
+        with np.errstate(over="ignore"):  # u * u past |u| ~ 1.3e154
             u = np.multiply(_open_rows(rt, cols, ub[:m]), np.exp(-z)[:, None],
                             out=ub[:m])
-            c, udchi = chi.chi_udchi(u, cb[:m], db[:m])
-        return c.mean(axis=1), -udchi.mean(axis=1)
+            w = 1.0 / (1.0 + u * u)
+        sw = w.mean(axis=1)
+        return (1.0 - chi.c) - sw, 2.0 * ((w * w).mean(axis=1) - sw)
 
     z, fell_back = solve_columns_reference(residual, np.clip(start, lo, hi), lo, hi, fp)
     return np.maximum(np.exp(z), floor), fell_back

@@ -442,6 +442,17 @@ class TestMest:
         assert got["theta_hat"] == 1e308 and got["n"] == n
         assert np.isfinite(got["sigma_hat"]) and np.isfinite(got["s"])
 
+    def test_column_whose_residuals_overflow(self, tmp_path, capsys):
+        # x - pivot passes 1.8e308 for the two negative rows; the column is
+        # estimated scaled down, and sigma (about 2.2e308) and s read inf
+        p = self.write_column(tmp_path, [1.7e308] * 3 + [-1.7e308] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mest", str(p)]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert -1.7e308 < got["theta_hat"] < 1.7e308
+        assert got["sigma_hat"] == got["s"] == np.inf
+
     @pytest.mark.parametrize("values, flags, error", [
         ([1, 2, 3], ["--delta", "1.5"], "--delta must lie in (0, 1)"),
         ([1, 2, 3], ["--delta", "0"], "--delta must lie in (0, 1)"),

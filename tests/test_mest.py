@@ -35,6 +35,7 @@ from robustgd.robust_grad import RobustConfig, robust_gradient
 from oracles import (
     CountingNumpy,
     chi_reference,
+    counting_solve_columns,
     dchi_reference,
     dpsi_reference,
     locate_columns_reference,
@@ -394,9 +395,11 @@ KERNEL_INPUTS = np.concatenate([
 
 
 class TestFusedKernels:
-    """The fused kernels psi_dpsi and chi_udchi are the library's only psi
-    and chi formulas: they, and psi/chi, must carry the bits of the separate
-    reference expressions in ``oracles``."""
+    """The fused kernel psi_dpsi and chi are the library's only psi and chi
+    formulas: they must carry the bits of the separate reference expressions
+    in ``oracles``.  The dispersion residual reads only the means of
+    w = 1/(1+u^2) and w^2, and must match the references' means within a
+    few ulp."""
 
     @pytest.mark.parametrize("kind", RHO_KINDS)
     def test_psi_dpsi_bits(self, kind):
@@ -420,18 +423,11 @@ class TestFusedKernels:
             assert type(value) is np.float64
             assert np.array_equal(bits(value), bits(ref))
 
-    def test_chi_udchi_bits(self):
+    def test_chi_bits(self):
         # inf residuals arise in rescale_columns from rt * exp(-z)
         u = np.concatenate([KERNEL_INPUTS, [np.inf, -np.inf]])
-        # the kernel leaves the error state to its caller: u * u overflows
-        with np.errstate(over="ignore", invalid="ignore"):
-            chi, udchi = CHI.chi_udchi(u, np.empty_like(u), np.empty_like(u))
-            want = u * dchi_reference(u)
-        assert np.array_equal(np.isnan(udchi), np.isnan(want))
-        assert np.isnan(want[-2:]).all() and np.isfinite(chi).all()
-        assert np.array_equal(bits(chi), bits(chi_reference(u)))
-        assert np.array_equal(bits(udchi), bits(want))
         assert np.array_equal(bits(CHI.chi(u)), bits(chi_reference(u)))
+        assert np.isfinite(CHI.chi(u)).all()
         block = CHI.chi(u[:2000].reshape(40, 50))
         assert block.shape == (40, 50)
         assert np.array_equal(bits(block.ravel()), bits(chi_reference(u[:2000])))
@@ -440,6 +436,49 @@ class TestFusedKernels:
                 value = CHI.chi(x)
                 assert type(value) is np.float64
                 assert np.array_equal(bits(value), bits(chi_reference(x)))
+
+    @staticmethod
+    def dispersion_residual(rt):
+        """The residual closure of ``rescale_columns`` for the (k, n) residuals
+        rt about zero pivots, taken from the solve without running it."""
+        got = []
+
+        def capture(residual, z, lo, hi, fp):
+            got.append(residual)
+            return z, np.zeros(z.shape, dtype=bool)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mest, "_solve_columns", capture)
+            with np.errstate(over="ignore"):
+                rescale_columns(rt.T, np.zeros(len(rt)), CHI)
+        return got[0]
+
+    @pytest.mark.parametrize("case", ["kernel_inputs", "solver_samples"])
+    def test_dispersion_residual_within_ulp(self, case):
+        # mean chi = (1 - c) - mean w and slope 2 (mean w^2 - mean w) against
+        # the means of chi_reference and -u dchi_reference; every term is
+        # bounded by 1, so a few ulp of 1 bound the difference
+        if case == "kernel_inputs":
+            # u chi'(u) reads nan at u = +-inf, where the residual's slope
+            # must take the limit 0
+            rows = [np.concatenate([KERNEL_INPUTS, [np.inf, -np.inf]])]
+        else:
+            rows = [X.T for X in solver_samples(500, 40, seed=8)]
+        eps = np.finfo(float).eps
+        for rt in rows:
+            rt = np.ascontiguousarray(np.atleast_2d(rt))
+            residual = self.dispersion_residual(rt)
+            cols = np.arange(len(rt))
+            for z in (0.0, -5.0, 3.0, 40.0, -40.0):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    f, slope = residual(np.full(len(rt), z), cols)
+                    u = rt * np.exp(-z)
+                    want_f = chi_reference(u).mean(axis=1)
+                    udchi = u * dchi_reference(u)
+                want_slope = -np.where(np.isnan(udchi), 0.0, udchi).mean(axis=1)
+                assert np.isfinite(slope).all()
+                assert np.abs(f - want_f).max() <= 4 * eps
+                assert np.abs(slope - want_slope).max() <= 4 * eps
 
 
 class TestGudermannianAccuracy:
@@ -551,16 +590,16 @@ class TestSolverBuffers:
     @pytest.mark.parametrize("kind", RHO_KINDS)
     def test_residual_evaluations_pinned(self, monkeypatch, shape, kind):
         X = heavy_rows() if shape == "500x128" else logistic_minibatch_rows()
-        seen = {"chi_udchi": [], "psi_dpsi": []}
-        for cls, name in ((ChiFunction, "chi_udchi"), (RhoFunction, "psi_dpsi")):
-            def counted(self, u, *args, _fn=getattr(cls, name), _name=name):
-                seen[_name].append(u.shape[0])
-                return _fn(self, u, *args)
-            monkeypatch.setattr(cls, name, counted)
+        log = []
+        monkeypatch.setattr(mest, "_solve_columns", counting_solve_columns(log))
         sigma, _ = rescale_columns(X, column_means(X), CHI)
         locate_columns(X, confidence_scale(sigma, X.shape[0], 0.005), RhoFunction(kind))
+        seen = {"rescale_columns": [], "locate_columns": []}
+        for solver, cols, rows in log:
+            assert rows == X.shape[0]
+            seen[solver].append(cols)
         chi_cols, psi_cols = self.EVALUATIONS[shape]
-        assert seen == {"chi_udchi": chi_cols, "psi_dpsi": psi_cols[kind]}
+        assert seen == {"rescale_columns": chi_cols, "locate_columns": psi_cols[kind]}
 
     def test_numpy_calls_of_a_small_robust_gradient_pinned(self, monkeypatch):
         # at 10x40 each call into numpy costs about as much as its
@@ -571,8 +610,9 @@ class TestSolverBuffers:
         for module in (mest, robust_grad):
             monkeypatch.setattr(module, "np", CountingNumpy(counts))
         robust_gradient(X, RobustConfig())
-        # 4 calls per Gudermannian psi evaluation, one sort per median
-        assert sum(counts.values()) == 180, counts
+        # 4 calls per Gudermannian psi evaluation, 8 per dispersion residual
+        # evaluation, one sort per median
+        assert sum(counts.values()) == 159, counts
 
 
 def solver_samples(n, k, seed):
@@ -676,8 +716,7 @@ class TestSolverOracle:
         rng = np.random.default_rng(7)
         X = np.vstack([1e-10 * rng.standard_normal((9, 3)), [1e300, -1e300, 1e-10]])
         pivots = np.zeros(3)
-        with np.errstate(invalid="ignore"):  # the reference's inf * 0 in chi
-            want = rescale_columns_reference(X, pivots, CHI)
+        want = rescale_columns_reference(X, pivots, CHI)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             X[9, 0] / want[0][0]
         with warnings.catch_warnings():

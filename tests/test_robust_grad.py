@@ -1,5 +1,7 @@
 """Column-wise robust gradient pipeline: contract examples and invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,44 @@ class TestColumnScales:
         theta_f, info_f = robust_gradient(D[:, [0, 2]], RobustConfig())
         assert theta[[0, 2]].tobytes() == theta_f.tobytes()
         assert info["sigma"][[0, 2]].tobytes() == info_f["sigma"].tobytes()
+
+    def test_column_whose_residuals_overflow_is_estimated(self):
+        # its sum is finite, but x - pivot passes 1.8e308: the residuals
+        # overflowed, sigma came back inf and locate_columns raised
+        x = np.array([[1.7e308], [-1.7e308], [-1.7e308], [1.7e308], [1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, info = robust_gradient(x, RobustConfig())
+        assert x.min() < theta[0] < x.max()
+        # its sigma, about 2.1e308, and s are past the largest double
+        assert np.isinf(info["sigma"]).all() and np.isinf(info["s"]).all()
+        assert not info["scale_fallback"].any() and not info["locate_fallback"].any()
+
+    def test_overflowing_columns_are_estimated_scaled_down(self):
+        # column 1's residuals overflow; column 3's sigma is finite but its
+        # s = 3.6 sigma is not.  Both are estimated on copies scaled by
+        # 2^-512 and scaled back, so they match a solve scaled by 2^-4 to
+        # the tight solver's precision; every other column keeps its bits
+        rng = np.random.default_rng(8)
+        D = heavy_matrix(n=40, d=5)
+        D[:, 1] = 1.7e308 * rng.uniform(0.9, 1.0, 40) * np.repeat([1.0, -1.0], [24, 16])
+        D[:, 3] = 1e308 * rng.uniform(0.5, 1.0, 40) * np.tile([1.0, -1.0], 20)
+        big = [1, 3]
+        # column 1's partial sums overflow, and meet as inf - inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta, info = robust_gradient(D, GUD_CFG)
+            want_theta, want = robust_gradient(np.ldexp(D[:, big], -4), GUD_CFG)
+            want_sigma, want_s = np.ldexp([want["sigma"], want["s"]], 4)
+        rest_theta, rest = robust_gradient(D[:, [0, 2, 4]], GUD_CFG)
+        assert theta[[0, 2, 4]].tobytes() == rest_theta.tobytes()
+        for key in ("sigma", "s"):
+            assert info[key][[0, 2, 4]].tobytes() == rest[key].tobytes()
+        assert np.isinf(info["s"][big]).all() and np.isfinite(info["sigma"][3])
+        assert np.all(np.abs(np.ldexp(theta[big], -4) - want_theta) <= 1e-11 * want["s"])
+        np.testing.assert_allclose(info["sigma"][big], want_sigma, rtol=1e-11)
+        np.testing.assert_allclose(info["s"][big], want_s, rtol=1e-11)
+        for key in ("scale_fallback", "locate_fallback"):
+            assert np.array_equal(info[key][big], want[key])
 
     @pytest.mark.parametrize("column", [
         [1e308] * 4,
