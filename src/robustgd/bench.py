@@ -21,8 +21,9 @@ from .datagen import (
     gen_classification,
     gen_regression,
     gen_w_star,
-    noise_sd,
 )
+# noise_sd is unused here but stays importable: perfbench's tracer hooks it
+from .datagen import noise_sd
 from .mest import RhoFunction
 from .models import LinearModel, LogisticModel, empirical_risk, misclassification_rate
 from .optim import (
@@ -38,7 +39,7 @@ from .optim import (
     sgd_run,
     svrg_run,
 )
-from .robust_grad import RobustConfig, robust_gradient
+from .robust_grad import RobustConfig
 
 TASKS = (
     "quadratic_poc", "init_sweep", "distribution_sweep", "n_sweep", "d_sweep",
@@ -251,17 +252,6 @@ class ExperimentResult:
             key = tr.condition if tr.condition else "terminal"
             yield (tr, keys, names, [tr.metrics[m] for m in names],
                    [(key, m, tr.terminal[m]) for m in sorted(tr.terminal)])
-
-    def rows(self):
-        """Long-format rows (experiment, method, trial, step, metric, value)."""
-        out = []
-        task = self.config.task
-        for tr, keys, names, columns, terminal in self.trial_tables():
-            for i, key in enumerate(keys):
-                out += [(task, tr.method, tr.trial, key, m, col[i])
-                        for m, col in zip(names, columns)]
-            out += [(task, tr.method, tr.trial, *row) for row in terminal]
-        return out
 
     def aggregate(self):
         """Mean/variance of each metric over completed trials, keyed by
@@ -565,60 +555,3 @@ def run_experiment(cfg, parallelism=1):
     trials.sort(key=lambda t: (t.condition, t.trial,
                                list(cfg.methods).index(t.method)))
     return ExperimentResult(cfg, trials)
-
-
-@dataclass
-class KnownSampler:
-    """Sampler with analytically known mean and variance, for coverage
-    checks of the location estimate."""
-
-    draw: callable
-    mean: float
-    var: float
-
-    @classmethod
-    def from_noise(cls, spec):
-        sd = noise_sd(spec)
-        if not np.isfinite(sd):
-            raise ValueError("coverage checks need a finite-variance sampler")
-        return cls(draw=lambda rng, size: datagen.sample_noise(spec, rng, size),
-                   mean=0.0, var=sd * sd)
-
-
-@dataclass
-class ConcentrationResult:
-    violation_rate: float
-    trials: int
-    skipped: bool
-    precondition_value: float
-    mean_bound: float
-
-
-def concentration_check(sampler, n, delta, trials, C=2.0, seed=0):
-    """Empirical coverage of the location-estimate deviation bound.
-
-    Each trial draws n points, runs ``robust_gradient`` on them as one
-    column (mean pivot, dispersion, confidence scale, locate) and tests
-    |theta_hat - mean| <= 2 (C var / s + s log(2/delta) / n).
-    When the sample-size sufficiency condition
-    (C log(2/delta)/n)(1 + C) <= 1/4 fails (variance proxy for the
-    dispersion estimate), the check is skipped and flagged: the bound is not
-    guaranteed there.
-    """
-    precondition = (C * np.log(2.0 / delta) / n) * (1.0 + C)
-    if precondition > 0.25:
-        return ConcentrationResult(float("nan"), 0, True, precondition, float("nan"))
-    cfg = RobustConfig(delta=delta)
-    rng = np.random.default_rng(seed)
-    violations = 0
-    bounds = []
-    log_term = np.log(2.0 / delta)
-    for _ in range(trials):
-        theta, info = robust_gradient(sampler.draw(rng, n)[:, None], cfg)
-        s = info["s"][0]
-        bound = 2.0 * (C * sampler.var / s + s * log_term / n)
-        bounds.append(bound)
-        if abs(theta[0] - sampler.mean) > bound:
-            violations += 1
-    return ConcentrationResult(violations / trials, trials, False, precondition,
-                               float(np.mean(bounds)))

@@ -144,7 +144,9 @@ def _csv_field(text):
 
 
 def _write_results_csv(path, result):
-    """Write ``result.rows()`` as ``results.csv``, one trial at a time.
+    """Write the long-format rows (experiment, method, trial, step, metric,
+    value) of ``result.trial_tables()`` as ``results.csv``, one trial at a
+    time.
 
     The bytes are csv.writer's for those rows with every value as
     ``repr(float(value))``.  Each trial's rows are formatted as one string:
@@ -255,8 +257,10 @@ def cmd_mest(args):
         print(f"mest error: {exc}", file=sys.stderr)
         return 2
     # a column sum, or the sum of its two middle values, may overflow on its
-    # way to the pivot or the median, which are then taken another way
-    with np.errstate(over="ignore"):
+    # way to the pivot or the median, which are then taken another way; a
+    # finite column whose pairwise sums overflow to both +inf and -inf sums
+    # to nan (inf - inf), and its pivot is taken another way too
+    with np.errstate(over="ignore", invalid="ignore"):
         theta, info = robust_gradient(x[:, None], cfg)
         s = float(info["s"][0])
         if args.scale is not None:

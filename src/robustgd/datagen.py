@@ -290,49 +290,20 @@ def initial_point(w_star, delta, rng):
 
 @dataclass
 class SyntheticRisk:
-    """Quadratic risk with curvature ``sigma`` (identity when None) and
-    minimum at ``w_star``; exposes the exact excess risk, gradient and
-    extreme curvature eigenvalues for oracle runs and closed-form checks.
+    """Quadratic risk ||w - w_star||^2 / 2 with identity curvature and
+    minimum at ``w_star``; exposes the exact excess risk and gradient for
+    oracle runs and closed-form checks.
     """
 
     w_star: np.ndarray
-    sigma: np.ndarray | None = None
 
     def __post_init__(self):
         self.w_star = np.asarray(self.w_star, dtype=float)
-        if self.sigma is not None:
-            self.sigma = np.asarray(self.sigma, dtype=float)
-            d = self.w_star.shape[0]
-            if self.sigma.shape != (d, d):
-                raise ValueError("sigma must be (d, d)")
-            if not np.allclose(self.sigma, self.sigma.T, atol=1e-12):
-                raise ValueError("sigma must be symmetric")
-            eigs = np.linalg.eigvalsh(self.sigma)
-            if eigs[0] <= 0:
-                raise ValueError("sigma must be positive definite")
-            self._eigs = (float(eigs[0]), float(eigs[-1]))
-        else:
-            self._eigs = (1.0, 1.0)
-
-    @property
-    def kappa(self):
-        """Smallest curvature eigenvalue (strong-convexity constant)."""
-        return self._eigs[0]
-
-    @property
-    def lam(self):
-        """Largest curvature eigenvalue (smoothness constant)."""
-        return self._eigs[1]
 
     def exact_gradient(self, w):
-        v = np.asarray(w, dtype=float) - self.w_star
-        return v if self.sigma is None else self.sigma @ v
+        return np.asarray(w, dtype=float) - self.w_star
 
     def exact_excess_risk(self, w):
         v = np.atleast_2d(np.asarray(w, dtype=float) - self.w_star)
-        if self.sigma is None:
-            out = 0.5 * (v * v).sum(axis=1)
-        else:
-            out = 0.5 * ((v @ self.sigma) * v).sum(axis=1)
+        out = 0.5 * (v * v).sum(axis=1)
         return float(out[0]) if np.ndim(w) == 1 else out
-

@@ -124,11 +124,8 @@ class LogisticModel:
     def with_weights(self, w):
         return replace(self, weights=np.asarray(w, dtype=float))
 
-    def scores(self, inputs):
-        """(n, classes) decision scores; the reference class scores zero."""
-        return self._scores(self.weights, inputs)
-
     def _scores(self, w, X):
+        """(..., classes) decision scores; the reference class scores zero."""
         # per item, matmul makes the BLAS call X @ w.reshape(k, F).T makes
         k = self.classes - 1
         out = np.empty(X.shape[:-1] + (k + 1,))
@@ -258,19 +255,10 @@ def loss_and_grad_rows(model, dataset):
     return model._rows(model.weights, X, y, True)
 
 
-def predict(model, dataset):
-    """Predicted targets: real values for regression, argmax class (lowest
-    index wins ties) for classification."""
-    if isinstance(model, LinearModel):
-        return dataset.inputs @ model.weights
-    if isinstance(model, LogisticModel):
-        return np.argmax(model.scores(dataset.inputs), axis=1)
-    raise TypeError(f"unsupported model type: {type(model).__name__}")
-
-
 def misclassification_rate(model, dataset):
-    """Fraction of observations whose argmax class disagrees with the label."""
-    preds = predict(model, dataset)
+    """Fraction of observations whose argmax class (lowest index wins ties)
+    under a ``LogisticModel`` disagrees with the label."""
+    preds = np.argmax(model._scores(model.weights, dataset.inputs), axis=1)
     return float(np.mean(preds != np.asarray(dataset.targets)))
 
 

@@ -1,10 +1,10 @@
 """First-order descent methods and robust aggregation baselines.
 
-Every method runs one loop: start from an initial state, apply
-projected steps w <- pi(w - alpha * g_hat) with a method-specific gradient
-estimate g_hat, and record the visited iterates together with a running
-count of per-row gradient evaluations.  A budget is never exceeded: a step
-whose cost would cross it is not taken.
+Every method runs one loop: start from an initial state, apply steps
+w <- w - alpha * g_hat with a method-specific gradient estimate g_hat, and
+record the visited iterates together with a running count of per-row
+gradient evaluations.  A budget is never exceeded: a step whose cost would
+cross it is not taken.
 
 The rgd, erm, sgd and svrg steps take their gradient rows from
 ``model.grad_rows`` on plain arrays, checked once at entry (``row_arrays``);
@@ -39,29 +39,6 @@ class OptimState:
         self.w = np.asarray(self.w, dtype=float)
         if not self.alpha > 0:
             raise ValueError("step size alpha must be positive")
-
-
-@dataclass
-class L2Ball:
-    """Euclidean ball constraint; projection is non-expansive."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-
-    def project(self, w):
-        v = w - self.center
-        nrm = np.linalg.norm(v)
-        if nrm <= self.radius:
-            return w
-        return self.center + v * (self.radius / nrm)
-
-    def contains(self, w, slack=1e-9):
-        return np.linalg.norm(w - self.center) <= self.radius * (1.0 + slack)
 
 
 @dataclass
@@ -106,7 +83,7 @@ class Trajectory:
         return self.stop_reason == "diverged"
 
 
-def _batch_descent(grad_fn, step_cost, state, constraint, stop, record_every):
+def _batch_descent(grad_fn, step_cost, state, stop, record_every):
     """The descent loop every method runs, over T trials in lockstep.
 
     ``state.w`` holds the trials' starting points as rows (T, d).
@@ -151,8 +128,6 @@ def _batch_descent(grad_fn, step_cost, state, constraint, stop, record_every):
                         break
                     G = G[~small]
             W = W - alpha * G
-            if constraint is not None:
-                W = np.array([constraint.project(w) for w in W])
             t += 1
             # a finite sum has finite terms; a sum that is not (a term, or
             # an overflow) has its terms checked
@@ -181,10 +156,10 @@ def _as_batch(state):
     return OptimState(state.w[None], state.alpha)
 
 
-def _descent(grad_fn, step_cost, state, constraint, stop, record_every):
+def _descent(grad_fn, step_cost, state, stop, record_every):
     """One trial's run of the loop; ``grad_fn(w, t)`` takes its iterate."""
     traj, = _batch_descent(lambda W, t, live: grad_fn(W[0], t)[None], step_cost,
-                           _as_batch(state), constraint, stop, record_every)
+                           _as_batch(state), stop, record_every)
     return traj
 
 
@@ -236,8 +211,7 @@ def _row_means(G, Dt=None):
     return (np.add.reduce(np.ascontiguousarray(Dt.T), 0) / n).reshape(T, d)
 
 
-def _robust_descent(rows, cfg, state, constraint, stop, record_every, cost,
-                    draw_cols=None):
+def _robust_descent(rows, cfg, state, stop, record_every, cost, draw_cols=None):
     """Robust descent of the trials whose starting points are the rows of
     ``state.w``; ``rows(live, W)`` gives the (T, n, d) gradient rows of the
     trials ``live`` at their iterates W.
@@ -278,15 +252,14 @@ def _robust_descent(rows, cfg, state, constraint, stop, record_every, cost,
                     diags[k][key] += int(count)
         return g
 
-    trajs = _batch_descent(grad_fn, lambda t: cost, state, constraint, stop,
-                           record_every)
+    trajs = _batch_descent(grad_fn, lambda t: cost, state, stop, record_every)
     for traj, diag in zip(trajs, diags):
         traj.diagnostics.update(diag)
     return trajs
 
 
-def rgd_run(model, dataset, cfg, state, stop, constraint=None, rng=None,
-            batch_size=None, coordinate_subset_size=None, record_every=1):
+def rgd_run(model, dataset, cfg, state, stop, rng=None, batch_size=None,
+            coordinate_subset_size=None, record_every=1):
     """Robust gradient descent: each step summarizes the per-row gradient
     matrix by coordinate-wise location estimates (``robust_gradient``) and
     descends on those.
@@ -326,14 +299,12 @@ def rgd_run(model, dataset, cfg, state, stop, constraint=None, rng=None,
         def draw_cols():
             return np.sort(rng.choice(d, size=size, replace=False))
 
-    traj, = _robust_descent(rows, cfg, _as_batch(state), constraint, stop,
-                            record_every, n if batch_size is None else batch_size,
-                            draw_cols)
+    traj, = _robust_descent(rows, cfg, _as_batch(state), stop, record_every,
+                            n if batch_size is None else batch_size, draw_cols)
     return traj
 
 
-def rgd_stacked_run(model, datasets, cfg, state, stop, constraint=None,
-                    record_every=1):
+def rgd_stacked_run(model, datasets, cfg, state, stop, record_every=1):
     """Full-batch ``rgd_run`` of T trials at once, one stacked M-estimate per
     step: trial k descends from row k of ``state.w`` on ``datasets[k]``, all
     with ``model``'s loss and one shared n and feature count, checked at
@@ -341,32 +312,28 @@ def rgd_stacked_run(model, datasets, cfg, state, stop, constraint=None,
     ``rgd_run``.
     """
     Xs, ys = _stack_datasets(model, datasets)
-    return _robust_descent(_trial_rows(model, Xs, ys), cfg, state, constraint,
-                           stop, record_every, Xs.shape[1])
+    return _robust_descent(_trial_rows(model, Xs, ys), cfg, state, stop,
+                           record_every, Xs.shape[1])
 
 
-def erm_gd_run(model, dataset, state, stop, constraint=None, record_every=1):
+def erm_gd_run(model, dataset, state, stop, record_every=1):
     """Gradient descent on the empirical risk (sample-mean gradient)."""
-    traj, = erm_gd_stacked_run(model, [dataset], _as_batch(state), stop,
-                               constraint, record_every)
+    traj, = erm_gd_stacked_run(model, [dataset], _as_batch(state), stop, record_every)
     return traj
 
 
-def erm_gd_stacked_run(model, datasets, state, stop, constraint=None,
-                       record_every=1):
+def erm_gd_stacked_run(model, datasets, state, stop, record_every=1):
     """``erm_gd_run`` of T trials at once, as ``rgd_stacked_run`` stacks
     ``rgd_run``."""
     Xs, ys = _stack_datasets(model, datasets)
     rows = _trial_rows(model, Xs, ys)
     return _batch_descent(lambda W, t, live: _row_means(rows(live, W)),
-                          lambda t: Xs.shape[1], state, constraint, stop,
-                          record_every)
+                          lambda t: Xs.shape[1], state, stop, record_every)
 
 
-def oracle_gd_run(grad, state, stop, constraint=None, record_every=1):
+def oracle_gd_run(grad, state, stop, record_every=1):
     """Descent on an exact gradient map ``grad(w)``; consumes no evaluations."""
-    return _descent(lambda w, t: grad(w), lambda t: 0, state, constraint, stop,
-                    record_every)
+    return _descent(lambda w, t: grad(w), lambda t: 0, state, stop, record_every)
 
 
 # row indices drawn per call into the generator by the stochastic steps
@@ -382,7 +349,7 @@ def _row_draws(rng, n):
         yield from rng.integers(n, size=_DRAW_CHUNK).tolist()
 
 
-def sgd_run(model, dataset, state, stop, rng, constraint=None, record_every=1):
+def sgd_run(model, dataset, state, stop, rng, record_every=1):
     """Stochastic gradient descent on one uniformly sampled row per step,
     whose gradient comes from ``model.grad_rows`` on data checked once at
     entry.  The rows are the scalar draws ``rng.integers(n)``, taken from a
@@ -396,10 +363,10 @@ def sgd_run(model, dataset, state, stop, rng, constraint=None, record_every=1):
         # adding +0.0 turns -0.0 into +0.0, as a one-row mean's sum does
         return model.grad_rows(w, X[i:i + 1], y[i:i + 1])[0] + 0.0
 
-    return _descent(grad_fn, lambda t: 1, state, constraint, stop, record_every)
+    return _descent(grad_fn, lambda t: 1, state, stop, record_every)
 
 
-def svrg_run(model, dataset, state, stop, rng, constraint=None, record_every=1):
+def svrg_run(model, dataset, state, stop, rng, record_every=1):
     """Variance-reduced stochastic descent: full-gradient snapshots (n
     evaluations each) anchor inner loops of max(1, n // 2) single-sample
     corrected steps (1 evaluation each), repeated until the budget or
@@ -430,8 +397,8 @@ def svrg_run(model, dataset, state, stop, rng, constraint=None, record_every=1):
         i = next(draws)
         return model.grad_rows(w, X[i:i + 1], y[i:i + 1])[0] - snap["rows"][i] + snap["grad"]
 
-    return _descent(grad_fn, lambda t: n + 1 if epoch_start(t) else 1, state,
-                    constraint, stop, record_every)
+    return _descent(grad_fn, lambda t: n + 1 if epoch_start(t) else 1, state, stop,
+                    record_every)
 
 
 def geometric_median(points, tol=1e-10, max_iters=1000):
@@ -496,8 +463,7 @@ def default_partition_count(n, d):
     return max(2, n // (2 * d))
 
 
-def median_of_means_gd_run(model, dataset, partitions, state, stop,
-                           constraint=None, record_every=1):
+def median_of_means_gd_run(model, dataset, partitions, state, stop, record_every=1):
     """Descent on geometric-median-aggregated block-mean gradients.
 
     Rows are split into ``partitions`` equal blocks of q = n // partitions
@@ -521,4 +487,4 @@ def median_of_means_gd_run(model, dataset, partitions, state, stop,
                            G[head:].mean(axis=0)])
         return geometric_median(means)
 
-    return _descent(grad_fn, lambda t: n, state, constraint, stop, record_every)
+    return _descent(grad_fn, lambda t: n, state, stop, record_every)

@@ -5,27 +5,34 @@ form and the per-kind psi, psi', chi and chi' expressions, written out
 separately; the library keeps only the fused kernel ``psi_dpsi`` and
 ``chi``, which must match them bit for bit, and the dispersion residual of
 ``rescale_columns``, which reads only the means of w = 1/(1+u^2) and w^2
-and must match their means within a few ulp.  Everything here but ``concentration_pipeline``, the ``*_reference_run``
-descents and the ``*_columns_reference`` solvers avoids the library's
-solvers on purpose: brute-force minimization, quadrature, finite
-differences and closed forms are the reference implementations the fast
-paths are checked against.  ``concentration_pipeline`` pins how the solver
-stages compose; the reference runs drive the library's descent loop with
-the gradient steps as first written, so a trajectory comparison checks only
-the steps: the stochastic steps build a Dataset and a model per step, and
-the full-batch ones build each trial's rows alone and ``np.hstack`` them
-for the robust solve.  The ``*_columns_reference`` solvers are the column
-solvers with their root loop as first written, for bit comparisons.
-``CountingNumpy`` counts the numpy calls a module makes, and
-``counting_solve_columns`` the residual evaluations of the root solves, for
-tests that pin them.
+and must match their means within a few ulp.  Everything here but the
+coverage check, the ``*_reference_run`` descents and the
+``*_columns_reference`` solvers avoids the library's solvers on purpose:
+brute-force minimization, quadrature, finite differences and closed forms
+are the reference implementations the fast paths are checked against.
+``concentration_check`` measures how often the location estimate of
+``robust_gradient`` breaks its deviation bound, and
+``concentration_pipeline`` takes the same estimates stage by stage, which
+pins how the solver stages compose; the reference runs drive the library's
+descent loop with the gradient steps as first written, so a trajectory
+comparison checks only the steps: the stochastic steps build a Dataset and
+a model per step, and the full-batch ones build each trial's rows alone and
+``np.hstack`` them for the robust solve.  The ``*_columns_reference``
+solvers are the column solvers with their root loop as first written, for
+bit comparisons.  ``CurvedQuadratic`` is a quadratic risk with a curvature
+other than the identity, and ``result_rows`` an experiment's rows as
+``results.csv`` holds them.  ``CountingNumpy`` counts the numpy calls a
+module makes, and ``counting_solve_columns`` the residual evaluations of
+the root solves, for tests that pin them.
 """
 
 import inspect
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, special
 
+import robustgd.datagen as datagen
 import robustgd.mest as mest
 from robustgd.datagen import noise_sd
 from robustgd.mest import (
@@ -45,7 +52,7 @@ from robustgd.mest import (
 )
 from robustgd.models import Dataset, loss_and_grad_rows
 from robustgd.optim import _as_batch, _batch_descent, _descent
-from robustgd.robust_grad import robust_gradient
+from robustgd.robust_grad import RobustConfig, robust_gradient
 
 LD = np.longdouble
 _PI_2 = LD("1.5707963267948966192313216916398")
@@ -308,6 +315,25 @@ def make_spd(d, rng, kappa=1.0, lam=4.0):
     return 0.5 * (m + m.T)
 
 
+class CurvedQuadratic:
+    """The quadratic risk (w - w*)' sigma (w - w*) / 2 whose curvature
+    sigma is ``make_spd(d, rng, kappa, lam)`` and whose minimum w* is drawn
+    from ``rng`` after it: ``SyntheticRisk``'s exact gradient and excess
+    risk for a curvature other than the identity."""
+
+    def __init__(self, d, rng, kappa, lam):
+        self.sigma = make_spd(d, rng, kappa=kappa, lam=lam)
+        self.w_star = rng.normal(size=d)
+
+    def exact_gradient(self, w):
+        return self.sigma @ (np.asarray(w, dtype=float) - self.w_star)
+
+    def exact_excess_risk(self, w):
+        v = np.atleast_2d(np.asarray(w, dtype=float) - self.w_star)
+        out = 0.5 * ((v @ self.sigma) * v).sum(axis=1)
+        return float(out[0]) if np.ndim(w) == 1 else out
+
+
 def has_finite_sd(spec):
     """Whether the noise family's standard deviation is finite."""
     return np.isfinite(noise_sd(spec))
@@ -454,8 +480,79 @@ def block_means_reference(G, partitions):
     return np.stack([G[lo:hi].mean(axis=0) for lo, hi in bounds])
 
 
+def result_rows(result):
+    """The long-format rows (experiment, method, trial, step, metric,
+    value) of an ``ExperimentResult``, in ``trial_tables()`` order: the rows
+    ``results.csv`` holds below its header."""
+    out = []
+    task = result.config.task
+    for tr, keys, names, columns, terminal in result.trial_tables():
+        for i, key in enumerate(keys):
+            out += [(task, tr.method, tr.trial, key, m, col[i])
+                    for m, col in zip(names, columns)]
+        out += [(task, tr.method, tr.trial, *row) for row in terminal]
+    return out
+
+
+@dataclass
+class KnownSampler:
+    """Sampler with analytically known mean and variance, for coverage
+    checks of the location estimate."""
+
+    draw: callable
+    mean: float
+    var: float
+
+    @classmethod
+    def from_noise(cls, spec):
+        sd = noise_sd(spec)
+        if not np.isfinite(sd):
+            raise ValueError("coverage checks need a finite-variance sampler")
+        return cls(draw=lambda rng, size: datagen.sample_noise(spec, rng, size),
+                   mean=0.0, var=sd * sd)
+
+
+@dataclass
+class ConcentrationResult:
+    violation_rate: float
+    trials: int
+    skipped: bool
+    precondition_value: float
+    mean_bound: float
+
+
+def concentration_check(sampler, n, delta, trials, C=2.0, seed=0):
+    """Empirical coverage of the location-estimate deviation bound.
+
+    Each trial draws n points, runs ``robust_gradient`` on them as one
+    column (mean pivot, dispersion, confidence scale, locate) and tests
+    |theta_hat - mean| <= 2 (C var / s + s log(2/delta) / n).
+    When the sample-size sufficiency condition
+    (C log(2/delta)/n)(1 + C) <= 1/4 fails (variance proxy for the
+    dispersion estimate), the check is skipped and flagged: the bound is not
+    guaranteed there.
+    """
+    precondition = (C * np.log(2.0 / delta) / n) * (1.0 + C)
+    if precondition > 0.25:
+        return ConcentrationResult(float("nan"), 0, True, precondition, float("nan"))
+    cfg = RobustConfig(delta=delta)
+    rng = np.random.default_rng(seed)
+    violations = 0
+    bounds = []
+    log_term = np.log(2.0 / delta)
+    for _ in range(trials):
+        theta, info = robust_gradient(sampler.draw(rng, n)[:, None], cfg)
+        s = info["s"][0]
+        bound = 2.0 * (C * sampler.var / s + s * log_term / n)
+        bounds.append(bound)
+        if abs(theta[0] - sampler.mean) > bound:
+            violations += 1
+    return ConcentrationResult(violations / trials, trials, False, precondition,
+                               float(np.mean(bounds)))
+
+
 def concentration_pipeline(sampler, n, delta, trials, C=2.0, seed=0):
-    """``bench.concentration_check`` spelled out stage by stage: mean pivot,
+    """``concentration_check`` spelled out stage by stage: mean pivot,
     ``rescale_columns``, ``confidence_scale``, ``locate_columns``.  Returns
     (violation_rate, mean_bound)."""
     rho, chi, fp = RhoFunction("gudermannian"), ChiFunction(), FixedPointSettings()
@@ -489,7 +586,7 @@ def sgd_reference_run(model, dataset, state, stop, rng, batch_size=1):
         _, G = loss_and_grad_rows(model.with_weights(w), _row_subset(dataset, idx))
         return G.mean(axis=0)
 
-    return _descent(grad_fn, lambda t: batch_size, state, None, stop, 1)
+    return _descent(grad_fn, lambda t: batch_size, state, stop, 1)
 
 
 def svrg_reference_run(model, dataset, state, stop, rng):
@@ -513,8 +610,7 @@ def svrg_reference_run(model, dataset, state, stop, rng):
         _, gi_snap = loss_and_grad_rows(snap["model"], row)
         return gi[0] - gi_snap[0] + snap["grad"]
 
-    return _descent(grad_fn, lambda t: n + 1 if epoch_start(t) else 1, state,
-                    None, stop, 1)
+    return _descent(grad_fn, lambda t: n + 1 if epoch_start(t) else 1, state, stop, 1)
 
 
 def stacked_rows_reference(model, datasets, W):
@@ -549,7 +645,7 @@ def robust_descent_reference(rows, cfg, state, stop, record_every, cost):
                 diags[k][key] += int(count)
         return g
 
-    trajs = _batch_descent(grad_fn, lambda t: cost, state, None, stop, record_every)
+    trajs = _batch_descent(grad_fn, lambda t: cost, state, stop, record_every)
     for traj, diag in zip(trajs, diags):
         traj.diagnostics.update(diag)
     return trajs
@@ -574,7 +670,7 @@ def erm_gd_stacked_reference_run(model, datasets, state, stop, record_every=1):
     def grad_fn(W, t, live):
         return np.array([rows(k, w).mean(axis=0) for k, w in zip(live, W)])
 
-    return _batch_descent(grad_fn, lambda t: datasets[0].n, state, None, stop,
+    return _batch_descent(grad_fn, lambda t: datasets[0].n, state, stop,
                           record_every)
 
 

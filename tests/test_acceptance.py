@@ -19,13 +19,7 @@ import pytest
 
 import conftest
 
-from robustgd.bench import (
-    ExperimentConfig,
-    KnownSampler,
-    concentration_check,
-    poc_noise,
-    run_experiment,
-)
+from robustgd.bench import ExperimentConfig, poc_noise, run_experiment
 from robustgd.cli import main as cli_main
 from robustgd.datagen import (
     LADDER_FAMILIES,
@@ -51,11 +45,13 @@ from robustgd.optim import (
 from robustgd.robust_grad import RobustConfig, robust_gradient
 
 from oracles import (
+    CurvedQuadratic,
+    KnownSampler,
+    concentration_check,
     finite_difference_gradient,
     geometric_median_objective,
     geometric_median_oracle,
     locate_oracle,
-    make_spd,
 )
 
 TIGHT = FixedPointSettings(max_iters=300, rel_tolerance=1e-12)
@@ -216,8 +212,7 @@ def test_criterion_06_convergence_rate_shape():
     beta = 2 * kappa * lam / (kappa + lam)
     worst_margin = -np.inf
     for alpha in (0.1, 0.3, 0.39):
-        sigma = make_spd(6, rng, kappa=kappa, lam=lam)
-        risk = SyntheticRisk(rng.normal(size=6), sigma=sigma)
+        risk = CurvedQuadratic(6, rng, kappa=kappa, lam=lam)
         w0 = risk.w_star + rng.normal(size=6)
         traj = oracle_gd_run(risk.exact_gradient, OptimState(w0, alpha),
                              stop=StoppingRule(max_iters=20))

@@ -12,8 +12,6 @@ from robustgd.bench import (
     DISTRIBUTION_SETTINGS,
     TASKS,
     ExperimentConfig,
-    KnownSampler,
-    concentration_check,
     excess_rmse,
     poc_noise,
     run_experiment,
@@ -21,7 +19,13 @@ from robustgd.bench import (
 from robustgd.datagen import NoiseSpec
 from robustgd.models import Dataset, loss_and_grad_rows
 
-from oracles import concentration_pipeline, quadratic_descent_iterates
+from oracles import (
+    KnownSampler,
+    concentration_check,
+    concentration_pipeline,
+    quadratic_descent_iterates,
+    result_rows,
+)
 
 
 # trials per chunk at d = 2
@@ -124,11 +128,11 @@ class TestMethodOutcomes:
                                trials=1, seed=2, **_TINY[task])
         res = run_experiment(cfg)
         assert res.n_aborted == 0, [t.note for t in res.trials]
-        assert {r[1] for r in res.rows()} == {method}
+        assert {r[1] for r in result_rows(res)} == {method}
 
     def test_raising_method_aborts_alone(self, monkeypatch):
         cfg = small_cfg(methods=("erm", "rgd", "mom"))
-        without_mom = run_experiment(replace(cfg, methods=("erm", "rgd"))).rows()
+        without_mom = result_rows(run_experiment(replace(cfg, methods=("erm", "rgd"))))
 
         def broken(*args, **kwargs):
             raise RuntimeError("solver exploded")
@@ -137,7 +141,7 @@ class TestMethodOutcomes:
         res = run_experiment(cfg)
         assert [(t.method, t.note) for t in res.trials if t.aborted] == [
             ("mom", "RuntimeError: solver exploded")] * 2
-        assert res.rows() == without_mom
+        assert result_rows(res) == without_mom
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
@@ -150,7 +154,7 @@ class TestMethodOutcomes:
         res = run_experiment(cfg)
         assert [(t.method, t.note) for t in res.trials if t.aborted] == [
             ("rgd", "diverged"), ("mom", "diverged")]
-        assert {r[1] for r in res.rows()} == {"ols", "erm"}
+        assert {r[1] for r in result_rows(res)} == {"ols", "erm"}
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
@@ -161,7 +165,7 @@ class TestMethodOutcomes:
         res = run_experiment(cfg)
         assert [(t.method, t.note) for t in res.trials if t.aborted] == [
             ("sgd", "diverged")]
-        assert {r[1] for r in res.rows()} == {"rgd_mb10"}
+        assert {r[1] for r in result_rows(res)} == {"rgd_mb10"}
 
 
     def test_diverging_descent_warns_nothing(self):
@@ -183,7 +187,7 @@ class TestRunExperiment:
     def test_row_count_quadratic(self):
         res = run_experiment(small_cfg())
         # methods x trials x iterations x metrics
-        assert len(res.rows()) == 2 * 2 * 5 * 3
+        assert len(result_rows(res)) == 2 * 2 * 5 * 3
         assert res.n_aborted == 0
 
     def test_oracle_trace_matches_closed_form(self):
@@ -223,7 +227,7 @@ class TestRunExperiment:
         res = run_experiment(small_cfg(methods=("erm", "rgd"), alpha=1e6,
                                        trials=2, iters=60))
         assert res.n_aborted == 4
-        assert res.rows() == []
+        assert result_rows(res) == []
         assert all(t.note == "diverged" for t in res.trials if t.aborted)
 
     def test_oracle_dominates_estimated_methods(self):
@@ -246,7 +250,7 @@ class TestRunExperiment:
         serial = run_experiment(cfg, parallelism=1)
         parallel = run_experiment(cfg, parallelism=2)
         assert len({t.condition for t in serial.trials}) == 2
-        assert serial.rows() == parallel.rows()
+        assert result_rows(serial) == result_rows(parallel)
 
     @pytest.mark.parametrize("task, d, extra", [
         ("quadratic_poc", 3, dict(d=3, trials=3, iters=8)),
@@ -255,10 +259,10 @@ class TestRunExperiment:
     ])
     def test_subset_of_every_column_is_rgd(self, task, d, extra):
         cfg = ExperimentConfig(task=task, methods=("rgd",), seed=4, **extra)
-        rows = run_experiment(cfg).rows()
+        rows = result_rows(run_experiment(cfg))
         assert rows
         for method in (f"rgd_sub{d}", f"rgd_sub{d + 3}"):
-            sub = run_experiment(replace(cfg, methods=(method,))).rows()
+            sub = result_rows(run_experiment(replace(cfg, methods=(method,))))
             assert [r[:1] + ("rgd",) + r[2:] for r in sub] == rows
 
     @pytest.mark.parametrize("features, chunks", [
@@ -303,7 +307,7 @@ class TestRunExperiment:
         chunked = run_experiment(cfg)
         monkeypatch.setattr(bench, "_CHUNK_COLUMNS", 1)
         per_trial = run_experiment(cfg)
-        assert chunked.rows() == per_trial.rows()
+        assert result_rows(chunked) == result_rows(per_trial)
         assert ([(t.trial, t.method, t.note) for t in chunked.trials if t.aborted]
                 == [(t.trial, t.method, t.note) for t in per_trial.trials if t.aborted])
         if cfg.alpha == 5.0:
@@ -311,7 +315,7 @@ class TestRunExperiment:
 
     def test_stacked_fault_aborts_only_its_trial(self, monkeypatch):
         cfg = small_cfg(trials=CHUNK_D2 + 3)
-        clean = run_experiment(cfg).rows()
+        clean = result_rows(run_experiment(cfg))
         faulty = 4
         setup = bench._regression_setup(cfg, {}, bench._trial_seed(cfg, faulty))
         marker = loss_and_grad_rows(setup.model, setup.ds)[1][0, 0]
@@ -327,7 +331,7 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert [(t.trial, t.method, t.note) for t in res.trials if t.aborted] == [
             (faulty, "rgd", "RuntimeError: solver exploded")]
-        assert res.rows() == [r for r in clean if (r[1], r[2]) != ("rgd", faulty)]
+        assert result_rows(res) == [r for r in clean if (r[1], r[2]) != ("rgd", faulty)]
 
 
 class TestSweeps:
@@ -339,7 +343,7 @@ class TestSweeps:
         assert conds == {"del=2.5", "del=10"}
         # common data and common box draw: the two inits differ by the ratio
         # of the deltas around the shared target
-        rows = res.rows()
+        rows = result_rows(res)
         assert len(rows) == 2 * 2 * 3 * 3
 
     def test_distribution_sweep_settings(self):

@@ -17,7 +17,7 @@ from robustgd.cli import _csv_field, _write_results_csv, load_config, main
 from robustgd.mest import RhoFunction
 from robustgd.robust_grad import RobustConfig, robust_gradient
 
-from oracles import locate_oracle
+from oracles import locate_oracle, result_rows
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -324,14 +324,15 @@ def csv_writer_bytes(rows):
 
 
 class TestResultsCsv:
-    """results.csv is the header and ``ExperimentResult.rows()``, written as
+    """results.csv is the header and the long-format rows of
+    ``ExperimentResult.trial_tables()`` (``result_rows``), written as
     csv.writer writes them with every value as repr(float(value))."""
 
     def check(self, path, result):
         _write_results_csv(path, result)
         with open(path, newline="", encoding="utf-8") as fh:
             parsed = list(csv.reader(fh))
-        rows = result.rows()
+        rows = result_rows(result)
         assert parsed == [HEADER] + [[e, m, str(t), k, metric, repr(float(v))]
                                      for e, m, t, k, metric, v in rows]
         assert path.read_bytes() == csv_writer_bytes(rows)
@@ -452,6 +453,19 @@ class TestMest:
         got = json.loads(capsys.readouterr().out)
         assert -1.7e308 < got["theta_hat"] < 1.7e308
         assert got["sigma_hat"] == got["s"] == np.inf
+
+    def test_column_whose_pairwise_sums_overflow_both_ways(self, tmp_path, capsys):
+        # the pairwise sums of the column overflow to +inf and -inf, whose
+        # sum is nan: the pivot is taken another way, with no warning
+        p = self.write_column(tmp_path, [5e307, -5e307] * 250)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mest", str(p)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        line, = out.splitlines()
+        got = json.loads(line)
+        assert got["n"] == 500 and got["theta_hat"] == 0.0
 
     @pytest.mark.parametrize("values, flags, error", [
         ([1, 2, 3], ["--delta", "1.5"], "--delta must lie in (0, 1)"),

@@ -28,7 +28,6 @@ from robustgd.models import LinearModel
 from oracles import (
     finite_difference_gradient,
     has_finite_sd,
-    make_spd,
     signal_noise_ratio,
 )
 
@@ -202,26 +201,12 @@ class TestSyntheticRisk:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
-        sigma = make_spd(4, rng, kappa=0.7, lam=3.0)
-        risk = SyntheticRisk(rng.normal(size=4), sigma=sigma)
+        risk = SyntheticRisk(rng.normal(size=4))
         for _ in range(5):
             w = rng.normal(size=4)
             fd = finite_difference_gradient(risk.exact_excess_risk, w)
             g = risk.exact_gradient(w)
             assert np.max(np.abs(g - fd)) < 1e-6 * (1 + np.abs(g).max())
-
-    def test_eigen_bounds(self):
-        rng = np.random.default_rng(9)
-        sigma = make_spd(5, rng, kappa=0.5, lam=4.0)
-        risk = SyntheticRisk(np.zeros(5), sigma=sigma)
-        assert risk.kappa == pytest.approx(0.5, abs=1e-9)
-        assert risk.lam == pytest.approx(4.0, abs=1e-9)
-
-    def test_spd_validation(self):
-        with pytest.raises(ValueError):
-            SyntheticRisk(np.zeros(2), sigma=np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            SyntheticRisk(np.zeros(2), sigma=-np.eye(2))
 
 
 def test_initial_point_box():

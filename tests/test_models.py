@@ -20,7 +20,6 @@ from robustgd.models import (
     empirical_risk,
     loss_and_grad_rows,
     misclassification_rate,
-    predict,
     row_arrays,
     _logsumexp_rows,
 )
@@ -461,9 +460,9 @@ class TestPrediction:
     def test_zero_weights_tie_break_picks_lowest_class(self):
         # all scores are zero; argmax resolves ties to class 0
         model = LogisticModel(2, 3, np.zeros(3))
-        ds = Dataset(np.ones((10, 3)), np.array([0] * 5 + [1] * 5))
-        preds = predict(model, ds)
-        assert np.all(preds == 0)
+        X = np.ones((10, 3))
+        assert misclassification_rate(model, Dataset(X, np.zeros(10, dtype=int))) == 0.0
+        ds = Dataset(X, np.array([0] * 5 + [1] * 5))
         assert misclassification_rate(model, ds) == pytest.approx(0.5)
 
     def test_separable_two_points(self):
@@ -481,10 +480,6 @@ class TestPrediction:
                       [0.0, 3.0],    # scores (0, 3, 0)  -> class 1
                       [-1.0, -1.0],  # scores (-1, -1, 0) -> class 2
                       [1.0, 1.0]])   # scores (1, 1, 0)  -> tie -> class 0
+        assert misclassification_rate(model, Dataset(X, np.array([0, 1, 2, 0]))) == 0.0
         ds = Dataset(X, np.array([0, 1, 2, 1]))
-        assert np.array_equal(predict(model, ds), [0, 1, 2, 0])
         assert misclassification_rate(model, ds) == pytest.approx(0.25)
-
-    def test_regression_predict(self):
-        ds = Dataset(np.array([[1.0, 2.0]]), np.array([0.0]))
-        assert predict(LinearModel(np.array([3.0, -1.0])), ds)[0] == pytest.approx(1.0)

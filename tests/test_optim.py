@@ -1,4 +1,4 @@
-"""Descent loops, budgets, projection, and the geometric-median aggregator."""
+"""Descent loops, budgets, and the geometric-median aggregator."""
 
 import warnings
 from collections import Counter
@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from robustgd.datagen import SyntheticRisk, gen_regression, NoiseSpec
+from robustgd.datagen import gen_regression, NoiseSpec
 from robustgd.mest import FixedPointSettings, RhoFunction
 from robustgd.models import Dataset, LinearModel, LogisticModel, loss_and_grad_rows
 import robustgd.models as models
@@ -15,7 +15,6 @@ from robustgd.optim import (
     _batch_descent,
     _row_draws,
     _row_means,
-    L2Ball,
     OptimState,
     StoppingRule,
     default_partition_count,
@@ -33,11 +32,11 @@ from robustgd.robust_grad import RobustConfig
 
 from oracles import (
     CountingNumpy,
+    CurvedQuadratic,
     block_means_reference,
     erm_gd_stacked_reference_run,
     geometric_median_objective,
     geometric_median_oracle,
-    make_spd,
     quadratic_descent_iterates,
     rgd_mb_reference_run,
     rgd_stacked_reference_run,
@@ -315,9 +314,8 @@ class TestRgdRun:
     def test_oracle_gradient_matches_closed_form(self):
         rng = np.random.default_rng(2)
         d = 4
-        sigma = make_spd(d, rng, kappa=0.5, lam=2.0)
-        w_star = rng.normal(size=d)
-        risk = SyntheticRisk(w_star, sigma=sigma)
+        risk = CurvedQuadratic(d, rng, kappa=0.5, lam=2.0)
+        sigma, w_star = risk.sigma, risk.w_star
         w0 = w_star + rng.normal(size=d)
         T, alpha = 30, 0.3
         traj = oracle_gd_run(risk.exact_gradient, OptimState(w0.copy(), alpha),
@@ -350,8 +348,7 @@ class TestRgdRun:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             trajs = _batch_descent(lambda W, t, live: g[live], lambda t: 0,
-                                   OptimState(W0, 1.0), None,
-                                   StoppingRule(max_iters=3), 1)
+                                   OptimState(W0, 1.0), StoppingRule(max_iters=3), 1)
         assert [t.stop_reason for t in trajs] == ["max_iters", "diverged"]
         assert trajs[0].steps.tolist() == [0, 1, 2, 3]
         assert trajs[1].steps.tolist() == [0, 1]
@@ -389,28 +386,6 @@ class TestRgdRun:
                     coordinate_subset_size=4)
         with pytest.raises(ValueError, match="need an rng"):
             rgd_run(model, ds, RobustConfig(), state, stop, coordinate_subset_size=2)
-
-
-class TestProjection:
-    def test_projection_nonexpansive_and_feasible(self):
-        rng = np.random.default_rng(3)
-        ball = L2Ball(center=rng.normal(size=4), radius=1.5)
-        for _ in range(100):
-            u = rng.normal(scale=3, size=4)
-            v = rng.normal(scale=3, size=4)
-            pu, pv = ball.project(u), ball.project(v)
-            assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
-            assert ball.contains(pu)
-
-    def test_projected_run_stays_feasible(self):
-        ds, w_star, rng = regression_problem(seed=4)
-        ball = L2Ball(center=np.zeros(3), radius=0.5)
-        w0 = ball.project(w_star + 2.0)
-        traj = rgd_run(LinearModel(w0), ds, RobustConfig(fp=TIGHT),
-                       OptimState(w0.copy(), 0.2), constraint=ball,
-                       stop=StoppingRule(max_iters=15))
-        for w in traj.iterates:
-            assert ball.contains(w)
 
 
 class TestStochasticLoops:
@@ -860,8 +835,6 @@ class TestStateAndRules:
             StoppingRule(max_iters=0)
         with pytest.raises(ValueError):
             StoppingRule(max_iters=5, budget=0)
-        with pytest.raises(ValueError):
-            L2Ball(np.zeros(2), radius=0.0)
 
     def test_trajectory_records_final_state(self):
         ds, w_star, rng = regression_problem(seed=17)
