@@ -256,16 +256,11 @@ def cmd_mest(args):
     except (ConfigError, ValueError) as exc:
         print(f"mest error: {exc}", file=sys.stderr)
         return 2
-    # a column sum, or the sum of its two middle values, may overflow on its
-    # way to the pivot or the median, which are then taken another way; a
-    # finite column whose pairwise sums overflow to both +inf and -inf sums
-    # to nan (inf - inf), and its pivot is taken another way too
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta, info = robust_gradient(x[:, None], cfg)
-        s = float(info["s"][0])
-        if args.scale is not None:
-            s = args.scale
-            theta, _ = locate_columns(x[:, None], [s], rho)
+    theta, info = robust_gradient(x[:, None], cfg)
+    s = float(info["s"][0])
+    if args.scale is not None:
+        s = args.scale
+        theta, _ = locate_columns(x[:, None], [s], rho)
     print(json.dumps({"n": len(x), "theta_hat": float(theta[0]),
                       "sigma_hat": float(info["sigma"][0]), "s": s}, sort_keys=True))
     return 0

@@ -4,7 +4,11 @@ The location estimate soft-truncates outliers through a bounded, increasing
 influence function psi = rho'; the dispersion estimate is the root of a
 centered chi statistic.  Both root equations are monotone and bracketed, so
 one vectorised kernel solves them column by column: Newton steps that stay
-inside the shrinking bracket, bisection where a step would leave it.
+inside the shrinking bracket, bisection where a step would leave it.  A
+column closes on the Newton step it has just computed once its residual is
+within tolerance, so a root is as accurate as a far tighter solve's, and
+where the solve starts (the column median and mean absolute residual, or a
+caller's start such as the last step's estimates) moves only the path.
 Location is solved in theta, dispersion in log sigma.  Each psi kind has
 one formula, ``RhoFunction.psi_dpsi``, a fused kernel that gives a residual
 evaluation's value and slope in one call; the dispersion residual reads
@@ -140,8 +144,13 @@ class FixedPointSettings:
 
     ``max_iters`` caps the Newton steps of each solve; columns still
     unresolved at the cap finish by bisection and are flagged as fallbacks.
-    ``rel_tolerance`` bounds the mean residual (the root equation divided by
-    n).
+    A column closes once its mean residual (the root equation divided by n)
+    is within ``rel_tolerance``, on the Newton step computed from that
+    residual where the step lands strictly inside the column's bracket, and
+    at the evaluated point otherwise (a bisection point is never closed
+    on).  Newton converges quadratically, so at the default 1e-8 the
+    closing step gives the roots of a solve at 1e-14 to about 1e-12 of the
+    scale, at no extra residual evaluation.
     """
 
     max_iters: int = 50
@@ -168,41 +177,54 @@ def _solve_columns(residual, z, lo, hi, fp):
     ``residual(z, cols)`` returns the mean residual of columns ``cols`` at
     points ``z`` and its slope in z.  Each step shrinks the brackets to the
     evaluated points, then takes the Newton step where it lands strictly
-    inside and bisects otherwise.  A column is resolved once its residual is
-    within ``fp.rel_tolerance`` or its bracket has collapsed; columns still
-    open after ``fp.max_iters`` steps finish by bisection and are flagged.
-    The open columns' points and brackets travel compacted between steps
-    (lo and hi are overwritten), and overflow, divide and invalid warnings
-    are off for the whole solve, residuals included.  The bisection point
-    halves each end before adding, so it stays finite next to +-1.8e308.
-    Updates z in place; returns (z, fell_back).
+    inside and bisects otherwise.  A column closes once its residual is
+    within ``fp.rel_tolerance``: it takes the Newton step it has just
+    computed where that lands strictly inside its shrunk bracket, and keeps
+    its evaluated point otherwise, so a bisection midpoint never closes a
+    column and closing costs no residual evaluation.  A column whose
+    bracket has collapsed closes too; columns still open after
+    ``fp.max_iters`` steps finish by bisection and are flagged.  The open
+    columns' points and brackets travel compacted between steps (lo and hi
+    are overwritten), and a column's point is written to z when it closes.
+    The caller holds overflow, divide and invalid warnings off for the
+    whole solve, residuals included.  The bisection point halves each end
+    before adding, so it stays finite next to +-1.8e308.  Updates z in
+    place; returns (z, fell_back).
     """
     fell_back = np.zeros(z.shape, dtype=bool)
     cols, zc, lc, hc = np.arange(z.size), z, lo, hi
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for it in range(fp.max_iters + 1 + _BISECT_STEPS):
-            # max(|lc|, |hc|), as lc <= hc
-            keep = (hc - lc > _WIDTH * np.maximum(np.negative(lc), hc)).nonzero()[0]
-            if keep.size < cols.size:
-                cols, zc, lc, hc = cols[keep], zc[keep], lc[keep], hc[keep]
-            if it == fp.max_iters + 1:
-                fell_back[cols] = True
+    for it in range(fp.max_iters + 1 + _BISECT_STEPS):
+        # max(|lc|, |hc|), as lc <= hc
+        keep = (hc - lc > _WIDTH * np.maximum(np.negative(lc), hc)).nonzero()[0]
+        if keep.size < cols.size:
+            z[cols] = zc
+            cols, zc, lc, hc = cols[keep], zc[keep], lc[keep], hc[keep]
+        if it == fp.max_iters + 1:
+            fell_back[cols] = True
+        if cols.size == 0:
+            break
+        f, slope = residual(zc, cols)
+        # float zeros: numpy converts a Python int anew on every call
+        np.copyto(lc, zc, where=f > 0.0)
+        np.copyto(hc, zc, where=f < 0.0)
+        step = 0.5 * lc + 0.5 * hc
+        newton = None
+        if it < fp.max_iters:
+            newton = zc - f / slope
+            inside = (lc < newton) & (newton < hc)
+            np.copyto(step, newton, where=inside)
+        keep = (np.abs(f) > fp.rel_tolerance).nonzero()[0]
+        if keep.size < cols.size:
+            if newton is not None:
+                # a closing column takes its Newton step where it lies inside
+                np.copyto(zc, newton, where=inside)
+            z[cols] = zc
+            cols, step, lc, hc = cols[keep], step[keep], lc[keep], hc[keep]
             if cols.size == 0:
                 break
-            f, slope = residual(zc, cols)
-            # float zeros: numpy converts a Python int anew on every call
-            np.copyto(lc, zc, where=f > 0.0)
-            np.copyto(hc, zc, where=f < 0.0)
-            step = 0.5 * lc + 0.5 * hc
-            if it < fp.max_iters:
-                newton = zc - f / slope
-                np.copyto(step, newton, where=(lc < newton) & (newton < hc))
-            keep = (np.abs(f) > fp.rel_tolerance).nonzero()[0]
-            if keep.size < cols.size:
-                cols, step, lc, hc = cols[keep], step[keep], lc[keep], hc[keep]
-            if cols.size == 0:
-                break
-            z[cols] = zc = step
+        zc = step
+    else:
+        z[cols] = zc
     return z, fell_back
 
 
@@ -254,21 +276,27 @@ def column_means(a):
     return np.add.reduce(np.ascontiguousarray(a.T), 1) / a.shape[0]
 
 
-def locate_columns(x, s, rho, fp=DEFAULT_FP):
+def locate_columns(x, s, rho, fp=DEFAULT_FP, start=None, checked=False):
     """Column-wise location M-estimates of an (n, k) sample matrix.
 
     Returns (theta, fell_back) where theta[j] solves
-    sum_i psi((x[i,j] - theta)/s[j]) = 0, found from the column median by
-    safeguarded Newton steps on [min x[:,j], max x[:,j]].  fell_back[j]
-    marks columns still unresolved after ``fp.max_iters`` steps.  Every
-    reduction runs over one column alone (see ``column_means``), so theta[j]
-    depends on column j only, bit for bit.  x must be a finite float array;
-    ``robust_gradient`` checks it once.
+    sum_i psi((x[i,j] - theta)/s[j]) = 0, found by safeguarded Newton steps
+    on [min x[:,j], max x[:,j]] (see ``_solve_columns``).  They start from
+    ``start[j]`` clipped into that bracket (a nan start takes its lower
+    end), or, with no start, from the column median.  fell_back[j] marks
+    columns still unresolved after ``fp.max_iters`` steps.  Every reduction
+    runs over one column alone (see ``column_means``), so theta[j] depends
+    on column j and its start only, bit for bit.  x must be a finite float
+    array, which ``robust_gradient`` checks once; s must be positive and
+    finite, which is checked unless ``checked`` says the caller has and
+    passes s as a float array of k scales (as ``robust_gradient`` does).
+    Overflow, divide and invalid warnings are off for the whole solve.
     """
-    s = np.asarray(s, dtype=float)
-    s = s if s.shape == x.shape[1:] else np.broadcast_to(s, x.shape[1:])
-    if not ((s > 0).all() and np.isfinite(s).all()):
-        raise ValueError("scale s must be positive and finite")
+    if not checked:
+        s = np.asarray(s, dtype=float)
+        s = s if s.shape == x.shape[1:] else np.broadcast_to(s, x.shape[1:])
+        if not ((s > 0).all() and np.isfinite(s).all()):
+            raise ValueError("scale s must be positive and finite")
     xt = np.ascontiguousarray(x.T)
     # one buffer set per solve; a step writes into its leading open rows.
     # Each buffer is its own (k, n) array: a larger block, once freed, would
@@ -276,7 +304,6 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP):
     ub, pb, dpb = (np.empty(xt.shape) for _ in range(3))
     k = x.shape[1]
     n = float(x.shape[0])  # divides as the int does, without its conversion
-    ns = -n * s  # the slope's divisor
 
     def residual(theta, cols):
         m = cols.size
@@ -286,11 +313,15 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP):
         psi, dpsi = rho.psi_dpsi(u, pb[:m], dpb[:m])
         return np.add.reduce(psi, 1) / n, np.add.reduce(dpsi, 1) / nsc
 
-    return _solve_columns(residual, _row_medians(xt, ub), np.minimum.reduce(xt, 1),
-                          np.maximum.reduce(xt, 1), fp)
+    # -n s, the mean of two middle values, x - theta and psi may overflow
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ns = -n * s  # the slope's divisor
+        lo, hi = np.minimum.reduce(xt, 1), np.maximum.reduce(xt, 1)
+        z = _row_medians(xt, ub) if start is None else np.fmin(np.fmax(start, lo), hi)
+        return _solve_columns(residual, z, lo, hi, fp)
 
 
-def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
+def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, start=None, checked=False):
     """Column-wise dispersion estimates about per-column pivots.
 
     Returns (sigma, fell_back).  sigma[j] >= floor_j solves
@@ -298,17 +329,23 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
     whose spread sits below the floor floor_j = SIGMA_FLOOR (1 + |pivot_j|)
     (including exactly constant columns, where the chi sum is negative for
     every sigma) return the floor.  The root is found in log sigma on
-    [log floor_j, log(2 max_i |r_ij|)] from the mean absolute residual by
-    the safeguarded Newton steps of ``locate_columns`` (fell_back means the
-    same), each residual evaluation reading only the row means of
-    w = 1/(1+u^2) and w^2 (see ``ChiFunction``).  Columns are reduced alone
-    and x must be checked, both as in ``locate_columns``; a finite column
-    spread past 1.8e308 overflows its residuals and returns sigma = inf.
+    [log floor_j, log(2 max_i |r_ij|)] by the safeguarded Newton steps of
+    ``locate_columns`` (fell_back means the same), from the log of
+    ``start[j]`` clipped into that bracket or, with no start, of the mean
+    absolute residual.  Each residual evaluation reads only the row means
+    of w = 1/(1+u^2) and w^2 (see ``ChiFunction``).  Columns are reduced
+    alone and x must be checked, both as in ``locate_columns``; the pivots
+    must be finite, which is checked unless ``checked`` says the caller has
+    and passes them as a float array of k pivots.
+    A finite column spread past 1.8e308 overflows its residuals and returns
+    sigma = inf.
     """
-    pivots = np.asarray(pivots, dtype=float)
-    pivots = pivots if pivots.shape == x.shape[1:] else np.broadcast_to(pivots, x.shape[1:])
-    if not np.isfinite(pivots).all():
-        raise ValueError("pivot must be finite")
+    if not checked:
+        pivots = np.asarray(pivots, dtype=float)
+        pivots = pivots if pivots.shape == x.shape[1:] else np.broadcast_to(
+            pivots, x.shape[1:])
+        if not np.isfinite(pivots).all():
+            raise ValueError("pivot must be finite")
     # one buffer set per solve, as in locate_columns: the residuals rt, and
     # the scaled residuals of the open rows, which also serve the set-up
     rt, ub = np.empty(x.shape[::-1]), np.empty(x.shape[::-1])
@@ -317,16 +354,6 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
     # a mean is the sum over n divided by n, as ndarray.mean; a float n
     # divides as the int does, without its conversion
     n = float(x.shape[0])
-    with np.errstate(divide="ignore", over="ignore"):
-        np.subtract(x.T, pivots[:, None], out=rt)
-        a = np.abs(rt, out=ub)
-        # every chi term is negative once sigma > 2 max|r|
-        hi = np.maximum(_LOG2 + np.log(np.maximum.reduce(a, 1)), lo)
-        start = np.log(np.add.reduce(a, 1) / n)
-    # as sigma -> 0 the mean chi tends to (1 - c) minus the share of zero
-    # residuals; where that is <= 0 there is no root and the floor is returned
-    no_root = np.add.reduce(np.equal(rt, 0.0, out=ub), 1) / n >= 1.0 - chi.c
-    np.copyto(hi, lo, where=no_root)
 
     def residual(z, cols):
         # mean chi = (1 - c) - mean w, and its slope in z = log sigma is
@@ -340,9 +367,21 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP):
         np.multiply(w, w, out=w)
         return (1.0 - chi.c) - sw, 2.0 * (np.add.reduce(w, 1) / n - sw)
 
-    # rt * exp(-z) may overflow in the solve; chi(inf) = 1 - c
-    z, fell_back = _solve_columns(residual, np.minimum(np.maximum(start, lo), hi),
-                                  lo, hi, fp)
+    # residuals and rt * exp(-z) may overflow (chi(inf) = 1 - c), and a
+    # column of zero residuals starts at log 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        np.subtract(x.T, pivots[:, None], out=rt)
+        a = np.abs(rt, out=ub)
+        # every chi term is negative once sigma > 2 max|r|
+        hi = np.maximum(_LOG2 + np.log(np.maximum.reduce(a, 1)), lo)
+        z = np.log(np.add.reduce(a, 1) / n if start is None else start)
+        # as sigma -> 0 the mean chi tends to (1 - c) minus the share of zero
+        # residuals; where that is <= 0 there is no root and the floor is
+        # returned.  Only columns with a zero residual are counted
+        if not np.minimum.reduce(a, 1).all():
+            no_root = np.add.reduce(np.equal(rt, 0.0, out=ub), 1) / n >= 1.0 - chi.c
+            np.copyto(hi, lo, where=no_root)
+        z, fell_back = _solve_columns(residual, np.fmin(np.fmax(z, lo), hi), lo, hi, fp)
     return np.maximum(np.exp(z), floor), fell_back
 
 

@@ -211,7 +211,8 @@ def _row_means(G, Dt=None):
     return (np.add.reduce(np.ascontiguousarray(Dt.T), 0) / n).reshape(T, d)
 
 
-def _robust_descent(rows, cfg, state, stop, record_every, cost, draw_cols=None):
+def _robust_descent(rows, cfg, state, stop, record_every, cost, draw_cols=None,
+                    warm=False):
     """Robust descent of the trials whose starting points are the rows of
     ``state.w``; ``rows(live, W)`` gives the (T, n, d) gradient rows of the
     trials ``live`` at their iterates W.
@@ -224,12 +225,17 @@ def _robust_descent(rows, cfg, state, stop, record_every, cost, draw_cols=None):
     all their columns, in one ``robust_gradient`` call on the (T d, n)
     matrix's transpose, which reduces every column alone, so each trial's
     estimate has the bits of its own solve; a trial whose row mean is not
-    finite descends on it, so the loop stops it as "diverged".
-    ``draw_cols()``, when given, draws a lone trial's coordinate subset for
-    each step that reaches the solver.  Per-column solver fallbacks are
-    tallied per trial, never raised.
+    finite descends on it, so the loop stops it as "diverged".  ``warm``
+    keeps each trial's last (theta, sigma), a row per trial, and starts its
+    next solve from them.  The first step starts cold; every later step of
+    a live trial has its row, since a trial left unsolved by a step has
+    left the loop as "diverged".  ``draw_cols()``, when given, draws a lone
+    trial's coordinate subset for each step that reaches the solver.
+    Per-column solver fallbacks are tallied per trial, never raised.
     """
     diags = [{"locate_fallbacks": 0, "scale_fallbacks": 0} for _ in state.w]
+    # when warm, every trial's last theta and sigma, a row per trial
+    last = (np.empty(state.w.shape), np.empty(state.w.shape)) if warm else None
 
     def grad_fn(W, t, live):
         G = rows(live, W)
@@ -242,9 +248,16 @@ def _robust_descent(rows, cfg, state, stop, record_every, cost, draw_cols=None):
             return g
         if ok.size < live.size:
             Dt = Dt.reshape(live.size, -1, n)[ok].reshape(-1, n)
+        solved = live[ok]
+        start = None
+        if last is not None and t > 0:
+            start = [a[solved].reshape(-1) for a in last]
         cols = None if draw_cols is None else draw_cols()
-        theta, info = robust_gradient(Dt.T, cfg, cols)
+        theta, info = robust_gradient(Dt.T, cfg, cols, start)
         g[ok] = theta.reshape(ok.size, -1)
+        if last is not None:
+            last[0][solved] = g[ok]
+            last[1][solved] = info["sigma"].reshape(ok.size, -1)
         for key, mask in (("scale_fallbacks", info["scale_fallback"]),
                           ("locate_fallbacks", info["locate_fallback"])):
             if mask.any():
@@ -299,8 +312,11 @@ def rgd_run(model, dataset, cfg, state, stop, rng=None, batch_size=None,
         def draw_cols():
             return np.sort(rng.choice(d, size=size, replace=False))
 
+    # mini-batch rows change every step and a subset's columns with it, so
+    # only a full-batch run of every column starts warm
     traj, = _robust_descent(rows, cfg, _as_batch(state), stop, record_every,
-                            n if batch_size is None else batch_size, draw_cols)
+                            n if batch_size is None else batch_size, draw_cols,
+                            warm=batch_size is None and draw_cols is None)
     return traj
 
 
@@ -313,7 +329,7 @@ def rgd_stacked_run(model, datasets, cfg, state, stop, record_every=1):
     """
     Xs, ys = _stack_datasets(model, datasets)
     return _robust_descent(_trial_rows(model, Xs, ys), cfg, state, stop,
-                           record_every, Xs.shape[1])
+                           record_every, Xs.shape[1], warm=True)
 
 
 def erm_gd_run(model, dataset, state, stop, record_every=1):

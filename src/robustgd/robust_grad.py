@@ -44,26 +44,28 @@ class RobustConfig:
             raise ValueError("delta must lie in (0, 1)")
 
 
-def column_scales(D, cfg):
+def column_scales(D, cfg, start=None):
     """Per-column truncation scales (sigma_hat, s) of a validated gradient
     sample, the scale stage of ``robust_gradient``.
 
-    Pivot is the column mean, sigma_hat the dispersion root about it, and s
-    widens sigma_hat by sqrt(n / log(2/delta)).  A finite column whose sum
-    overflows takes the pivot sum(x_i / n) instead, which is bounded by
-    max |x_i|; every other pivot keeps its bits.  Returns (sigma_hat, s,
-    scale_fallback_mask).
+    Pivot is the column mean, sigma_hat the dispersion root about it (from
+    ``start``, a guess of sigma_hat, when given), and s widens sigma_hat by
+    sqrt(n / log(2/delta)).  A finite column whose sum overflows takes the
+    pivot sum(x_i / n) instead, which is bounded by max |x_i|; every other
+    pivot keeps its bits.  The overflows of such a column's sum and of an s
+    past 1.8e308 warn nothing.  Returns (sigma_hat, s, scale_fallback_mask).
     """
     n = D.shape[0]
-    pivots = column_means(D)
-    if not np.isfinite(pivots).all():
-        big = ~np.isfinite(pivots)
-        pivots[big] = np.add.reduce(np.ascontiguousarray(D.T[big]) / n, 1)
-    sigma, fell_back = rescale_columns(D, pivots, _CHI, cfg.fp)
-    return sigma, confidence_scale(sigma, n, cfg.delta), fell_back
+    with np.errstate(over="ignore", invalid="ignore"):
+        pivots = column_means(D)
+        if not np.isfinite(pivots).all():
+            big = ~np.isfinite(pivots)
+            pivots[big] = np.add.reduce(np.ascontiguousarray(D.T[big]) / n, 1)
+        sigma, fell_back = rescale_columns(D, pivots, _CHI, cfg.fp, start, checked=True)
+        return sigma, confidence_scale(sigma, n, cfg.delta), fell_back
 
 
-def robust_gradient(D, cfg, cols=None):
+def robust_gradient(D, cfg, cols=None, start=None):
     """Coordinate-wise robust location estimate of the gradient sample rows.
 
     D is checked once (a finite, non-empty (n, d) matrix) and copied once
@@ -74,29 +76,36 @@ def robust_gradient(D, cfg, cols=None):
     beside column j and whatever D's memory order: a stack of blocks gives
     each block's own estimate.  ``cols`` robustifies only those columns and
     gives every other column its plain mean (``column_means``); all d
-    columns equal no ``cols``.  Returns (theta, info): info holds sigma, s
-    and the scale_fallback and locate_fallback masks of the robustified
-    columns.  Estimation never raises on a hard column: a root still open
-    after ``cfg.fp.max_iters`` Newton steps is finished by bisection and
-    flagged, and a finite column whose residuals or scale s overflow is
-    estimated scaled down by 2^-512, its theta, sigma and s scaled back (a
-    sigma or s past 1.8e308 reads inf).
+    columns equal no ``cols``.  ``start``, when given, is a pair (theta,
+    sigma) of guesses for the robustified columns, such as the estimates of
+    the previous step of a full-batch descent: the dispersion and location
+    solves start from them, clipped into each column's bracket, in place of
+    the mean absolute residual and the column median.  Returns (theta,
+    info): info holds sigma, s and the scale_fallback and locate_fallback
+    masks of the robustified columns.  Estimation never raises on a hard
+    column: a root still open after ``cfg.fp.max_iters`` Newton steps is
+    finished by bisection and flagged, and a finite column whose residuals
+    or scale s overflow is estimated, from no start, scaled down by 2^-512,
+    its theta, sigma and s scaled back (a sigma or s past 1.8e308 reads
+    inf); none of this warns.
     """
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.size == 0:
         raise ValueError("gradient sample must be a non-empty (n, d) matrix")
     if not np.isfinite(D).all():
         raise ValueError("gradient sample contains non-finite entries")
+    theta0, sigma0 = (None, None) if start is None else start
     Dt = np.ascontiguousarray(D.T)
     sub = (Dt if cols is None else Dt[cols]).T
-    sigma, s, scale_fb = column_scales(sub, cfg)
+    sigma, s, scale_fb = column_scales(sub, cfg, sigma0)
     big = ~np.isfinite(s)
     if big.any():
         # a finite column spread past about 1e307 overflows its residuals or
         # its s: it is estimated on a copy scaled by 2^-512 (s = 1 stands in)
         theta_b, info_b = robust_gradient(np.ldexp(sub[:, big], -512), cfg)
         s[big] = 1.0
-    theta, loc_fb = locate_columns(sub, s, cfg.rho, cfg.fp)
+    # s is now positive and finite, as sigma is at least its floor
+    theta, loc_fb = locate_columns(sub, s, cfg.rho, cfg.fp, theta0, checked=True)
     if big.any():
         with np.errstate(over="ignore"):  # a sigma past 1.8e308 reads inf
             theta[big], sigma[big], s[big] = np.ldexp(

@@ -623,12 +623,15 @@ def stacked_rows_reference(model, datasets, W):
     return blocks, np.array([G.mean(axis=0) for G in blocks]), np.hstack(blocks)
 
 
-def robust_descent_reference(rows, cfg, state, stop, record_every, cost):
+def robust_descent_reference(rows, cfg, state, stop, record_every, cost, warm=False):
     """``optim._robust_descent`` with its per-trial glue as first written:
     ``rows(k, w)`` gives trial k's (n, d) rows alone, the row means are
     taken block by block, and the blocks of the trials whose mean is finite
-    are ``np.hstack``ed into one (n, T d) sample for ``robust_gradient``."""
+    are ``np.hstack``ed into one (n, T d) sample for ``robust_gradient``.
+    ``warm`` keeps each trial's last (theta, sigma) in a dict keyed by
+    trial and starts the trial's next solve from them."""
     diags = [{"locate_fallbacks": 0, "scale_fallbacks": 0} for _ in state.w]
+    last = {}
 
     def grad_fn(W, t, live):
         blocks = [rows(k, w) for k, w in zip(live, W)]
@@ -637,8 +640,16 @@ def robust_descent_reference(rows, cfg, state, stop, record_every, cost):
         if not ok.size:
             return g
         D = blocks[ok[0]] if ok.size == 1 else np.hstack([blocks[i] for i in ok])
-        theta, info = robust_gradient(D, cfg)
+        start = None
+        if warm and all(live[i] in last for i in ok):
+            start = tuple(np.concatenate([last[live[i]][j] for i in ok]) for j in (0, 1))
+        theta, info = robust_gradient(D, cfg, start=start)
         g[ok] = theta.reshape(ok.size, -1)
+        if warm:
+            d = g.shape[1]
+            for j, i in enumerate(ok):
+                block = slice(j * d, (j + 1) * d)
+                last[live[i]] = (theta[block], info["sigma"][block])
         for key, mask in (("scale_fallbacks", info["scale_fallback"]),
                           ("locate_fallbacks", info["locate_fallback"])):
             for k, count in zip(live[ok], mask.reshape(ok.size, -1).sum(axis=1)):
@@ -660,7 +671,7 @@ def trial_rows_reference(model, datasets):
 def rgd_stacked_reference_run(model, datasets, cfg, state, stop, record_every=1):
     """``optim.rgd_stacked_run`` with its steps as first written."""
     return robust_descent_reference(trial_rows_reference(model, datasets), cfg,
-                                    state, stop, record_every, datasets[0].n)
+                                    state, stop, record_every, datasets[0].n, warm=True)
 
 
 def erm_gd_stacked_reference_run(model, datasets, state, stop, record_every=1):
@@ -690,8 +701,9 @@ def rgd_mb_reference_run(model, dataset, cfg, state, stop, rng, batch_size):
 def solve_columns_reference(residual, z, lo, hi, fp):
     """``mest._solve_columns`` as first written: every step gathers the open
     columns' points and brackets from the full z, lo and hi arrays and
-    scatters the brackets back, and the Newton step runs in its own
-    ``np.errstate`` block."""
+    scatters the brackets back, the Newton step runs in its own
+    ``np.errstate`` block, and a closing column takes its Newton step where
+    it lies strictly inside the shrunk bracket."""
     fell_back = np.zeros(z.shape, dtype=bool)
     cols = np.arange(z.size)
     for it in range(fp.max_iters + 1 + _BISECT_STEPS):
@@ -709,17 +721,28 @@ def solve_columns_reference(residual, z, lo, hi, fp):
         if it < fp.max_iters:
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = zc - f / slope
-            step = np.where((lc < newton) & (newton < hc), newton, step)
+            inside = (lc < newton) & (newton < hc)
+            step = np.where(inside, newton, step)
         still_open = np.abs(f) > fp.rel_tolerance
+        if it < fp.max_iters:
+            closing = ~still_open & inside
+            z[cols[closing]] = newton[closing]
         cols = cols[still_open]
         z[cols] = step[still_open]
     return z, fell_back
 
 
-def locate_columns_reference(x, s, rho, fp=DEFAULT_FP):
+def _clip_start(start, lo, hi):
+    """start clipped into [lo, hi], a nan start at lo."""
+    start = np.broadcast_to(start, lo.shape)
+    return np.where(np.isnan(start), lo, np.clip(start, lo, hi))
+
+
+def locate_columns_reference(x, s, rho, fp=DEFAULT_FP, start=None):
     """``mest.locate_columns`` as first written: its residual takes means
-    with ``ndarray.mean`` (the slope divides its sum by -n s in one step)
-    and it runs ``solve_columns_reference``."""
+    with ``ndarray.mean`` (the slope divides its sum by -n s in one step),
+    a start is clipped with ``np.clip`` (a nan start at the lower end), and
+    it runs ``solve_columns_reference``."""
     s = np.broadcast_to(np.asarray(s, dtype=float), x.shape[1:])
     xt = np.ascontiguousarray(x.T)
     ub, pb, dpb = (np.empty(xt.shape) for _ in range(3))
@@ -731,22 +754,24 @@ def locate_columns_reference(x, s, rho, fp=DEFAULT_FP):
         psi, dpsi = rho.psi_dpsi(u, pb[:m], dpb[:m])
         return psi.mean(axis=1), dpsi.sum(axis=1) / (-x.shape[0] * sc)
 
-    return solve_columns_reference(residual, _row_medians(xt, ub), xt.min(axis=1),
-                                   xt.max(axis=1), fp)
+    lo, hi = xt.min(axis=1), xt.max(axis=1)
+    z = _row_medians(xt, ub) if start is None else _clip_start(start, lo, hi)
+    return solve_columns_reference(residual, z, lo, hi, fp)
 
 
-def rescale_columns_reference(x, pivots, chi, fp=DEFAULT_FP):
+def rescale_columns_reference(x, pivots, chi, fp=DEFAULT_FP, start=None):
     """``mest.rescale_columns`` as first written, as
-    ``locate_columns_reference`` is ``locate_columns``."""
+    ``locate_columns_reference`` is ``locate_columns``; a start is a guess
+    of sigma, taken in log."""
     pivots = np.broadcast_to(np.asarray(pivots, dtype=float), x.shape[1:])
     rt, ub = np.empty(x.shape[::-1]), np.empty(x.shape[::-1])
     floor = SIGMA_FLOOR * (1.0 + np.abs(pivots))
     lo = np.log(floor)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.subtract(x.T, pivots[:, None], out=rt)
         a = np.abs(rt, out=ub)
         hi = np.maximum(np.log(2.0) + np.log(a.max(axis=1)), lo)
-        start = np.log(a.mean(axis=1))
+        start = np.log(a.mean(axis=1) if start is None else start)
     no_root = np.equal(rt, 0.0, out=ub).mean(axis=1) >= 1.0 - chi.c
     hi[no_root] = lo[no_root]
 
@@ -761,5 +786,5 @@ def rescale_columns_reference(x, pivots, chi, fp=DEFAULT_FP):
         sw = w.mean(axis=1)
         return (1.0 - chi.c) - sw, 2.0 * ((w * w).mean(axis=1) - sw)
 
-    z, fell_back = solve_columns_reference(residual, np.clip(start, lo, hi), lo, hi, fp)
+    z, fell_back = solve_columns_reference(residual, _clip_start(start, lo, hi), lo, hi, fp)
     return np.maximum(np.exp(z), floor), fell_back

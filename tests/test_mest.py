@@ -611,8 +611,9 @@ class TestSolverBuffers:
             monkeypatch.setattr(module, "np", CountingNumpy(counts))
         robust_gradient(X, RobustConfig())
         # 4 calls per Gudermannian psi evaluation, 8 per dispersion residual
-        # evaluation, one sort per median
-        assert sum(counts.values()) == 159, counts
+        # evaluation, one sort per median, and one per step on which a
+        # column closes on its Newton step
+        assert sum(counts.values()) == 157, counts
 
 
 def solver_samples(n, k, seed):
@@ -675,6 +676,35 @@ class TestSolverOracle:
         # has collapsed before the first step
         assert fallbacks > 0 or shape[0] == 1
 
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_started_bits_equal_the_reference_loop(self, shape):
+        # starts off the roots by up to half a decade, outside the brackets
+        # and nan, clipped into each column's bracket
+        rng = np.random.default_rng(shape[0] * shape[1])
+        for X in solver_samples(*shape, seed=shape[0] + shape[1]):
+            k = X.shape[1]
+            pivots = column_means(X)
+            sigma = rescale_columns(X, pivots, CHI)[0]
+            sigma0 = sigma * np.exp(rng.uniform(-1.2, 1.2, k))
+            odd = np.arange(0, k, 5)[:5]
+            sigma0[odd] = [np.nan, np.inf, 0.0, -1.0, 1e300][: odd.size]
+            got = rescale_columns(X, pivots, CHI, start=sigma0)
+            with np.errstate(over="ignore"):  # the reference loop's residuals
+                want = rescale_columns_reference(X, pivots, CHI, start=sigma0)
+            assert np.array_equal(bits(got[0]), bits(want[0]))
+            assert np.array_equal(got[1], want[1])
+            s = confidence_scale(sigma, shape[0], 0.005)
+            for kind in RHO_KINDS:
+                rho = RhoFunction(kind)
+                theta = locate_columns(X, s, rho)[0]
+                theta0 = theta + s * rng.uniform(-0.5, 0.5, k)
+                theta0[odd] = [np.nan, -np.inf, np.inf, 1e308, -1e308][: odd.size]
+                got = locate_columns(X, s, rho, start=theta0)
+                with np.errstate(over="ignore"):
+                    want = locate_columns_reference(X, s, rho, start=theta0)
+                assert np.array_equal(bits(got[0]), bits(want[0]))
+                assert np.array_equal(got[1], want[1])
+
     def test_residual_warnings_are_off_for_the_solve(self):
         # x - theta overflows at theta = 1.5e308, and pseudo-Huber's u / p is
         # then inf / inf: the reference loop warned "invalid value" there;
@@ -724,6 +754,40 @@ class TestSolverOracle:
             got = rescale_columns(X, pivots, CHI)
         assert np.array_equal(bits(got[0]), bits(want[0]))
         assert np.array_equal(got[1], want[1])
+
+
+class TestConvergedRoots:
+    """A column closes on the Newton step it has just computed, so the
+    default tolerance gives the roots of a solve at 1e-14, and a start moves
+    the path to a root, not the root."""
+
+    TIGHTEST = FixedPointSettings(rel_tolerance=1e-14)
+
+    @pytest.mark.parametrize("shape", TestSolverOracle.SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_roots_match_a_tight_solve_from_any_start(self, shape):
+        rng = np.random.default_rng(shape[0] + 7 * shape[1])
+        for X in solver_samples(*shape, seed=shape[0] + shape[1]):
+            k = X.shape[1]
+            pivots = column_means(X)
+            sigma = rescale_columns(X, pivots, CHI)[0]
+            want = rescale_columns(X, pivots, CHI, self.TIGHTEST)[0]
+            warm = rescale_columns(X, pivots, CHI, start=want * np.exp(rng.uniform(-1, 1, k)))[0]
+            for got in (sigma, warm):
+                assert np.all(np.abs(got - want) <= 1e-12 * want)
+            s = confidence_scale(sigma, shape[0], 0.005)
+            assert np.isfinite(s).all()
+            # a bracket collapsed to a few ulps closes at its start: any
+            # point of it is the root to machine precision
+            width = X.max(axis=0) - X.min(axis=0)
+            tol = np.maximum(1e-12 * s, np.where(width <= 1e-15 * np.abs(X).max(axis=0),
+                                                 width, 0.0))
+            for kind in RHO_KINDS:
+                rho = RhoFunction(kind)
+                theta = locate_columns(X, s, rho)[0]
+                want = locate_columns(X, s, rho, self.TIGHTEST)[0]
+                warm = locate_columns(X, s, rho, start=want + s * rng.uniform(-0.5, 0.5, k))[0]
+                for got in (theta, warm):
+                    assert np.all(np.abs(got - want) <= tol), kind
 
 
 class TestConfidenceScale:

@@ -311,6 +311,32 @@ class TestRgdRun:
                            stop=stop)
         assert np.max(np.abs(t_rgd.iterates - t_erm.iterates)) <= 1e-10
 
+    @pytest.mark.parametrize("kwargs", [{}, {"batch_size": 20},
+                                        {"coordinate_subset_size": 2}])
+    def test_only_full_batch_runs_start_warm(self, monkeypatch, kwargs):
+        # a full-batch step starts from the (theta, sigma) the step before
+        # returned; a mini-batch's rows and a subset's columns change every
+        # step, so those steps always start cold
+        ds, w_star, rng = regression_problem(heavy=True)
+        calls, solve = [], optim.robust_gradient
+
+        def recorded(D, cfg, cols=None, start=None):
+            theta, info = solve(D, cfg, cols, start)
+            calls.append((start, theta, info["sigma"]))
+            return theta, info
+
+        monkeypatch.setattr(optim, "robust_gradient", recorded)
+        w0 = w_star + 2.0
+        rgd_run(LinearModel(w0), ds, RobustConfig(), OptimState(w0, 0.1),
+                StoppingRule(max_iters=6), rng=rng, **kwargs)
+        assert len(calls) == 6
+        if kwargs:
+            assert all(start is None for start, _, _ in calls)
+            return
+        assert calls[0][0] is None
+        for (_, theta, sigma), (start, _, _) in zip(calls, calls[1:]):
+            assert same_bits(start[0], theta) and same_bits(start[1], sigma)
+
     def test_oracle_gradient_matches_closed_form(self):
         rng = np.random.default_rng(2)
         d = 4

@@ -271,6 +271,25 @@ class TestColumnScales:
         assert np.isfinite(info["s"]).all()
         assert x.min() <= theta[0] <= x.max()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("column", [
+        [5e307, -5e307] * 250,
+        [1e308] * 4,
+        [9e307, -1.7e308, 9e307, -1.7e308, 9e307, 9e307],
+    ])
+    def test_overflows_handled_as_designed_warn_nothing(self, column):
+        # every warning is an error here.  The first column's pairwise sums
+        # overflow to +inf and -inf and meet as nan, and its s = 3.4 sigma
+        # passes 1.8e308: it is pivoted at sum(x_i / n) and estimated scaled
+        # down.  The others' sums, or the sums of their two middle values,
+        # overflow on the way to the pivot and the median start
+        x = np.array(column)[:, None]
+        theta, info = robust_gradient(x, RobustConfig())
+        assert x.min() <= theta[0] <= x.max()
+        if len(column) == 500:
+            assert theta[0] == 0.0 and np.isinf(info["s"][0])
+            assert info["sigma"][0] == pytest.approx(6.9e307, rel=0.01)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RobustConfig(delta=0.0)

@@ -38,23 +38,23 @@ MODULES = {"mest": mest, "robust_grad": robust_grad, "optim": optim,
 # psi and chi are (evaluations, elements), grad_rows (calls, rows)
 LEDGER = {
     "poc_heavy": {
-        "np": {"mest": 7700, "robust_grad": 250, "optim": 484, "models": 380,
+        "np": {"mest": 5838, "robust_grad": 300, "optim": 486, "models": 380,
                "bench": 102},
-        "psi": (150, 2628000), "chi": (250, 3866000),
+        "psi": (124, 2189500), "chi": (159, 2679500),
         "robust_gradient": {"500x40": 50},
         "grad_rows": (100, 1000000),
     },
     "wide_d": {
-        "np": {"mest": 21700, "robust_grad": 750, "optim": 9378, "models": 1242,
+        "np": {"mest": 16903, "robust_grad": 900, "optim": 9384, "models": 1242,
                "bench": 21},
-        "psi": (450, 10389500), "chi": (650, 14926000),
+        "psi": (341, 8336000), "chi": (473, 12375000),
         "robust_gradient": {"500x2": 50, "500x32": 50, "500x128": 50},
         "grad_rows": (300, 150000),
     },
     "cls_budget": {
-        "np": {"mest": 103278, "robust_grad": 3015, "optim": 9865, "models": 56230,
+        "np": {"mest": 102291, "robust_grad": 3618, "optim": 9867, "models": 56230,
                "bench": 6},
-        "psi": (2409, 1348470), "chi": (3159, 1899780),
+        "psi": (2409, 1342470), "chi": (3159, 1895780),
         "robust_gradient": {"10x40": 600, "2000x40": 3},
         "grad_rows": (8608, 30000),
     },
