@@ -786,5 +786,6 @@ def rescale_columns_reference(x, pivots, chi, fp=DEFAULT_FP, start=None):
         sw = w.mean(axis=1)
         return (1.0 - chi.c) - sw, 2.0 * ((w * w).mean(axis=1) - sw)
 
-    z, fell_back = solve_columns_reference(residual, _clip_start(start, lo, hi), lo, hi, fp)
+    z, fell_back = solve_columns_reference(residual, _clip_start(start, lo, hi), lo, hi,
+                                           fp)
     return np.maximum(np.exp(z), floor), fell_back

@@ -763,7 +763,8 @@ class TestConvergedRoots:
 
     TIGHTEST = FixedPointSettings(rel_tolerance=1e-14)
 
-    @pytest.mark.parametrize("shape", TestSolverOracle.SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("shape", TestSolverOracle.SHAPES,
+                             ids=lambda s: f"{s[0]}x{s[1]}")
     def test_roots_match_a_tight_solve_from_any_start(self, shape):
         rng = np.random.default_rng(shape[0] + 7 * shape[1])
         for X in solver_samples(*shape, seed=shape[0] + shape[1]):
@@ -771,7 +772,8 @@ class TestConvergedRoots:
             pivots = column_means(X)
             sigma = rescale_columns(X, pivots, CHI)[0]
             want = rescale_columns(X, pivots, CHI, self.TIGHTEST)[0]
-            warm = rescale_columns(X, pivots, CHI, start=want * np.exp(rng.uniform(-1, 1, k)))[0]
+            sigma0 = want * np.exp(rng.uniform(-1, 1, k))
+            warm = rescale_columns(X, pivots, CHI, start=sigma0)[0]
             for got in (sigma, warm):
                 assert np.all(np.abs(got - want) <= 1e-12 * want)
             s = confidence_scale(sigma, shape[0], 0.005)
@@ -779,13 +781,14 @@ class TestConvergedRoots:
             # a bracket collapsed to a few ulps closes at its start: any
             # point of it is the root to machine precision
             width = X.max(axis=0) - X.min(axis=0)
-            tol = np.maximum(1e-12 * s, np.where(width <= 1e-15 * np.abs(X).max(axis=0),
-                                                 width, 0.0))
+            collapsed = width <= 1e-15 * np.abs(X).max(axis=0)
+            tol = np.maximum(1e-12 * s, np.where(collapsed, width, 0.0))
             for kind in RHO_KINDS:
                 rho = RhoFunction(kind)
                 theta = locate_columns(X, s, rho)[0]
                 want = locate_columns(X, s, rho, self.TIGHTEST)[0]
-                warm = locate_columns(X, s, rho, start=want + s * rng.uniform(-0.5, 0.5, k))[0]
+                theta0 = want + s * rng.uniform(-0.5, 0.5, k)
+                warm = locate_columns(X, s, rho, start=theta0)[0]
                 for got in (theta, warm):
                     assert np.all(np.abs(got - want) <= tol), kind
 

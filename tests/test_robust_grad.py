@@ -257,6 +257,7 @@ class TestColumnScales:
         for key in ("scale_fallback", "locate_fallback"):
             assert np.array_equal(info[key][big], want[key])
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("column", [
         [1e308] * 4,
         # a finite sum, 2e307, whose two middle values sum past 1.8e308
@@ -264,31 +265,22 @@ class TestColumnScales:
     ])
     def test_median_start_that_overflows_stays_in_the_column_range(self, column):
         # the even-n median is the midpoint of the middle values, which
-        # overflows to inf; the location solve starts inside [min, max]
+        # overflows to inf; the location solve starts inside [min, max],
+        # and neither that overflow nor the column sum's warns
         x = np.array(column)[:, None]
-        with np.errstate(over="ignore"):
-            theta, info = robust_gradient(x, RobustConfig())
+        theta, info = robust_gradient(x, RobustConfig())
         assert np.isfinite(info["s"]).all()
         assert x.min() <= theta[0] <= x.max()
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("column", [
-        [5e307, -5e307] * 250,
-        [1e308] * 4,
-        [9e307, -1.7e308, 9e307, -1.7e308, 9e307, 9e307],
-    ])
-    def test_overflows_handled_as_designed_warn_nothing(self, column):
-        # every warning is an error here.  The first column's pairwise sums
-        # overflow to +inf and -inf and meet as nan, and its s = 3.4 sigma
-        # passes 1.8e308: it is pivoted at sum(x_i / n) and estimated scaled
-        # down.  The others' sums, or the sums of their two middle values,
-        # overflow on the way to the pivot and the median start
-        x = np.array(column)[:, None]
+    def test_column_whose_pairwise_sums_overflow_both_ways_warns_nothing(self):
+        # its pairwise sums overflow to +inf and -inf and meet as nan, and
+        # its s = 3.4 sigma passes 1.8e308: it is pivoted at sum(x_i / n)
+        # and estimated scaled down, as designed, and no step of it warns
+        x = np.array([[5e307], [-5e307]] * 250)
         theta, info = robust_gradient(x, RobustConfig())
-        assert x.min() <= theta[0] <= x.max()
-        if len(column) == 500:
-            assert theta[0] == 0.0 and np.isinf(info["s"][0])
-            assert info["sigma"][0] == pytest.approx(6.9e307, rel=0.01)
+        assert theta[0] == 0.0 and np.isinf(info["s"][0])
+        assert info["sigma"][0] == pytest.approx(6.9e307, rel=0.01)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
