@@ -628,10 +628,23 @@ def robust_descent_reference(rows, cfg, state, stop, record_every, cost, warm=Fa
     ``rows(k, w)`` gives trial k's (n, d) rows alone, the row means are
     taken block by block, and the blocks of the trials whose mean is finite
     are ``np.hstack``ed into one (n, T d) sample for ``robust_gradient``.
-    ``warm`` keeps each trial's last (theta, sigma) in a dict keyed by
-    trial and starts the trial's next solve from them."""
+    ``warm`` keeps each trial's (theta, log sigma) of its last three steps
+    in a dict keyed by trial, a list oldest first, and starts the trial's
+    next solve from their extrapolation: a2 after one step, 2 a2 - a1 after
+    two, 3 a2 - 3 a1 + a0 after three or more, sigma at the exp of the
+    extrapolated log sigma."""
     diags = [{"locate_fallbacks": 0, "scale_fallbacks": 0} for _ in state.w]
     last = {}
+
+    def extrapolated(k):
+        steps = last[k]
+        if len(steps) == 1:
+            return steps[0]
+        if len(steps) == 2:
+            a1, a2 = steps
+            return a2 + (a2 - a1)
+        a0, a1, a2 = steps
+        return 3.0 * (a2 - a1) + a0
 
     def grad_fn(W, t, live):
         blocks = [rows(k, w) for k, w in zip(live, W)]
@@ -642,14 +655,16 @@ def robust_descent_reference(rows, cfg, state, stop, record_every, cost, warm=Fa
         D = blocks[ok[0]] if ok.size == 1 else np.hstack([blocks[i] for i in ok])
         start = None
         if warm and all(live[i] in last for i in ok):
-            start = tuple(np.concatenate([last[live[i]][j] for i in ok]) for j in (0, 1))
+            guess = np.concatenate([extrapolated(live[i]) for i in ok], axis=1)
+            start = guess[0], np.exp(guess[1])
         theta, info = robust_gradient(D, cfg, start=start)
         g[ok] = theta.reshape(ok.size, -1)
         if warm:
             d = g.shape[1]
             for j, i in enumerate(ok):
                 block = slice(j * d, (j + 1) * d)
-                last[live[i]] = (theta[block], info["sigma"][block])
+                row = np.array([theta[block], np.log(info["sigma"][block])])
+                last[live[i]] = last.get(live[i], [])[-2:] + [row]
         for key, mask in (("scale_fallbacks", info["scale_fallback"]),
                           ("locate_fallbacks", info["locate_fallback"])):
             for k, count in zip(live[ok], mask.reshape(ok.size, -1).sum(axis=1)):

@@ -121,18 +121,20 @@ def wide_range_rows(T, n, d, seed=0):
 
 
 class TestRowMeans:
-    """``_row_means`` is np.add.reduce(G, 1) / n bit for bit, given the
-    (T d, n) rows or not."""
+    """``_row_means`` is np.add.reduce(G, 1) / n of a C-ordered G bit for
+    bit, for G C-ordered and for G the (T, n, d) view of rows in (T, d, n)
+    memory, as the kernels write them against a column copy."""
 
     @staticmethod
     def assert_reduce_bits(G):
         T, n, d = G.shape
+        by_column = np.ascontiguousarray(G.transpose(0, 2, 1)).transpose(0, 2, 1)
         with np.errstate(over="ignore", invalid="ignore"):
             want = np.add.reduce(G, 1) / n
             got = _row_means(G)
-            given = _row_means(G, G.transpose(0, 2, 1).reshape(-1, n))
+            from_columns = _row_means(by_column)
         assert same_bits(got, want)
-        assert same_bits(given, want)
+        assert same_bits(from_columns, want)
         return got
 
     @pytest.mark.parametrize("n", [1, 2, 500])
@@ -253,7 +255,7 @@ class TestStackedRuns:
 
     @pytest.mark.parametrize("method", ["rgd", "erm"])
     def test_stacked_logistic_equals_the_per_trial_glue(self, method):
-        # the logistic kernel has no trial axis: its stacked runs loop
+        # the logistic kernel writes every trial's rows against the column copy
         datasets, W0 = [], []
         for seed in range(3):
             model, ds, w0 = stochastic_problem("logistic_reg", n=40, seed=seed)
@@ -268,6 +270,40 @@ class TestStackedRuns:
             want = erm_gd_stacked_reference_run(model, datasets, state, stop)
         for a, b in zip(got, want):
             assert_same_trajectory(a, b)
+
+    @pytest.mark.parametrize("model", [LinearModel(np.zeros(3)),
+                                       LogisticModel(3, 3, np.zeros(6), reg_strength=0.01)],
+                             ids=["linear", "logistic"])
+    def test_solver_reads_the_kernel_rows_without_a_copy(self, monkeypatch, model):
+        # the (T d, n) matrix robust_gradient copies to C order is the
+        # transpose of the kernel's own output, already C-ordered
+        rng = np.random.default_rng(3)
+        T, n = 4, 50
+        if isinstance(model, LinearModel):
+            datasets = [regression_problem(n=n, seed=k)[0] for k in range(T)]
+        else:
+            datasets = [Dataset(rng.normal(size=(n, 3)), rng.integers(3, size=n))
+                        for _ in range(T)]
+        outputs, samples = [], []
+        grad_rows, solve = type(model).grad_rows, optim.robust_gradient
+
+        def kept_rows(self, *args):
+            outputs.append(grad_rows(self, *args))
+            return outputs[-1]
+
+        def kept_sample(D, *args):
+            samples.append(D)
+            return solve(D, *args)
+
+        monkeypatch.setattr(type(model), "grad_rows", kept_rows)
+        monkeypatch.setattr(optim, "robust_gradient", kept_sample)
+        rgd_stacked_run(model, datasets, RobustConfig(),
+                        OptimState(rng.normal(size=(T, model.dim)), 0.1),
+                        StoppingRule(max_iters=4))
+        assert len(outputs) == len(samples) == 4
+        for G, D in zip(outputs, samples):
+            assert D.shape == (n, T * model.dim) and D.T.flags.c_contiguous
+            assert np.shares_memory(D.T, G)
 
     def test_stacked_trials_must_share_d(self):
         a, _, _ = regression_problem(n=30, d=3)
@@ -314,9 +350,11 @@ class TestRgdRun:
     @pytest.mark.parametrize("kwargs", [{}, {"batch_size": 20},
                                         {"coordinate_subset_size": 2}])
     def test_only_full_batch_runs_start_warm(self, monkeypatch, kwargs):
-        # a full-batch step starts from the (theta, sigma) the step before
-        # returned; a mini-batch's rows and a subset's columns change every
-        # step, so those steps always start cold
+        # a full-batch step starts from an extrapolation of the (theta, log
+        # sigma) of the steps before: the last at step 1, linear from the
+        # last two at step 2 and quadratic from the last three after; a
+        # mini-batch's rows and a subset's columns change every step, so
+        # those steps always start cold
         ds, w_star, rng = regression_problem(heavy=True)
         calls, solve = [], optim.robust_gradient
 
@@ -334,8 +372,20 @@ class TestRgdRun:
             assert all(start is None for start, _, _ in calls)
             return
         assert calls[0][0] is None
-        for (_, theta, sigma), (start, _, _) in zip(calls, calls[1:]):
-            assert same_bits(start[0], theta) and same_bits(start[1], sigma)
+        seen = [np.array([theta, np.log(sigma)]) for _, theta, sigma in calls]
+        for t, (start, _, _) in enumerate(calls[1:], 1):
+            a2 = seen[t - 1]
+            if t == 1:
+                want = a2
+            elif t == 2:
+                want = 2.0 * a2 - seen[t - 2]
+            else:
+                want = 3.0 * a2 - 3.0 * seen[t - 2] + seen[t - 3]
+            # the same extrapolation to within rounding, in its own form; from
+            # step 2 on it is not the last step's estimate
+            assert np.allclose(start[0], want[0], rtol=1e-14, atol=0.0)
+            assert np.allclose(np.log(start[1]), want[1], rtol=1e-14, atol=0.0)
+            assert (t == 1) == same_bits(start[0], a2[0])
 
     def test_oracle_gradient_matches_closed_form(self):
         rng = np.random.default_rng(2)

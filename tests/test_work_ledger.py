@@ -38,23 +38,23 @@ MODULES = {"mest": mest, "robust_grad": robust_grad, "optim": optim,
 # psi and chi are (evaluations, elements), grad_rows (calls, rows)
 LEDGER = {
     "poc_heavy": {
-        "np": {"mest": 5838, "robust_grad": 300, "optim": 486, "models": 380,
+        "np": {"mest": 4977, "robust_grad": 300, "optim": 586, "models": 380,
                "bench": 102},
-        "psi": (124, 2189500), "chi": (159, 2679500),
+        "psi": (102, 2035000), "chi": (123, 2173000),
         "robust_gradient": {"500x40": 50},
         "grad_rows": (100, 1000000),
     },
     "wide_d": {
-        "np": {"mest": 16903, "robust_grad": 900, "optim": 9384, "models": 1242,
+        "np": {"mest": 14936, "robust_grad": 900, "optim": 17625, "models": 1242,
                "bench": 21},
-        "psi": (341, 8336000), "chi": (473, 12375000),
+        "psi": (306, 8183500), "chi": (369, 9070000),
         "robust_gradient": {"500x2": 50, "500x32": 50, "500x128": 50},
         "grad_rows": (300, 150000),
     },
     "cls_budget": {
-        "np": {"mest": 102291, "robust_grad": 3618, "optim": 9867, "models": 56230,
+        "np": {"mest": 102262, "robust_grad": 3618, "optim": 9871, "models": 56230,
                "bench": 6},
-        "psi": (2409, 1342470), "chi": (3159, 1895780),
+        "psi": (2408, 1334470), "chi": (3158, 1815780),
         "robust_gradient": {"10x40": 600, "2000x40": 3},
         "grad_rows": (8608, 30000),
     },
@@ -81,10 +81,10 @@ def count_pass(monkeypatch, tmp_path, name):
 
         mp.setattr(optim, "robust_gradient", counted_robust_gradient)
         for cls in (models.LinearModel, models.LogisticModel):
-            def counted_grad_rows(self, w, X, y, _fn=cls.grad_rows):
+            def counted_grad_rows(self, w, X, y, *args, _fn=cls.grad_rows):
                 rows["calls"] += 1
                 rows["rows"] += math.prod(X.shape[:-1])
-                return _fn(self, w, X, y)
+                return _fn(self, w, X, y, *args)
 
             mp.setattr(cls, "grad_rows", counted_grad_rows)
         bench.run_experiment(cfg)
