@@ -16,9 +16,11 @@ trial's rows in one call, and svrg builds a snapshot's n one-row gradients
 in one call over (n, 1, F) inputs.  A ``Dataset`` stores its inputs
 C-ordered, so a trial's rows have the same bits stacked or alone.  A
 stacked descent also hands the kernels its inputs' C-ordered (T, F, n)
-copy: the scores and residuals still come from the C-ordered X, whose
-memory order fixes a matmul's bits, and the outer products are written
-against the copy in (T, d, n) memory, the layout the robust solve reads.
+copy.  The linear kernel writes its outer products against the copy in
+(T, d, n) memory, the layout the robust solve reads, and still takes the
+residuals from the C-ordered X, whose memory order fixes a matmul's bits;
+the logistic kernel ignores the copy, as no stacked classification run
+is made by ``bench``.
 
 A stochastic step's logistic call, a 1-D w against one (1, F) row, takes a
 one-row branch: its few class scores go through the log-sum-exp as Python
@@ -40,8 +42,8 @@ class Dataset:
 
     The inputs are stored C-ordered: the bits of ``X @ w`` depend on X's
     memory order, and a stack of datasets is C-ordered too.  A stacked
-    descent keeps a (T, F, n) copy of the stack beside it for the row
-    kernels' outer products, never for their matmul: at d = 3, 5, 32 and
+    descent keeps a (T, F, n) copy of the stack beside it for the linear
+    kernel's outer products, never for its matmul: at d = 3, 5, 32 and
     128 a gemv on the transposed view gives other bits.
     """
 
@@ -151,16 +153,17 @@ class LogisticModel:
         """(n, d) gradient rows at weights ``w`` for inputs X and class
         indices y, unchecked (see ``row_arrays``).  Leading axes broadcast,
         each item with the bits of its own call: w (T, d) for a trial axis,
-        or one w against X (n, 1, F) for n one-row calls.  ``Xt`` writes
-        the rows in (..., d, n) memory, as ``LinearModel.grad_rows`` does.
-        A 1-D w against one (1, F) row, a stochastic step's call, runs
-        ``_one_row`` with ``_rows``' bits; a row whose scores, score spread
-        or log-sum-exp is not finite goes to ``_rows``."""
+        or one w against X (n, 1, F) for n one-row calls.  ``Xt``, the
+        column copy a stacked descent passes (``LinearModel.grad_rows``),
+        is ignored: the rows are C-ordered.  A 1-D w against one (1, F)
+        row, a stochastic step's call, runs ``_one_row`` with ``_rows``'
+        bits; a row whose scores, score spread or log-sum-exp is not finite
+        goes to ``_rows``."""
         if w.ndim == 1 and X.ndim == 2 and X.shape[0] == 1:
             G = self._one_row(w, X, int(y[0]))
             if G is not None:
                 return G
-        return self._rows(w, X, y, False, Xt)[1]
+        return self._rows(w, X, y, False)[1]
 
     def _one_row(self, w, X, label):
         """``_rows``' gradient row of one (1, F) row, or None where a score,
@@ -199,28 +202,20 @@ class LogisticModel:
             G += 2.0 * a * w
         return G
 
-    def _rows(self, w, X, y, want_loss, Xt=None):
+    def _rows(self, w, X, y, want_loss):
         k = self.classes - 1
         full = self._scores(w, X)
         lse = _logsumexp_rows(full)
         losses = lse - full[np.arange(len(y)), y] if want_loss else None  # 2-D only
         p = np.exp(full[..., :k] - lse[..., None])  # class probabilities
         p -= y[..., None] == np.arange(k)  # one-hot of y; the reference class has none
+        G = (p[..., None] * X[..., None, :]).reshape(X.shape[:-1] + w.shape[-1:])
         a = self.reg_strength
-        if want_loss and a > 0:
-            losses = losses + a * w @ w
-        if Xt is None:
-            G = (p[..., None] * X[..., None, :]).reshape(X.shape[:-1] + w.shape[-1:])
-            if a > 0:
-                G += 2.0 * a * w[..., None, :]
-            return losses, G
-        # p^T against the (..., F, n) copy, written C-ordered as (..., k, F, n)
-        lead, (F, n) = Xt.shape[:-2], Xt.shape[-2:]
-        Gt = np.multiply(p.swapaxes(-1, -2)[..., None, :], Xt[..., None, :, :],
-                         out=np.empty(lead + (k, F, n))).reshape(lead + (k * F, n))
         if a > 0:
-            Gt += 2.0 * a * w[..., :, None]
-        return losses, Gt.swapaxes(-1, -2)
+            if want_loss:
+                losses = losses + a * w @ w
+            G += 2.0 * a * w[..., None, :]
+        return losses, G
 
 
 def _logsumexp_rows(a):

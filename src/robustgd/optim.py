@@ -11,9 +11,9 @@ The rgd, erm, sgd and svrg steps take their gradient rows from
 the full-batch rgd and erm descents stack T trials' data once and build all
 their rows per step in one call over the trial axis, for either model, and
 each svrg snapshot builds its n one-row gradients in one call.  With more
-than one trial the kernel writes the rows in (T, d, n) memory, against a
-(T, F, n) copy of the inputs made once per descent, so the robust solve
-reads them as C-ordered (T d, n) rows without a copy.  The stacked
+than one trial the linear kernel writes the rows in (T, d, n) memory,
+against a (T, F, n) copy of the inputs made once per descent, so the robust
+solve reads them as C-ordered (T d, n) rows without a copy.  The stacked
 descents take every trial's row mean from one C-ordered (n, T d) copy of
 the rows, summed row by row per column in ``np.add.reduce(G, 1)``'s order,
 so each trial keeps the bits of its own mean.  A full-batch rgd descent
@@ -191,20 +191,24 @@ def _trial_rows(model, Xs, ys):
 
     With T > 1 the inputs are kept in two memory orders: the C-ordered
     (T, n, F) stack, which the kernel's matmul reads, and a C-ordered
-    (T, F, n) copy made here once, against which it writes the rows in
-    (T, d, n) memory.  The rows come back as the (T, n, d) view of that
-    memory, so the solver's C-ordered (T d, n) matrix is a free view of
-    them (``_robust_descent``).  A lone trial's rows are written C-ordered,
-    as its row means then need no copy (``_row_means``): a lone erm step
-    at n = 500, d = 128 took 89 us so and 389 us through the copy, on a
-    2-core Xeon.
+    (T, F, n) copy made here once, against which the linear kernel writes
+    the rows in (T, d, n) memory.  The rows come back as the (T, n, d) view
+    of that memory, so the solver's C-ordered (T d, n) matrix is a free
+    view of them (``_robust_descent``).  The logistic kernel ignores the
+    copy and writes C-ordered rows.  A lone trial's rows are written
+    C-ordered, as its row means then need no copy (``_row_means``): a lone
+    erm step at n = 500, d = 128 took 89 us C-ordered and 389 us through
+    the copy, on a 2-core Xeon.  Once trials leave, both stacks are
+    re-indexed to the live trials, once per departure rather than every
+    step (``live`` only shrinks).
     """
     Xts = np.ascontiguousarray(Xs.transpose(0, 2, 1)) if Xs.shape[0] > 1 else None
+    data = [Xs.shape[0], Xs, ys, Xts]  # the live trials' count and stacks
 
     def rows(live, W):
-        if live.size == Xs.shape[0]:
-            return model.grad_rows(W, Xs, ys, Xts)
-        return model.grad_rows(W, Xs[live], ys[live], Xts[live])
+        if live.size != data[0]:
+            data[:] = live.size, Xs[live], ys[live], Xts if Xts is None else Xts[live]
+        return model.grad_rows(W, *data[1:])
 
     return rows
 
@@ -258,8 +262,8 @@ def _robust_descent(rows, cfg, state, stop, record_every, cost, draw_cols=None,
 
     The rows' (T d, n) matrix is their transpose-and-reshape: a free view of
     the rows ``_trial_rows`` writes in (T, d, n) memory, and one copy of
-    C-ordered rows (a lone trial's or a mini-batch's).  The row means come
-    from ``_row_means``, each column summed row by row in
+    C-ordered rows (a lone trial's, a mini-batch's or logistic ones).  The
+    row means come from ``_row_means``, each column summed row by row in
     ``np.add.reduce(G, 1)``'s order, so each trial's mean has the bits of
     its own.  The rows of every trial whose row mean is finite are solved,
     all their columns, in one ``robust_gradient`` call on the (T d, n)
@@ -483,20 +487,16 @@ def geometric_median(points, tol=1e-10, max_iters=1000):
     if not np.isfinite(P).all():
         return y
     scale = 1.0 + float(np.abs(P).max())
-    near = 1e-10 * scale
-    diff = np.empty_like(P)
     for _ in range(max_iters):
-        np.subtract(P, y, out=diff)
+        diff = P - y
         # the operations np.linalg.norm runs, without its wrapper
-        dist = np.sqrt(np.add.reduce(diff * diff, 1))
-        # no point is coincident unless the nearest is (a nan distance, from
-        # a nan iterate, is every point's and coincides with none)
-        if not np.minimum.reduce(dist) <= near:
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        coincident = dist <= 1e-10 * scale
+        eta = int(coincident.sum())
+        if eta == 0:
             inv = 1.0 / dist
-            y_new = np.add.reduce(P * inv[:, None], 0) / np.add.reduce(inv)
+            y_new = (P * inv[:, None]).sum(axis=0) / inv.sum()
         else:
-            coincident = dist <= near
-            eta = int(coincident.sum())
             if eta == k:
                 break
             inv = 1.0 / dist[~coincident]
@@ -508,7 +508,7 @@ def geometric_median(points, tol=1e-10, max_iters=1000):
             gamma = eta / r
             y_new = (1.0 - gamma) * t_tilde + gamma * y
         step = y_new - y
-        move = math.sqrt(step.dot(step))
+        move = np.sqrt(step.dot(step))
         y = y_new
         if move <= tol * scale:
             break

@@ -324,38 +324,25 @@ class TestGradRowsTrialAxis:
             assert np.isnan(G).any()
 
     @pytest.mark.parametrize("T", [1, 2, 5])
-    @pytest.mark.parametrize("kind, classes, F, reg", [
-        ("linear", 0, 1, 0.0), ("linear", 0, 2, 0.0), ("linear", 0, 40, 0.0),
-        ("logistic", 2, 1, 0.0), ("logistic", 3, 1, 0.05),
-        ("logistic", 3, 20, 0.0), ("logistic", 3, 20, 0.05)])
-    @pytest.mark.parametrize("scores", ["plain", "non_finite"])
-    def test_column_copy_gives_the_same_bits(self, T, kind, classes, F, reg, scores):
-        # against X's C-ordered (T, F, n) copy the kernel writes its rows in
-        # (T, d, n) memory and returns their (T, n, d) view; d is F, or 1, 2
-        # and 40 for the logistic model.  Non-finite weights send logistic
-        # rows through the log-sum-exp fallback
-        rng = np.random.default_rng(100 * T + 10 * F + classes)
+    @pytest.mark.parametrize("d", [1, 2, 40])
+    @pytest.mark.parametrize("weights", ["plain", "non_finite"])
+    def test_column_copy_gives_the_same_bits(self, T, d, weights):
+        # against X's C-ordered (T, d, n) copy the linear kernel writes its
+        # rows in (T, d, n) memory and returns their (T, n, d) view
+        rng = np.random.default_rng(10 * T + d)
         n = 30
-        X = rng.normal(size=(T, n, F))
+        X = rng.normal(size=(T, n, d))
         X[rng.random(X.shape) < 0.1] = -0.0
-        if kind == "linear":
-            model, y = LinearModel(np.zeros(F)), rng.normal(size=(T, n))
-        else:
-            model = LogisticModel(classes, F, np.zeros((classes - 1) * F),
-                                  reg_strength=reg)
-            y = rng.integers(classes, size=(T, n))
-        W = rng.normal(size=(T, model.dim))
+        y = rng.normal(size=(T, n))
+        W = rng.normal(size=(T, d))
         W[rng.random(W.shape) < 0.2] = -0.0
-        if scores == "non_finite":
+        if weights == "non_finite":
             W[0, 0], W[-1, -1] = np.inf, np.nan
-        Xt = np.ascontiguousarray(X.transpose(0, 2, 1))
+        model, Xt = LinearModel(np.zeros(d)), np.ascontiguousarray(X.transpose(0, 2, 1))
         with np.errstate(all="ignore"):
             want = model.grad_rows(W, X, y)
             got = model.grad_rows(W, X, y, Xt)
-            if kind == "logistic" and scores == "non_finite":
-                full = model._scores(W, X)
-                assert not np.isfinite(models._logsumexp_rows(full)).all()
-        assert got.shape == want.shape == (T, n, model.dim)
+        assert got.shape == want.shape == (T, n, d)
         assert got.transpose(0, 2, 1).flags.c_contiguous
         assert np.array_equal(bits(got), bits(want))
 

@@ -255,7 +255,7 @@ class TestStackedRuns:
 
     @pytest.mark.parametrize("method", ["rgd", "erm"])
     def test_stacked_logistic_equals_the_per_trial_glue(self, method):
-        # the logistic kernel writes every trial's rows against the column copy
+        # the logistic kernel writes C-ordered rows, which the solve copies
         datasets, W0 = [], []
         for seed in range(3):
             model, ds, w0 = stochastic_problem("logistic_reg", n=40, seed=seed)
@@ -271,21 +271,15 @@ class TestStackedRuns:
         for a, b in zip(got, want):
             assert_same_trajectory(a, b)
 
-    @pytest.mark.parametrize("model", [LinearModel(np.zeros(3)),
-                                       LogisticModel(3, 3, np.zeros(6), reg_strength=0.01)],
-                             ids=["linear", "logistic"])
-    def test_solver_reads_the_kernel_rows_without_a_copy(self, monkeypatch, model):
+    def test_solver_reads_the_kernel_rows_without_a_copy(self, monkeypatch):
         # the (T d, n) matrix robust_gradient copies to C order is the
-        # transpose of the kernel's own output, already C-ordered
+        # transpose of the linear kernel's own output, already C-ordered
         rng = np.random.default_rng(3)
         T, n = 4, 50
-        if isinstance(model, LinearModel):
-            datasets = [regression_problem(n=n, seed=k)[0] for k in range(T)]
-        else:
-            datasets = [Dataset(rng.normal(size=(n, 3)), rng.integers(3, size=n))
-                        for _ in range(T)]
+        model = LinearModel(np.zeros(3))
+        datasets = [regression_problem(n=n, seed=k)[0] for k in range(T)]
         outputs, samples = [], []
-        grad_rows, solve = type(model).grad_rows, optim.robust_gradient
+        grad_rows, solve = LinearModel.grad_rows, optim.robust_gradient
 
         def kept_rows(self, *args):
             outputs.append(grad_rows(self, *args))
@@ -295,7 +289,7 @@ class TestStackedRuns:
             samples.append(D)
             return solve(D, *args)
 
-        monkeypatch.setattr(type(model), "grad_rows", kept_rows)
+        monkeypatch.setattr(LinearModel, "grad_rows", kept_rows)
         monkeypatch.setattr(optim, "robust_gradient", kept_sample)
         rgd_stacked_run(model, datasets, RobustConfig(),
                         OptimState(rng.normal(size=(T, model.dim)), 0.1),

@@ -45,7 +45,7 @@ LEDGER = {
         "grad_rows": (100, 1000000),
     },
     "wide_d": {
-        "np": {"mest": 14936, "robust_grad": 900, "optim": 17625, "models": 1242,
+        "np": {"mest": 14936, "robust_grad": 900, "optim": 9678, "models": 1242,
                "bench": 21},
         "psi": (306, 8183500), "chi": (369, 9070000),
         "robust_gradient": {"500x2": 50, "500x32": 50, "500x128": 50},
