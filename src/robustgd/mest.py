@@ -18,11 +18,15 @@ u), within 2 ulp, and psi' = 1 / cosh u, within 2 ulp up to |u| ~ 710.5,
 where cosh overflows and psi' (a subnormal) is 0.  No kernel sets a
 floating-point error state: sinh, cosh and u * u overflow for large |u| to
 values that are correct in the limit, so ``psi``, ``chi`` and each root
-solve hold over="ignore" themselves.  Each solve allocates one buffer set,
-slices it to the columns still open, and carries those columns' points and
-brackets compacted from step to step.
+solve hold over="ignore" themselves; on the solves' ``checked`` path the
+caller does (``robust_gradient``, in one block over all its stages).  Each
+solve allocates one buffer set, slices it to the columns still open, and
+carries those columns' points and brackets compacted from step to step; its
+full collapsed-bracket test runs at the first step, and later only once some
+bracket is no wider than its first collapse bound.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +39,9 @@ GEMAN_C = 0.3443204575812013
 RHO_KINDS = ("gudermannian", "log_cosh", "pseudo_huber", "quadratic_test_only")
 
 _LOG2 = np.log(2.0)
+# 0-d constants: numpy converts a Python float operand anew on every call
+_ZERO, _ONE, _TWO = np.zeros(()), np.ones(()), np.array(2.0)
+_QUIET = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 # relative floor of the dispersion estimate: it is scaled by (1 + |pivot|), so
 # degenerate zero-spread columns return a harmless positive value
@@ -83,7 +90,7 @@ class RhoFunction:
             np.sinh(u, out=p)
             np.arctan(p, out=p)
             np.cosh(u, out=dp)
-            np.divide(1.0, dp, out=dp)
+            np.divide(_ONE, dp, out=dp)
             return p, dp
         if self.kind == "pseudo_huber":
             np.multiply(0.5, u, out=dp)
@@ -177,15 +184,20 @@ def _solve_columns(residual, z, lo, hi, fp):
     ``residual(z, cols)`` returns the mean residual of columns ``cols`` at
     points ``z`` and its slope in z.  Each step shrinks the brackets to the
     evaluated points, then takes the Newton step where it lands strictly
-    inside and bisects otherwise.  A column closes once its residual is
-    within ``fp.rel_tolerance``: it takes the Newton step it has just
-    computed where that lands strictly inside its shrunk bracket, and keeps
-    its evaluated point otherwise, so a bisection midpoint never closes a
+    inside and bisects otherwise (midpoints are formed only on a step where
+    some Newton step leaves).  A column closes once its residual is within
+    ``fp.rel_tolerance``: it takes the Newton step it has just computed
+    where that lands strictly inside its shrunk bracket, and keeps its
+    evaluated point otherwise, so a bisection midpoint never closes a
     column and closing costs no residual evaluation.  A column whose
-    bracket has collapsed closes too; columns still open after
-    ``fp.max_iters`` steps finish by bisection and are flagged.  The open
-    columns' points and brackets travel compacted between steps (lo and hi
-    are overwritten), and a column's point is written to z when it closes.
+    bracket has collapsed, to no wider than ``_WIDTH`` max(|lc|, |hc|),
+    closes too.  That bound only falls as a bracket shrinks, so each step
+    compares the widths with the first bound wc, and the full test runs at
+    the first step and then only once some bracket is no wider than wc.
+    Columns still open after ``fp.max_iters`` steps finish by bisection and
+    are flagged.  The open columns' points and brackets travel compacted
+    between steps (lo and hi are overwritten), and a column's point is
+    written to z when it closes.
     The caller holds overflow, divide and invalid warnings off for the
     whole solve, residuals included.  The bisection point halves each end
     before adding, so it stays finite next to +-1.8e308.  Updates z in
@@ -193,33 +205,35 @@ def _solve_columns(residual, z, lo, hi, fp):
     """
     fell_back = np.zeros(z.shape, dtype=bool)
     cols, zc, lc, hc = np.arange(z.size), z, lo, hi
+    wc = _WIDTH * np.maximum(np.negative(lc), hc)  # max(|lc|, |hc|), as lc <= hc
     for it in range(fp.max_iters + 1 + _BISECT_STEPS):
-        # max(|lc|, |hc|), as lc <= hc
-        keep = (hc - lc > _WIDTH * np.maximum(np.negative(lc), hc)).nonzero()[0]
+        keep = (hc - lc > wc).nonzero()[0]
+        if it and keep.size < cols.size:
+            keep = (hc - lc > _WIDTH * np.maximum(np.negative(lc), hc)).nonzero()[0]
         if keep.size < cols.size:
             z[cols] = zc
-            cols, zc, lc, hc = cols[keep], zc[keep], lc[keep], hc[keep]
+            cols, zc, lc, hc, wc = cols[keep], zc[keep], lc[keep], hc[keep], wc[keep]
         if it == fp.max_iters + 1:
             fell_back[cols] = True
         if cols.size == 0:
             break
         f, slope = residual(zc, cols)
-        # float zeros: numpy converts a Python int anew on every call
-        np.copyto(lc, zc, where=f > 0.0)
-        np.copyto(hc, zc, where=f < 0.0)
-        step = 0.5 * lc + 0.5 * hc
-        newton = None
+        np.putmask(lc, f > _ZERO, zc)
+        np.putmask(hc, f < _ZERO, zc)
+        inside = None
         if it < fp.max_iters:
-            newton = zc - f / slope
-            inside = (lc < newton) & (newton < hc)
-            np.copyto(step, newton, where=inside)
+            step = zc - f / slope
+            inside = (lc < step) & (step < hc)
+        if inside is None or inside.nonzero()[0].size < cols.size:
+            mid = 0.5 * lc + 0.5 * hc
+            step = mid if inside is None else np.where(inside, step, mid)
         keep = (np.abs(f) > fp.rel_tolerance).nonzero()[0]
         if keep.size < cols.size:
-            if newton is not None:
+            if inside is not None:
                 # a closing column takes its Newton step where it lies inside
-                np.copyto(zc, newton, where=inside)
+                np.putmask(zc, inside, step)
             z[cols] = zc
-            cols, step, lc, hc = cols[keep], step[keep], lc[keep], hc[keep]
+            cols, step, lc, hc, wc = cols[keep], step[keep], lc[keep], hc[keep], wc[keep]
             if cols.size == 0:
                 break
         zc = step
@@ -255,12 +269,12 @@ def _row_medians(a, scratch):
     med = scratch[:, h].copy()
     if a.shape[1] % 2 == 0:
         med += scratch[:, h - 1]
-        med /= 2
-        big = np.isinf(med)
-        if big.any():
+        med /= _TWO
+        big = np.isinf(med).nonzero()[0]
+        if big.size:
             med[big] = 0.5 * scratch[big, h - 1] + 0.5 * scratch[big, h]
-    zero = med == 0.0
-    if zero.any():
+    zero = (med == _ZERO).nonzero()[0]
+    if zero.size:
         med[zero] = np.median(a[zero], axis=1)
     return med
 
@@ -290,7 +304,8 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP, start=None, checked=False):
     array, which ``robust_gradient`` checks once; s must be positive and
     finite, which is checked unless ``checked`` says the caller has and
     passes s as a float array of k scales (as ``robust_gradient`` does).
-    Overflow, divide and invalid warnings are off for the whole solve.
+    Overflow, divide and invalid warnings are off for the whole solve: the
+    caller holds them off with ``checked``, this function otherwise.
     """
     if not checked:
         s = np.asarray(s, dtype=float)
@@ -314,7 +329,7 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP, start=None, checked=False):
         return np.add.reduce(psi, 1) / n, np.add.reduce(dpsi, 1) / nsc
 
     # -n s, the mean of two middle values, x - theta and psi may overflow
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with nullcontext() if checked else np.errstate(**_QUIET):
         ns = -n * s  # the slope's divisor
         lo, hi = np.minimum.reduce(xt, 1), np.maximum.reduce(xt, 1)
         z = _row_medians(xt, ub) if start is None else np.fmin(np.fmax(start, lo), hi)
@@ -336,8 +351,8 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, start=None, checked=False):
     of w = 1/(1+u^2) and w^2 (see ``ChiFunction``).  Columns are reduced
     alone and x must be checked, both as in ``locate_columns``; the pivots
     must be finite, which is checked unless ``checked`` says the caller has
-    and passes them as a float array of k pivots.
-    A finite column spread past 1.8e308 overflows its residuals and returns
+    and passes them as a float array of k pivots; warnings as there.  A
+    finite column spread past 1.8e308 overflows its residuals and returns
     sigma = inf.
     """
     if not checked:
@@ -361,15 +376,15 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, start=None, checked=False):
         m = cols.size
         u = np.multiply(_open_rows(rt, cols, ub[:m]), np.exp(-z)[:, None], out=ub[:m])
         np.multiply(u, u, out=u)
-        np.add(1.0, u, out=u)
-        w = np.divide(1.0, u, out=u)
+        np.add(_ONE, u, out=u)
+        w = np.divide(_ONE, u, out=u)
         sw = np.add.reduce(w, 1) / n
         np.multiply(w, w, out=w)
-        return (1.0 - chi.c) - sw, 2.0 * (np.add.reduce(w, 1) / n - sw)
+        return (1.0 - chi.c) - sw, _TWO * (np.add.reduce(w, 1) / n - sw)
 
     # residuals and rt * exp(-z) may overflow (chi(inf) = 1 - c), and a
     # column of zero residuals starts at log 0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with nullcontext() if checked else np.errstate(**_QUIET):
         np.subtract(x.T, pivots[:, None], out=rt)
         a = np.abs(rt, out=ub)
         # every chi term is negative once sigma > 2 max|r|
@@ -378,7 +393,7 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, start=None, checked=False):
         # as sigma -> 0 the mean chi tends to (1 - c) minus the share of zero
         # residuals; where that is <= 0 there is no root and the floor is
         # returned.  Only columns with a zero residual are counted
-        if not np.minimum.reduce(a, 1).all():
+        if np.count_nonzero(a) < a.size:
             no_root = np.add.reduce(np.equal(rt, 0.0, out=ub), 1) / n >= 1.0 - chi.c
             np.copyto(hi, lo, where=no_root)
         z, fell_back = _solve_columns(residual, np.fmin(np.fmax(z, lo), hi), lo, hi, fp)
@@ -392,13 +407,12 @@ def confidence_scale(sigma_hat, n, delta):
     (behaving more like the mean), stricter confidence (smaller delta)
     tightens it.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError("n must be an integer >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     sigma_hat = np.asarray(sigma_hat, dtype=float)
-    if (sigma_hat <= 0).any():
+    if not (sigma_hat > 0).all():  # nan too; an overflowing column's inf passes
         raise ValueError("sigma_hat must be positive")
     out = sigma_hat * np.sqrt(n / np.log(2.0 / delta))
     return float(out) if out.shape == () else out

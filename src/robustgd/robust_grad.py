@@ -52,17 +52,17 @@ def column_scales(D, cfg, start=None):
     ``start``, a guess of sigma_hat, when given), and s widens sigma_hat by
     sqrt(n / log(2/delta)).  A finite column whose sum overflows takes the
     pivot sum(x_i / n) instead, which is bounded by max |x_i|; every other
-    pivot keeps its bits.  The overflows of such a column's sum and of an s
+    pivot keeps its bits.  It sets no error state: under
+    ``robust_gradient``'s, the overflows of such a column's sum and of an s
     past 1.8e308 warn nothing.  Returns (sigma_hat, s, scale_fallback_mask).
     """
     n = D.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        pivots = column_means(D)
-        if not np.isfinite(pivots).all():
-            big = ~np.isfinite(pivots)
-            pivots[big] = np.add.reduce(np.ascontiguousarray(D.T[big]) / n, 1)
-        sigma, fell_back = rescale_columns(D, pivots, _CHI, cfg.fp, start, checked=True)
-        return sigma, confidence_scale(sigma, n, cfg.delta), fell_back
+    pivots = column_means(D)
+    big = (~np.isfinite(pivots)).nonzero()[0]
+    if big.size:
+        pivots[big] = np.add.reduce(np.ascontiguousarray(D.T[big]) / n, 1)
+    sigma, fell_back = rescale_columns(D, pivots, _CHI, cfg.fp, start, checked=True)
+    return sigma, confidence_scale(sigma, n, cfg.delta), fell_back
 
 
 def robust_gradient(D, cfg, cols=None, start=None):
@@ -97,20 +97,21 @@ def robust_gradient(D, cfg, cols=None, start=None):
     theta0, sigma0 = (None, None) if start is None else start
     Dt = np.ascontiguousarray(D.T)
     sub = (Dt if cols is None else Dt[cols]).T
-    sigma, s, scale_fb = column_scales(sub, cfg, sigma0)
-    big = ~np.isfinite(s)
-    if big.any():
-        # a finite column spread past about 1e307 overflows its residuals or
-        # its s: it is estimated on a copy scaled by 2^-512 (s = 1 stands in)
-        theta_b, info_b = robust_gradient(np.ldexp(sub[:, big], -512), cfg)
-        s[big] = 1.0
-    # s is now positive and finite, as sigma is at least its floor
-    theta, loc_fb = locate_columns(sub, s, cfg.rho, cfg.fp, theta0, checked=True)
-    if big.any():
-        with np.errstate(over="ignore"):  # a sigma past 1.8e308 reads inf
+    # the one error state of every stage (overflows warn nothing)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sigma, s, scale_fb = column_scales(sub, cfg, sigma0)
+        big = (~np.isfinite(s)).nonzero()[0]
+        if big.size:
+            # a finite column spread past about 1e307 overflows its residuals
+            # or its s: it is estimated on a copy scaled by 2^-512 (s = 1 here)
+            theta_b, info_b = robust_gradient(np.ldexp(sub[:, big], -512), cfg)
+            s[big] = 1.0
+        # s is now positive and finite, as sigma is at least its floor
+        theta, loc_fb = locate_columns(sub, s, cfg.rho, cfg.fp, theta0, checked=True)
+        if big.size:  # a sigma past 1.8e308 reads inf
             theta[big], sigma[big], s[big] = np.ldexp(
                 [theta_b, info_b["sigma"], info_b["s"]], 512)
-        scale_fb[big], loc_fb[big] = info_b["scale_fallback"], info_b["locate_fallback"]
+            scale_fb[big], loc_fb[big] = info_b["scale_fallback"], info_b["locate_fallback"]
     if cols is not None:
         full = column_means(Dt.T)
         full[cols] = theta

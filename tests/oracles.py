@@ -373,9 +373,12 @@ def logistic_rows_oracle(model, dataset):
 
 class CountingNumpy:
     """numpy as seen through a module's ``np``: every call of a numpy
-    function, or of one of its methods (``np.add.reduce``), counts.  Array
-    operators and array methods do not go through ``np`` and are not
-    counted."""
+    function, or of one of its methods (``np.add.reduce``), counts.  The
+    counts are call sites, not work: array operators (``hc - lc``,
+    ``f > 0.0``) and array methods (``.nonzero()``, ``.any()``, ``.sum()``)
+    do not go through ``np`` and are not counted, so a count under-reads a
+    cut in such bookkeeping, and swapping a method for an ``np`` function
+    of the same cost raises it."""
 
     def __init__(self, counts, target=np, name="np"):
         self._counts, self._target, self._name = counts, target, name

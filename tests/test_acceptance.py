@@ -347,12 +347,16 @@ def test_criterion_12_gradient_deviation_along_descent():
     # the robust update "does not deviate far from the ideal gradient-based
     # update": at each of rgd's 50 iterates on quadratic_poc data, the
     # distance of rgd's estimate and of the row mean from the exact risk
-    # gradient, pooled over 100 trials; compared at the 1 - delta quantile
+    # gradient, pooled over 100 trials; compared at the 1 - delta quantile.
+    # That quantile is about the worst of the trials' noise draws, so a
+    # second clause compares a per-trial statistic, the median over trials
+    # of each trial's worst deviation: it read 0.647 (log-normal) and 1.040
+    # (normal) on these draws, and 0.579 and 1.024 on default_rng([0, trial])
     t0 = time.time()
     n, d, trials, iters, q = 500, 2, 100, 50, 0.995
     cfg = RobustConfig()
     model = LinearModel(np.zeros(d))
-    ratios = {}
+    ratios, worst = {}, {}
     for kind in ("lognormal", "normal"):
         data, w0 = [], []
         for trial in range(trials):
@@ -380,9 +384,17 @@ def test_criterion_12_gradient_deviation_along_descent():
         rgd_q, mean_q = (float(np.quantile(np.concatenate(dev[m]), q))
                          for m in ("rgd", "mean"))
         ratios[kind] = (rgd_q, mean_q, rgd_q / mean_q)
+        rgd_w, mean_w = (float(np.median([dv.max() for dv in dev[m]]))
+                         for m in ("rgd", "mean"))
+        worst[kind] = (rgd_w, mean_w, rgd_w / mean_w)
     elapsed = time.time() - t0
     ok = ratios["lognormal"][2] <= 0.25 and abs(ratios["normal"][2] - 1.0) <= 0.1
+    ok = ok and worst["lognormal"][2] <= 0.75 and abs(worst["normal"][2] - 1.0) <= 0.1
     assert report("12 gradient deviation along the descent", ok, elapsed, 30.0,
                   "; ".join(f"{kind} rgd {r:.3f} / mean {m:.3f} = {x:.3f}"
                             for kind, (r, m, x) in ratios.items())
-                  + f" at the {q} quantile (lognormal <= 0.25, normal within 10%)")
+                  + f" at the {q} quantile (lognormal <= 0.25, normal within 10%); "
+                  + "; ".join(f"{kind} rgd {r:.3f} / mean {m:.3f} = {x:.3f}"
+                              for kind, (r, m, x) in worst.items())
+                  + " as the median over trials of each trial's worst deviation"
+                  " (lognormal <= 0.75, normal within 10%)")

@@ -601,26 +601,57 @@ class TestSolverBuffers:
         chi_cols, psi_cols = self.EVALUATIONS[shape]
         assert seen == {"rescale_columns": chi_cols, "locate_columns": psi_cols[kind]}
 
-    def test_numpy_calls_of_a_small_robust_gradient_pinned(self, monkeypatch):
-        # at 10x40 each call into numpy costs about as much as its
-        # arithmetic, so the calls one robust_gradient makes are its cost;
-        # unlike wall time, the count does not move with the host's load
-        X = logistic_minibatch_rows()
+    @staticmethod
+    def numpy_calls(monkeypatch, *args, **kwargs):
+        """The calls through ``mest``'s and ``robust_grad``'s ``np`` of one
+        ``robust_gradient(*args, **kwargs)``: call sites, not work (see
+        ``CountingNumpy``)."""
         counts = Counter()
         for module in (mest, robust_grad):
             monkeypatch.setattr(module, "np", CountingNumpy(counts))
-        robust_gradient(X, RobustConfig())
+        robust_gradient(*args, **kwargs)
+        return sum(counts.values()), counts
+
+    def test_numpy_calls_of_a_small_robust_gradient_pinned(self, monkeypatch):
+        # at 10x40 each call into numpy costs about as much as its
+        # arithmetic, so the calls one robust_gradient makes are its cost;
+        # unlike wall time, the count does not move with the host's load.
         # 4 calls per Gudermannian psi evaluation, 8 per dispersion residual
-        # evaluation, one sort per median, and one per step on which a
-        # column closes on its Newton step
-        assert sum(counts.values()) == 157, counts
+        # evaluation, 3 per step of each solve (the bracket updates and the
+        # closing test), 4 to set each solve up, and one per step on which
+        # a column closes
+        total, counts = self.numpy_calls(monkeypatch, logistic_minibatch_rows(),
+                                         RobustConfig())
+        assert total == 135, counts
+
+    def test_numpy_calls_of_a_warm_stacked_robust_gradient_pinned(self, monkeypatch):
+        # a full-batch step of 20 stacked 500x2 trials (poc_heavy's stacked
+        # shape), started from the step before's estimates: full-batch rgd
+        # passes such a start=(theta, sigma) from its second step on
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((500, 20, 2))
+        noise = rng.lognormal(0.0, 1.75, (500, 20)) - np.exp(1.75 ** 2 / 2)
+        dw = rng.standard_normal((20, 2))
+
+        def rows(dw):  # least-squares gradient rows at w* + dw, (500, 40)
+            residuals = np.einsum("ntd,td->nt", X, dw) - noise
+            return (X * residuals[..., None]).reshape(500, 40)
+
+        theta, info = robust_gradient(rows(dw), RobustConfig())
+        total, counts = self.numpy_calls(monkeypatch, rows(0.9 * dw), RobustConfig(),
+                                         start=(theta, info["sigma"]))
+        assert total == 113, counts
 
 
 def solver_samples(n, k, seed):
     """(n, k) samples that reach every branch of the root solve: heavy
     tails over a few decades, columns scaled by 1e150, collapsed brackets
-    (a few ulps of spread at 1e150), constant and mostly-zero columns, and
-    signed zeros."""
+    (a few ulps of spread at 1e150), constant and mostly-zero columns,
+    signed zeros, and steep columns: a spread of 1e-11 about 1, so a mean
+    residual within tolerance lies far inside one ulp of the root and the
+    location brackets collapse during the Newton phase, every other one
+    with outliers at +-1e6 that keep its bracket's first ends far wider
+    than the root."""
     rng = np.random.default_rng(seed)
     base = rng.standard_t(1.5, size=(n, k)) * 10.0 ** rng.integers(-3, 4, size=k)
     huge = base * np.where(rng.random(k) < 0.5, 1e150, 1.0)
@@ -630,7 +661,10 @@ def solver_samples(n, k, seed):
     degenerate[:, 1::3] = 0.0
     degenerate[: max(1, n // 4), 1::3] = base[: max(1, n // 4), 1::3]
     zeros = rng.choice([0.0, -0.0, 1e-300, -1.0], size=(n, k))
-    return [base, huge, collapsed, degenerate, zeros]
+    steep = 1.0 + 1e-11 * rng.standard_t(1.5, size=(n, k))
+    if n > 3:
+        steep[:2, 1::2] = [[1e6], [-1e6]]
+    return [base, huge, collapsed, degenerate, zeros, steep]
 
 
 class TestSolverOracle:
@@ -778,17 +812,21 @@ class TestConvergedRoots:
                 assert np.all(np.abs(got - want) <= 1e-12 * want)
             s = confidence_scale(sigma, shape[0], 0.005)
             assert np.isfinite(s).all()
-            # a bracket collapsed to a few ulps closes at its start: any
-            # point of it is the root to machine precision
-            width = X.max(axis=0) - X.min(axis=0)
-            collapsed = width <= 1e-15 * np.abs(X).max(axis=0)
-            tol = np.maximum(1e-12 * s, np.where(collapsed, width, 0.0))
             for kind in RHO_KINDS:
                 rho = RhoFunction(kind)
                 theta = locate_columns(X, s, rho)[0]
                 want = locate_columns(X, s, rho, self.TIGHTEST)[0]
                 theta0 = want + s * rng.uniform(-0.5, 0.5, k)
                 warm = locate_columns(X, s, rho, start=theta0)[0]
+                # a bracket collapsed to 1e-15 of its ends (a few ulps)
+                # closes where its point stands, from the start or, on the
+                # steep columns, after Newton steps that cannot bring the
+                # residual within tolerance: each solve's point and the
+                # root then share a bracket that narrow.  The mean's
+                # unbounded psi sums terms as large as the column's largest
+                # value, whose rounding moves its root by a few ulps of that
+                big = np.abs(X).max(axis=0) if kind == "quadratic_test_only" else want
+                tol = np.maximum(1e-12 * s, 2e-15 * np.abs(big))
                 for got in (theta, warm):
                     assert np.all(np.abs(got - want) <= tol), kind
 
@@ -816,6 +854,19 @@ class TestConfidenceScale:
             confidence_scale(1.0, 10, 1.5)
         with pytest.raises(ValueError):
             confidence_scale(-1.0, 10, 0.05)
+
+    @pytest.mark.parametrize("sigma, n", [(np.nan, 10), ([1.0, np.nan], 10), (1.0, 2.5),
+                                          (1.0, np.nan), (1.0, np.inf)])
+    def test_rejects_nan_scales_and_fractional_sizes(self, sigma, n):
+        # a nan sigma_hat passed the positivity check and came back nan, and
+        # n = 2.5 was used as 2
+        with pytest.raises(ValueError):
+            confidence_scale(sigma, n, 0.05)
+
+    def test_overflowing_scale_passes(self):
+        # robust_gradient passes the inf sigma_hat of an overflowing column
+        s = confidence_scale(np.array([1.0, np.inf]), 10.0, 0.05)
+        assert s[0] == confidence_scale(1.0, 10, 0.05) and s[1] == np.inf
 
     def test_larger_scale_moves_estimate_toward_mean(self):
         # the confidence knob interpolates between median-like and mean-like
