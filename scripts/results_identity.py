@@ -7,7 +7,10 @@ the repository (``paired_bench.export``), then runs ``robustgd run
 --parallel 1`` on each side over a fixed list of configs: the three
 perfbench workloads, read from ``perfbench/workloads.py``, at seeds 0 and 1;
 one small config per task that runs every method kind the task accepts;
-each production rho kind; classification at ``reg_strength`` 0 and 0.05;
+a ``regression_grid`` mom config at the task's default 30 rows of d 5,
+whose medians of 3 block means are taken in the points' affine hull and
+often end at a vertex; each production rho kind; classification at
+``reg_strength`` 0 and 0.05;
 a ``quadratic_poc`` config whose iterates diverge, with enough trials
 that cells abort as ``diverged``, so ``manifest.echo``'s abort notes are
 compared too; and a classification config at ``alpha = 10000`` whose sgd
@@ -83,6 +86,9 @@ SMALL = (
      f"methods = ols, {_REGRESSION_METHODS}\n"
      "families = normal, lognormal\nlevels = 4\ngrid_n = 30\ngrid_d = 3\n"
      "iters = 10\ntrials = 2\ntest_size = 50\nseed = 8\n"),
+    ("regression_grid.default_blocks", "task = regression_grid\nmethods = mom\n"
+     "families = normal, lognormal\nlevels = 2, 8\niters = 10\ntrials = 2\n"
+     "test_size = 50\nseed = 9\n"),
     ("classification.reg0", _CLASSIFICATION + "reg_strength = 0\n"),
     ("classification.reg0.05", _CLASSIFICATION + "reg_strength = 0.05\n"),
     ("quadratic_poc.diverging", "task = quadratic_poc\nmethods = erm, rgd, mom\n"

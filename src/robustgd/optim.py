@@ -20,7 +20,10 @@ so each trial keeps the bits of its own mean.  A full-batch rgd descent
 starts each step's M-estimates from an extrapolation of the trial's last
 three (theta, log sigma).
 Median-of-means steps and svrg's snapshot gradients evaluate through
-``loss_and_grad_rows``.
+``loss_and_grad_rows``.  The median-of-means aggregate, ``geometric_median``,
+takes safeguarded Newton steps, in the points' affine hull when there are no
+more points than coordinates, each step's median starting from the last
+one shifted by the change in the block means' coordinate mean.
 """
 
 import math
@@ -462,61 +465,231 @@ def svrg_run(model, dataset, state, stop, rng, record_every=1):
                     record_every)
 
 
-def geometric_median(points, tol=1e-10, max_iters=1000):
+# an iterate within this distance of a point, times 1 + max |point|, meets it
+_COINCIDENT = 1e-10
+# points within this distance of a line, times 1 + max |point|, lie on it
+_COLLINEAR = 1e-13
+# points past this magnitude, whose squared distances could overflow, are
+# solved scaled down
+_RESCALE = 1e150
+
+
+def _offsets(y, YT):
+    """The offsets y - p (r, k) of an iterate y from the points, the columns
+    of YT, and their lengths."""
+    diff = y[:, None] - YT
+    return diff, np.sqrt(np.add.reduce(diff * diff, axis=0))
+
+
+def _gain(move, old, new):
+    """f(y + move) - f(y) from the offsets ``old`` of y and ``new`` of
+    y + move, summed as the terms |y + move - p| - |y - p| =
+    move . (2 y + move - 2 p) / (|y + move - p| + |y - p|), each exact to
+    rounding of its own size where the difference of the two sums would
+    cancel."""
+    (diff, dist), (diff_new, dist_new) = old, new
+    return float(np.add.reduce((move @ (diff + diff_new)) / (dist + dist_new)))
+
+
+def _newton_step(s, M, g):
+    """The solution of (s I - M) x = g, NaN where that matrix is singular; a
+    2 x 2 system is solved by hand, where numpy's solver would cost more
+    than the rest of the step."""
+    if M.shape[0] == 2:
+        (m00, m01), (_, m11) = M.tolist()
+        a, b, c = s - m00, -m01, s - m11
+        det = a * c - b * b
+        if not det > 0.0:
+            return np.full(2, np.nan)
+        g0, g1 = g.tolist()
+        return np.array([(c * g0 - b * g1) / det, (a * g1 - b * g0) / det])
+    try:
+        return np.linalg.solve(s * np.eye(M.shape[0]) - M, g)
+    except np.linalg.LinAlgError:
+        return np.full(g.shape, np.nan)
+
+
+def _is_vertex(P, j, near):
+    """Kuhn's test: the point P[j] is the geometric median of the rows of P
+    when the pull of the other points, the sum of their unit vectors from
+    P[j], is no longer than the number of rows equal to P[j].  Rows within
+    ``near`` of P[j] count as equal to it, as an iterate meets them there;
+    the test is exact where no row is that near without being equal."""
+    diff = P - P[j]
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    apart = dist > near
+    pull = np.add.reduce(diff[apart] / dist[apart, None], axis=0)
+    return math.sqrt(pull.dot(pull)) <= P.shape[0] - int(apart.sum())
+
+
+def _line_positions(YT, scale):
+    """Positions along a line through the points, the columns of YT (r, k),
+    or None when some point lies off it."""
+    Q = YT - YT[:, :1]
+    far = np.add.reduce(Q * Q, axis=0)
+    i = int(far.argmax())
+    if far[i] == 0.0:
+        return far
+    u = Q[:, i] / math.sqrt(far[i])
+    t = u @ Q
+    off = Q - u[:, None] * t
+    if np.add.reduce(off * off, axis=0).max() > (_COLLINEAR * scale) ** 2:
+        return None
+    return t
+
+
+def _line_median(P, t):
+    """The median of the rows of P, which lie on a line at positions t: the
+    middle row, or the midpoint of the middle two."""
+    order = np.argsort(t, kind="stable")
+    k = t.size
+    b = P[order[k // 2]]
+    if k % 2:
+        return b.copy()
+    a = P[order[k // 2 - 1]]
+    return b.copy() if np.array_equal(a, b) else 0.5 * (a + b)
+
+
+def _median_steps(P, YT, y, scale, tol, max_iters, lift, stats):
+    """The steps of ``geometric_median`` from y, in the coordinates of YT
+    (r, k), whose columns are the points P (k, d) in an orthonormal frame;
+    ``lift`` maps coordinates to a (d,) point.  Counts its steps in
+    ``stats``."""
+    near, small = _COINCIDENT * scale, tol * scale
+    tested = set()
+
+    def vertex(j):
+        """Whether P[j] passes Kuhn's test, run once per point."""
+        if j in tested:
+            return False
+        tested.add(j)
+        return _is_vertex(P, j, near)
+
+    diff, dist = _offsets(y, YT)
+    j = int(dist.argmin())
+    if dist[j] <= near and vertex(j):
+        return P[j].copy()
+    line_tested = False
+    for _ in range(max_iters):
+        stats["iterations"] += 1
+        new = None  # the offsets of y + move, once taken
+        if dist[j] <= near:
+            # the iterate meets a point that is not the median: the others'
+            # Weiszfeld point, damped by the multiplicity
+            meet = dist <= near
+            eta = int(meet.sum())
+            inv = 1.0 / dist[~meet]
+            pull = diff[:, ~meet] @ inv
+            r = math.sqrt(pull.dot(pull))
+            if r <= eta:
+                return lift(y)
+            move = (1.0 - eta / r) * ((YT[:, ~meet] @ inv) / inv.sum() - y)
+            stats["weiszfeld_steps"] += 1
+        else:
+            inv = 1.0 / dist
+            U = diff * inv
+            move = -_newton_step(float(np.add.reduce(inv)), (U * inv) @ U.T,
+                                 np.add.reduce(U, axis=1))
+            if math.sqrt(move.dot(move)) <= small:
+                return lift(y + move)
+            new = _offsets(y + move, YT)
+            if not _gain(move, (diff, dist), new) < 0.0:
+                if not line_tested:
+                    line_tested = True
+                    t = _line_positions(YT, scale)
+                    if t is not None:
+                        return _line_median(P, t)
+                if vertex(j):
+                    return P[j].copy()
+                move = (YT @ inv) / inv.sum() - y
+                stats["weiszfeld_steps"] += 1
+                new = None
+        y = y + move
+        diff, dist = _offsets(y, YT) if new is None else new
+        length = math.sqrt(move.dot(move))
+        j = int(dist.argmin())
+        if dist[j] <= max(length, near) and vertex(j):
+            return P[j].copy()
+        if length <= small:
+            return lift(y)
+    stats["capped"] = True
+    return lift(y)
+
+
+def geometric_median(points, tol=1e-10, max_iters=1000, start=None, *, info=None):
     """Point minimizing the sum of Euclidean distances to ``points`` (k, d).
 
-    Re-weighted averaging (Weiszfeld) from the coordinate mean, with the
-    standard adjustment when the iterate coincides with a data point: the
-    coincident point's pull is removed and the step is damped by its
-    multiplicity; if the residual pull of the remaining points is no larger
-    than that multiplicity, the iterate is the minimizer and iteration
-    stops.  Points that are not all finite return their coordinate mean at
-    once, which is not finite either.  Finite points whose squared distances
-    overflow (an iterate gone NaN) are solved once more divided by
-    1 + max |point|, and that median is scaled back; a median that never
-    overflows is the plain iteration's.  The points are read as one
-    C-ordered array, so the result does not depend on their memory order.
+    Safeguarded Newton steps on the objective f(y) = sum_i |y - p_i|, whose
+    Hessian is sum_i (I - u_i u_i^T) / |y - p_i| with u_i the unit vector
+    from p_i to y, from the coordinate mean or from ``start``, a (d,) guess
+    (ignored past ``_RESCALE`` in magnitude or when not finite).  When
+    k <= d the steps are taken in the coordinates of an orthonormal basis
+    of the points' affine hull, where the median lies.  A Newton point that
+    does not lower f is replaced by a Weiszfeld step (Weiszfeld 1937), which
+    does.  Iteration stops when a step moves no more than
+    tol (1 + max |point|), or after ``max_iters`` steps.
+
+    A data point is the median when the pull of the other points is no
+    longer than its multiplicity (Kuhn 1973), points within ``_COINCIDENT``
+    (1 + max |point|) of it counting as copies.  The point nearest the
+    iterate is tested, and returned exactly when it passes, once the
+    iterate comes within one step or ``_COINCIDENT`` (1 + max |point|) of
+    it, or a Newton point is refused; each point is tested at most once.
+    An iterate that meets a point that fails takes the others' Weiszfeld
+    step damped by the point's multiplicity (Vardi & Zhang 2000), and stops
+    where their pull is no larger than it.  Points on a line (two points,
+    one column, or a collinear set, tested when a Newton point is refused)
+    return their middle point, or the midpoint of the middle two.  One
+    point returns a copy of itself; points that are not all finite return
+    their coordinate mean at once, which is not finite either.  Finite
+    points past ``_RESCALE`` in magnitude, whose squared distances could
+    overflow, are solved divided by 1 + max |point|, and that median is
+    scaled back.  The points are read as one C-ordered array, so the result
+    does not depend on their memory order.
+
+    ``info``, a dict when given, is filled with the steps taken
+    (``iterations``), how many were Weiszfeld steps (``weiszfeld_steps``)
+    and whether the call stopped at ``max_iters`` (``capped``); the median
+    does not depend on it.
     """
     P = np.ascontiguousarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] < 1:
         raise ValueError("points must be a non-empty (k, d) array")
-    k = P.shape[0]
+    k, d = P.shape
+    stats = {} if info is None else info
+    stats.update(iterations=0, weiszfeld_steps=0, capped=False)
     if k == 1:
         return P[0].copy()
-    y = P.mean(axis=0)
+    mean = P.mean(axis=0)
     if not np.isfinite(P).all():
-        return y
+        return mean
     scale = 1.0 + float(np.abs(P).max())
-    for _ in range(max_iters):
-        diff = P - y
-        # the operations np.linalg.norm runs, without its wrapper
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        coincident = dist <= 1e-10 * scale
-        eta = int(coincident.sum())
-        if eta == 0:
-            inv = 1.0 / dist
-            y_new = (P * inv[:, None]).sum(axis=0) / inv.sum()
-        else:
-            if eta == k:
-                break
-            inv = 1.0 / dist[~coincident]
-            t_tilde = (P[~coincident] * inv[:, None]).sum(axis=0) / inv.sum()
-            pull = (diff[~coincident] * inv[:, None]).sum(axis=0)
-            r = np.linalg.norm(pull)
-            if r <= eta:
-                break
-            gamma = eta / r
-            y_new = (1.0 - gamma) * t_tilde + gamma * y
-        step = y_new - y
-        move = np.sqrt(step.dot(step))
-        y = y_new
-        if move <= tol * scale:
-            break
-        if move != move:
-            # the distances overflowed and every later iterate would be NaN;
-            # the points divided by scale lie in the unit cube, where none can
-            return scale * geometric_median(P / scale, tol, max_iters)
-    return y
+    if scale > _RESCALE:
+        if start is not None:
+            start = np.asarray(start, dtype=float) / scale
+        return scale * geometric_median(P / scale, tol, max_iters, start, info=info)
+    if k == 2 or d == 1:
+        return _line_median(P, P[:, 0] if d == 1 else np.arange(2.0))
+    if k <= d:
+        # an orthonormal basis B (d, k - 1) of a space holding the hull, and
+        # the points' coordinates (k - 1, k) in it from P[0]
+        B, R = np.linalg.qr((P[1:] - P[0]).T)
+        YT = np.concatenate([np.zeros((k - 1, 1)), R], axis=1)
+
+        def lift(z):
+            return P[0] + B @ z
+
+        def frame(x):
+            return (x - P[0]) @ B
+    else:
+        YT = np.ascontiguousarray(P.T)
+        lift = frame = np.asarray
+    y = frame(mean)
+    if start is not None:
+        start = np.array(start, dtype=float)  # a copy, never returned as given
+        if (np.abs(start) <= _RESCALE).all():
+            y = frame(start)
+    return _median_steps(P, YT, y, scale, tol, max_iters, lift, stats)
 
 
 def default_partition_count(n, d):
@@ -531,7 +704,12 @@ def median_of_means_gd_run(model, dataset, partitions, state, stop, record_every
     rows (remainder rows joining the last block); each step takes the means
     of the first partitions - 1 blocks from one (partitions - 1, q, d)
     reshape of the gradient rows, the last block's mean on its own, and
-    aggregates the block means by geometric median.
+    aggregates the block means by ``geometric_median``.  From the second
+    step on, the median starts from the last step's median shifted by the
+    change in the block means' coordinate mean.  The steps whose median
+    took a Weiszfeld step are tallied in the trajectory's
+    ``diagnostics["median_fallbacks"]``, and those whose median stopped at
+    its iteration cap in ``diagnostics["median_capped"]``.
     """
     n = dataset.n
     partitions = int(partitions)
@@ -541,11 +719,22 @@ def median_of_means_gd_run(model, dataset, partitions, state, stop, record_every
         raise ValueError("more partitions than observations")
     q = n // partitions
     head = (partitions - 1) * q
+    last = []  # the last step's median and block-means' coordinate mean
+    tally = {"median_fallbacks": 0, "median_capped": 0}
 
     def grad_fn(w, t):
         _, G = loss_and_grad_rows(model.with_weights(w), dataset)
         means = np.vstack([G[:head].reshape(partitions - 1, q, -1).mean(axis=1),
                            G[head:].mean(axis=0)])
-        return geometric_median(means)
+        centre = means.mean(axis=0)
+        start = last[0] + (centre - last[1]) if last else None
+        info = {}
+        median = geometric_median(means, start=start, info=info)
+        last[:] = median, centre
+        tally["median_fallbacks"] += info["weiszfeld_steps"] > 0
+        tally["median_capped"] += info["capped"]
+        return median
 
-    return _descent(grad_fn, lambda t: n, state, stop, record_every)
+    traj = _descent(grad_fn, lambda t: n, state, stop, record_every)
+    traj.diagnostics.update(tally)
+    return traj

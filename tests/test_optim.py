@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from robustgd.bench import ExperimentConfig, poc_noise, run_experiment
 from robustgd.datagen import gen_regression, NoiseSpec
 from robustgd.mest import FixedPointSettings, RhoFunction
 from robustgd.models import Dataset, LinearModel, LogisticModel, loss_and_grad_rows
@@ -795,6 +796,10 @@ class TestGeometricMedian:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bits_match_the_reference(self, seed):
+        # re-specified when the Weiszfeld loop gave way to Newton steps: the
+        # objective may not exceed the first-written Weiszfeld median's by
+        # more than 1e-12 (1 + max |point|); tiles and majority points come
+        # back exactly; the bits do not depend on the points' memory order
         rng = np.random.default_rng(seed)
         clouds = [rng.standard_t(1.5, size=(1, 3))]
         for _ in range(30):
@@ -806,10 +811,95 @@ class TestGeometricMedian:
             clouds.append(dup)
             clouds.append(np.tile(pts[0], (k, 1)))
         for pts in clouds:
+            scale = 1.0 + np.abs(pts).max()
+            k = pts.shape[0]
+            majority = 2 * int((pts == pts[0]).all(axis=1).sum()) > k
             for tol in (1e-10, 1e-13, 1e-14):
+                got = geometric_median(pts, tol=tol)
+                assert same_bits(geometric_median(np.asfortranarray(pts), tol=tol), got)
+                if majority:
+                    assert same_bits(got, pts[0])
                 ref = weiszfeld_reference(pts, tol=tol)
-                assert same_bits(geometric_median(pts, tol=tol), ref)
-                assert same_bits(geometric_median(np.asfortranarray(pts), tol=tol), ref)
+                assert (geometric_median_objective(got, pts)
+                        <= geometric_median_objective(ref, pts) + 1e-12 * scale)
+
+    def test_obtuse_triangle_vertex_is_returned_exactly(self):
+        # the angle at the first vertex is 130 degrees, past Kuhn's 120, so
+        # the vertex is the median, in the plane and rotated into 5-D
+        a = np.radians(130.0)
+        tri = np.array([[0.5, -0.25], [3.5, -0.25], [0.5 + 2 * np.cos(a), -0.25 + 2 * np.sin(a)]])
+        rot, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(5, 5)))
+        for pts in (tri, tri @ rot[:2] + np.arange(5.0)):
+            for start in (None, pts.mean(axis=0) + 0.3, pts[1]):
+                assert same_bits(geometric_median(pts, start=start), pts[0])
+
+    @pytest.mark.parametrize("k, d", [(3, 5), (7, 32), (2, 128), (4, 4), (30, 3)])
+    def test_hull_and_full_sets_against_the_reference(self, k, d):
+        # k <= d steps in the points' affine hull, k > d in the full space
+        rng = np.random.default_rng(k * d)
+        for _ in range(20):
+            pts = rng.standard_t(2.0, size=(k, d)) * 10.0 ** rng.uniform(-2, 2)
+            scale = 1.0 + np.abs(pts).max()
+            info = {}
+            got = geometric_median(pts, info=info)
+            assert not info["capped"]
+            assert (geometric_median_objective(got, pts)
+                    <= geometric_median_objective(weiszfeld_reference(pts), pts)
+                    + 1e-12 * scale)
+
+    @pytest.mark.parametrize("k, d", [(2, 3), (4, 1), (5, 1), (6, 3), (7, 12), (9, 2)])
+    def test_collinear_sets_against_the_reference(self, k, d):
+        # points on a line return its middle point, or the midpoint of the
+        # middle two, whatever the start
+        rng = np.random.default_rng(k + d)
+        for _ in range(10):
+            origin, way = rng.normal(size=d), rng.normal(size=d)
+            t = rng.standard_t(2.0, size=k)
+            pts = origin + t[:, None] * way
+            scale = 1.0 + np.abs(pts).max()
+            order = np.argsort(t)
+            want = (pts[order[k // 2]] if k % 2
+                    else 0.5 * (pts[order[k // 2 - 1]] + pts[order[k // 2]]))
+            ref = geometric_median_objective(weiszfeld_reference(pts), pts)
+            for start in (None, origin + way * rng.normal() + rng.normal(size=d)):
+                got = geometric_median(pts, start=start)
+                assert same_bits(got, want)
+                assert geometric_median_objective(got, pts) <= ref + 1e-12 * scale
+
+    @pytest.mark.parametrize("k, d", [(125, 2), (7, 32), (3, 5), (40, 3)])
+    def test_warm_and_cold_starts_agree(self, k, d):
+        rng = np.random.default_rng(k + 100 * d)
+        for _ in range(20):
+            pts = rng.standard_t(3.0, size=(k, d)) * 10.0 ** rng.uniform(-3, 3)
+            scale = 1.0 + np.abs(pts).max()
+            cold = geometric_median(pts)
+            start = cold + rng.normal(size=d) * pts.std()
+            warm = geometric_median(pts, start=start)
+            assert np.linalg.norm(warm - cold) <= 1e-12 * scale
+
+    def test_no_runtime_warning_on_finite_clouds(self):
+        rng = np.random.default_rng(8)
+        base = rng.standard_t(1.5, size=(40, 3))
+        clouds = [base, base * 1e200, base * 1e-200, np.tile(base[0], (5, 1)),
+                  np.vstack([base[:3], np.tile(base[0], (4, 1))]),
+                  rng.normal(size=(3, 6)), np.outer(np.arange(6.0), [1.0, -2.0]),
+                  np.array([[0.0, 0.0], [1.0, 0.0], [np.cos(2.5), np.sin(2.5)]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pts in clouds:
+                for start in (None, pts[0], pts.mean(axis=0) + 1.0):
+                    assert np.isfinite(geometric_median(pts, tol=1e-14, start=start)).all()
+
+    def test_capped_call_is_reported(self):
+        pts = np.random.default_rng(9).standard_t(2.0, size=(125, 2))
+        info = {}
+        geometric_median(pts, info=info)
+        assert info["iterations"] > 1 and not info["capped"]
+        capped = {}
+        got = geometric_median(pts, max_iters=1, info=capped)
+        assert capped["iterations"] == 1 and capped["capped"]
+        assert not same_bits(got, geometric_median(pts))
+        assert same_bits(got, geometric_median(pts, max_iters=1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_point_returns_the_mean_at_once(self, bad):
@@ -874,16 +964,65 @@ class TestMedianOfMeansGD:
     @pytest.mark.parametrize("n, d, partitions", [
         (500, 2, 125), (7, 1, 2), (129, 1, 4), (40, 1, 40), (30, 4, 30),
         (41, 3, 2), (61, 5, 6), (64, 9, 8)])
-    def test_step_bits_match_the_reference(self, n, d, partitions):
+    def test_step_bits_match_the_reference(self, n, d, partitions, monkeypatch):
+        # re-specified when the median took Newton steps: the median's input
+        # keeps the block means' bits, and its objective may not exceed the
+        # first-written Weiszfeld median's by more than 1e-12 (1 + max |mean|)
         rng = np.random.default_rng(n + d)
         ds = Dataset(rng.standard_t(2.0, size=(n, d)), rng.standard_t(1.5, size=n))
         w0 = rng.normal(size=d)
         _, G = loss_and_grad_rows(LinearModel(w0), ds)
-        step = weiszfeld_reference(block_means_reference(G, partitions))
+        inputs = []
+
+        def captured(points, *args, _fn=optim.geometric_median, **kwargs):
+            inputs.append((np.array(points), kwargs.get("start")))
+            return _fn(points, *args, **kwargs)
+
+        monkeypatch.setattr(optim, "geometric_median", captured)
         traj = median_of_means_gd_run(LinearModel(w0), ds, partitions,
                                       OptimState(w0.copy(), 0.1),
                                       stop=StoppingRule(max_iters=1))
+        (means, start), = inputs
+        assert start is None
+        assert same_bits(means, block_means_reference(G, partitions))
+        step = geometric_median(means)
         assert same_bits(traj.iterates[1], w0 - 0.1 * step)
+        scale = 1.0 + np.abs(means).max()
+        assert (geometric_median_objective(step, means)
+                <= geometric_median_objective(weiszfeld_reference(means), means)
+                + 1e-12 * scale)
+
+    def test_median_starts_from_the_last_shifted_by_the_means(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        ds = Dataset(rng.standard_t(2.0, size=(90, 3)), rng.standard_t(1.5, size=90))
+        w0 = rng.normal(size=3)
+        calls = []
+
+        def captured(points, *args, _fn=optim.geometric_median, **kwargs):
+            median = _fn(points, *args, **kwargs)
+            calls.append((np.array(points), kwargs.get("start"), median))
+            return median
+
+        monkeypatch.setattr(optim, "geometric_median", captured)
+        traj = median_of_means_gd_run(LinearModel(w0), ds, 5, OptimState(w0.copy(), 0.1),
+                                      stop=StoppingRule(max_iters=4))
+        assert len(calls) == 4 and calls[0][1] is None
+        for (means0, _, median0), (means1, start, _) in zip(calls, calls[1:]):
+            assert same_bits(start, median0 + (means1.mean(axis=0) - means0.mean(axis=0)))
+        assert traj.diagnostics["median_capped"] == 0
+
+    def test_capped_medians_are_tallied(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        ds = Dataset(rng.standard_t(2.0, size=(90, 3)), rng.standard_t(1.5, size=90))
+        w0 = rng.normal(size=3)
+
+        def capped(points, *args, _fn=optim.geometric_median, **kwargs):
+            return _fn(points, max_iters=1, **kwargs)
+
+        monkeypatch.setattr(optim, "geometric_median", capped)
+        traj = median_of_means_gd_run(LinearModel(w0), ds, 5, OptimState(w0.copy(), 0.1),
+                                      stop=StoppingRule(max_iters=3))
+        assert traj.diagnostics["median_capped"] == 3
 
     def test_validation(self):
         ds, stop = Dataset(np.ones((3, 2)), np.ones(3)), StoppingRule(max_iters=1)
@@ -893,6 +1032,34 @@ class TestMedianOfMeansGD:
         with pytest.raises(ValueError):
             median_of_means_gd_run(LinearModel(np.ones(2)), ds, 5,
                                    OptimState(np.ones(2), 0.1), stop)
+
+
+def test_median_meets_its_gate_on_protocol_point_sets(monkeypatch):
+    # the block means the protocols feed the median: short d_sweep mom runs
+    # (d 2, 32 and 128 at n 500) and regression_grid mom runs at the task's
+    # default 3 blocks of d 5; on each, the objective is at most the
+    # first-written Weiszfeld median's + 1e-12 (1 + max |mean|), and no
+    # call stops at its cap
+    calls = []
+
+    def captured(points, *args, _fn=optim.geometric_median, **kwargs):
+        median = _fn(points, *args, **kwargs)
+        calls.append((np.array(points), median, kwargs["info"]["capped"]))
+        return median
+
+    monkeypatch.setattr(optim, "geometric_median", captured)
+    run_experiment(ExperimentConfig(task="d_sweep", methods=("mom",), d_values=(2, 32, 128),
+                                    n=500, trials=1, iters=15, noise=poc_noise()))
+    run_experiment(ExperimentConfig(task="regression_grid", methods=("mom",), trials=1,
+                                    iters=20, levels=(2, 8), test_size=10))
+    shapes = Counter(points.shape for points, _, _ in calls)
+    assert {(125, 2), (7, 32), (2, 128), (3, 5)} <= set(shapes)
+    assert not any(capped for _, _, capped in calls)
+    for points, median, _ in calls:
+        scale = 1.0 + np.abs(points).max()
+        assert (geometric_median_objective(median, points)
+                <= geometric_median_objective(weiszfeld_reference(points), points)
+                + 1e-12 * scale)
 
 
 class TestStateAndRules:

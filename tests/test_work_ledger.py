@@ -14,7 +14,9 @@ the benchmark builds it (``perfbench/workloads.py``) and one
   solves, and the elements they process, open columns times rows
   (``counting_solve_columns``, at ``mest._solve_columns``);
 - ``robust_gradient`` calls by sample shape;
-- ``grad_rows`` calls and the rows they compute.
+- ``grad_rows`` calls and the rows they compute;
+- the steps ``geometric_median`` takes, summed over its calls (the
+  ``iterations`` its ``info`` reports).
 
 A change that alters the work updates the pins and gives the old and new
 values.
@@ -46,13 +48,15 @@ LEDGER = {
         "psi": (102, 2035000), "chi": (123, 2173000),
         "robust_gradient": {"500x40": 50},
         "grad_rows": (100, 1000000),
+        "median_iterations": 0,
     },
     "wide_d": {
-        "np": {"mest": 13213, "robust_grad": 900, "optim": 9678, "models": 1242,
+        "np": {"mest": 13213, "robust_grad": 900, "optim": 4401, "models": 1242,
                "bench": 21},
         "psi": (306, 8183500), "chi": (369, 9070000),
         "robust_gradient": {"500x2": 50, "500x32": 50, "500x128": 50},
         "grad_rows": (300, 150000),
+        "median_iterations": 327,
     },
     "cls_budget": {
         "np": {"mest": 87212, "robust_grad": 3618, "optim": 9871, "models": 56230,
@@ -60,6 +64,7 @@ LEDGER = {
         "psi": (2408, 1334470), "chi": (3158, 1815780),
         "robust_gradient": {"10x40": 600, "2000x40": 3},
         "grad_rows": (8608, 30000),
+        "median_iterations": 0,
     },
 }
 
@@ -72,7 +77,7 @@ def count_pass(monkeypatch, tmp_path, name):
     path.write_text(w.config_text({**w.params, "seed": 0}), encoding="utf-8")
     cfg = load_config(path)
     calls = {m: Counter() for m in MODULES}
-    solves, shapes, rows = [], Counter(), Counter()
+    solves, shapes, rows, medians = [], Counter(), Counter(), Counter()
     with monkeypatch.context() as mp:
         for m, module in MODULES.items():
             mp.setattr(module, "np", CountingNumpy(calls[m]))
@@ -83,6 +88,14 @@ def count_pass(monkeypatch, tmp_path, name):
             return _fn(D, *args, **kwargs)
 
         mp.setattr(optim, "robust_gradient", counted_robust_gradient)
+
+        def counted_geometric_median(points, *args, _fn=optim.geometric_median, **kwargs):
+            info = kwargs.setdefault("info", {})
+            median = _fn(points, *args, **kwargs)
+            medians["iterations"] += info["iterations"]
+            return median
+
+        mp.setattr(optim, "geometric_median", counted_geometric_median)
         for cls in (models.LinearModel, models.LogisticModel):
             def counted_grad_rows(self, w, X, y, *args, _fn=cls.grad_rows):
                 rows["calls"] += 1
@@ -98,7 +111,8 @@ def count_pass(monkeypatch, tmp_path, name):
     return {"np": {m: sum(c.values()) for m, c in calls.items()},
             "psi": tuple(evals["locate_columns"]), "chi": tuple(evals["rescale_columns"]),
             "robust_gradient": dict(shapes),
-            "grad_rows": (rows["calls"], rows["rows"])}
+            "grad_rows": (rows["calls"], rows["rows"]),
+            "median_iterations": medians["iterations"]}
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
