@@ -15,13 +15,17 @@ against the parent's interquartile range.  It also prints each side's
 ``reference_s`` median, the allocator check of the normalisation, and the
 raw pass time ``wall_s`` summarised as the metrics are (side medians and
 quartiles, pair ratio and pairs won), which tells a gain in the program
-apart from a moved reference kernel.
+apart from a moved reference kernel.  Each run's minor page faults
+(``minflt``: the ``RUSAGE_CHILDREN`` ``ru_minflt`` delta around the run,
+its set-up probes, passes and anchor included) are summarised by their
+median per side, as ``reference_s`` is, and gate nothing.
 ``--json`` writes the same summary with every run's numbers.
 """
 
 import argparse
 import io
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -76,10 +80,11 @@ def summarize(pairs, metrics):
     compares its size with the parent's quartile spread, either way.
     ``ratio`` divides the change's median by the parent's; ``pair_ratio``
     gives the spread of change / parent within each pair, which cancels
-    the host's drift from one pair to the next.  ``reference_s`` gives
-    each side's median reference time, where a run reported one, and
-    ``wall_s`` the ``paired`` summary of the raw pass time over the pairs
-    whose runs both reported it (None when none did).
+    the host's drift from one pair to the next.  ``reference_s`` and
+    ``minflt`` give each side's median reference time and page-fault
+    count, over the runs that reported one, and ``wall_s`` the ``paired``
+    summary of the raw pass time over the pairs whose runs both reported
+    it (None when none did).
     """
     out = {}
     for name, better in metrics.items():
@@ -89,13 +94,17 @@ def summarize(pairs, metrics):
         out[name] = {**m, "gap": gap,
                      "gap_exceeds_parent_iqr": abs(gap) > m["parent"]["iqr"],
                      "ratio": m["change"]["median"] / m["parent"]["median"]}
-    refs = {s: [p[s]["reference_s"] for p in pairs if "reference_s" in p[s]]
-            for s in SIDES}
     raw = [p for p in pairs if all("wall_s" in p[s] for s in SIDES)]
     return {"pairs": len(pairs), "metrics": out,
-            "reference_s": {s: statistics.median(v) if v else None
-                            for s, v in refs.items()},
+            **{name: side_medians(pairs, name) for name in ("reference_s", "minflt")},
             "wall_s": paired(raw, "wall_s") if raw else None}
+
+
+def side_medians(pairs, name):
+    """Each side's median of ``name`` over the runs that reported it (None
+    when none did)."""
+    values = {s: [p[s][name] for p in pairs if name in p[s]] for s in SIDES}
+    return {s: statistics.median(v) if v else None for s, v in values.items()}
 
 
 def format_summary(workload, summary):
@@ -110,8 +119,9 @@ def format_summary(workload, summary):
             f" [{r['q1']:.4f}, {r['q3']:.4f}]  change won {m['change_won']} of "
             f"{summary['pairs']}  gap {m['gap']:.4g} ({way}) vs parent IQR {p['iqr']:.4g}"
             f" ({'exceeds' if m['gap_exceeds_parent_iqr'] else 'within'})")
-    ref = summary["reference_s"]
-    lines.append(f"  reference_s median: parent {ref['parent']}  change {ref['change']}")
+    for name in ("reference_s", "minflt"):
+        med = summary[name]
+        lines.append(f"  {name} median: parent {med['parent']}  change {med['change']}")
     raw = summary["wall_s"]
     if raw:
         p, c, r = raw["parent"], raw["change"], raw["pair_ratio"]
@@ -136,17 +146,20 @@ def export(rev, dest):
 
 
 def run_once(checkout, workload, seed, seconds):
-    """One ``perfbench/run.py --trace 0`` run; its metrics, or None with the
-    reason when it failed its checks."""
+    """One ``perfbench/run.py --trace 0`` run; its metrics and minor page
+    faults, or None with the reason when it failed its checks."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         return None, f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"
     result = json.loads(lines[-1])
     values = {k: v["value"] for k, v in result["metrics"].items()}
+    values["minflt"] = faults
     for line in lines:  # the raw times run.py prints as "name = value unit"
         name, sep, rest = line.partition(" = ")
         if sep and name in ("wall_s", "reference_s"):

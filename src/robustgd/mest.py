@@ -20,10 +20,15 @@ floating-point error state: sinh, cosh and u * u overflow for large |u| to
 values that are correct in the limit, so ``psi``, ``chi`` and each root
 solve hold over="ignore" themselves; on the solves' ``checked`` path the
 caller does (``robust_gradient``, in one block over all its stages).  Each
-solve allocates one buffer set, slices it to the columns still open, and
+solve takes one buffer set, slices it to the columns still open, and
 carries those columns' points and brackets compacted from step to step; its
 full collapsed-bracket test runs at the first step, and later only once some
-bracket is no wider than its first collapse bound.
+bracket is no wider than its first collapse bound.  The buffer set is
+allocated per solve, or lent by the caller as ``work``: three (K, n) float
+arrays with K >= k, whose leading k rows the solve overwrites (the
+dispersion solve uses the first two, the location solve all three).  A
+full-batch descent lends one set for all its steps, so no step maps its
+buffers in afresh (``optim._robust_descent``).
 """
 
 from contextlib import nullcontext
@@ -242,6 +247,14 @@ def _solve_columns(residual, z, lo, hi, fp):
     return z, fell_back
 
 
+def _buffers(work, shape, count):
+    """``count`` float buffers of ``shape`` (k, n): the leading k rows of the
+    first ``count`` arrays of a lent ``work`` set, or fresh arrays."""
+    if work is None:
+        return [np.empty(shape) for _ in range(count)]
+    return [a[:shape[0]] for a in work[:count]]
+
+
 def _open_rows(a, cols, out):
     """Rows ``cols`` of the 2-D array a: a itself while every row is still
     open, else the rows gathered into ``out`` (the leading rows of a buffer).
@@ -290,7 +303,7 @@ def column_means(a):
     return np.add.reduce(np.ascontiguousarray(a.T), 1) / a.shape[0]
 
 
-def locate_columns(x, s, rho, fp=DEFAULT_FP, start=None, checked=False):
+def locate_columns(x, s, rho, fp=DEFAULT_FP, start=None, checked=False, *, work=None):
     """Column-wise location M-estimates of an (n, k) sample matrix.
 
     Returns (theta, fell_back) where theta[j] solves
@@ -306,6 +319,9 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP, start=None, checked=False):
     passes s as a float array of k scales (as ``robust_gradient`` does).
     Overflow, divide and invalid warnings are off for the whole solve: the
     caller holds them off with ``checked``, this function otherwise.
+    ``work``, when given, lends the solve's three (k, n) buffers as the
+    leading rows of three float arrays (see the module docstring), which
+    must not share memory with x: they are overwritten, never read first.
     """
     if not checked:
         s = np.asarray(s, dtype=float)
@@ -313,10 +329,11 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP, start=None, checked=False):
         if not ((s > 0).all() and np.isfinite(s).all()):
             raise ValueError("scale s must be positive and finite")
     xt = np.ascontiguousarray(x.T)
-    # one buffer set per solve; a step writes into its leading open rows.
-    # Each buffer is its own (k, n) array: a larger block, once freed, would
-    # raise the C allocator's mmap threshold for the rest of the process
-    ub, pb, dpb = (np.empty(xt.shape) for _ in range(3))
+    # one buffer set per solve, or the caller's; a step writes into its
+    # leading open rows.  Each buffer is its own (k, n) array: a larger
+    # block, once freed, would raise the C allocator's mmap threshold for
+    # the rest of the process
+    ub, pb, dpb = _buffers(work, xt.shape, 3)
     k = x.shape[1]
     n = float(x.shape[0])  # divides as the int does, without its conversion
 
@@ -336,7 +353,8 @@ def locate_columns(x, s, rho, fp=DEFAULT_FP, start=None, checked=False):
         return _solve_columns(residual, z, lo, hi, fp)
 
 
-def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, start=None, checked=False):
+def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, start=None, checked=False, *,
+                    work=None):
     """Column-wise dispersion estimates about per-column pivots.
 
     Returns (sigma, fell_back).  sigma[j] >= floor_j solves
@@ -353,7 +371,8 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, start=None, checked=False):
     must be finite, which is checked unless ``checked`` says the caller has
     and passes them as a float array of k pivots; warnings as there.  A
     finite column spread past 1.8e308 overflows its residuals and returns
-    sigma = inf.
+    sigma = inf.  ``work`` lends two buffers, the first two of the set, as
+    in ``locate_columns``.
     """
     if not checked:
         pivots = np.asarray(pivots, dtype=float)
@@ -361,9 +380,10 @@ def rescale_columns(x, pivots, chi, fp=DEFAULT_FP, start=None, checked=False):
             pivots, x.shape[1:])
         if not np.isfinite(pivots).all():
             raise ValueError("pivot must be finite")
-    # one buffer set per solve, as in locate_columns: the residuals rt, and
-    # the scaled residuals of the open rows, which also serve the set-up
-    rt, ub = np.empty(x.shape[::-1]), np.empty(x.shape[::-1])
+    # one buffer set per solve, or the caller's, as in locate_columns: the
+    # residuals rt, and the scaled residuals of the open rows, which also
+    # serve the set-up
+    rt, ub = _buffers(work, x.shape[::-1], 2)
     floor = SIGMA_FLOOR * (1.0 + np.abs(pivots))
     lo = np.log(floor)
     # a mean is the sum over n divided by n, as ndarray.mean; a float n

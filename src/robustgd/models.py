@@ -15,12 +15,12 @@ kernels also take leading axes: a stacked full-batch descent builds every
 trial's rows in one call, and svrg builds a snapshot's n one-row gradients
 in one call over (n, 1, F) inputs.  A ``Dataset`` stores its inputs
 C-ordered, so a trial's rows have the same bits stacked or alone.  A
-stacked descent also hands the kernels its inputs' C-ordered (T, F, n)
-copy.  The linear kernel writes its outer products against the copy in
-(T, d, n) memory, the layout the robust solve reads, and still takes the
-residuals from the C-ordered X, whose memory order fixes a matmul's bits;
-the logistic kernel ignores the copy, as no stacked classification run
-is made by ``bench``.
+full-batch rgd descent, and a stacked erm one, also hand the linear
+kernel their inputs' C-ordered (T, F, n) copy.  The kernel writes its
+outer products against the copy in (T, d, n) memory, the layout the
+robust solve reads, and still takes the residuals from the C-ordered X,
+whose memory order fixes a matmul's bits.  No descent makes the copy for
+the logistic kernel, which writes C-ordered rows.
 
 A stochastic step's logistic call, a 1-D w against one (1, F) row, takes a
 one-row branch: its few class scores go through the log-sum-exp as Python
@@ -41,8 +41,8 @@ class Dataset:
     """Observations: (n, F) inputs and n targets (real or class index).
 
     The inputs are stored C-ordered: the bits of ``X @ w`` depend on X's
-    memory order, and a stack of datasets is C-ordered too.  A stacked
-    descent keeps a (T, F, n) copy of the stack beside it for the linear
+    memory order, and a stack of datasets is C-ordered too.  A linear
+    descent may keep a (T, F, n) copy of the stack beside it for the
     kernel's outer products, never for its matmul: at d = 3, 5, 32 and
     128 a gemv on the transposed view gives other bits.
     """
@@ -153,9 +153,9 @@ class LogisticModel:
         """(n, d) gradient rows at weights ``w`` for inputs X and class
         indices y, unchecked (see ``row_arrays``).  Leading axes broadcast,
         each item with the bits of its own call: w (T, d) for a trial axis,
-        or one w against X (n, 1, F) for n one-row calls.  ``Xt``, the
-        column copy a stacked descent passes (``LinearModel.grad_rows``),
-        is ignored: the rows are C-ordered.  A 1-D w against one (1, F)
+        or one w against X (n, 1, F) for n one-row calls.  ``Xt`` keeps
+        ``LinearModel.grad_rows``' signature and is ignored (no descent
+        makes one for this model): the rows are C-ordered.  A 1-D w against one (1, F)
         row, a stochastic step's call, runs ``_one_row`` with ``_rows``'
         bits; a row whose scores, score spread or log-sum-exp is not finite
         goes to ``_rows``."""

@@ -10,15 +10,19 @@ The rgd, erm, sgd and svrg steps take their gradient rows from
 ``model.grad_rows`` on plain arrays, checked once at entry (``row_arrays``);
 the full-batch rgd and erm descents stack T trials' data once and build all
 their rows per step in one call over the trial axis, for either model, and
-each svrg snapshot builds its n one-row gradients in one call.  With more
-than one trial the linear kernel writes the rows in (T, d, n) memory,
-against a (T, F, n) copy of the inputs made once per descent, so the robust
-solve reads them as C-ordered (T d, n) rows without a copy.  The stacked
-descents take every trial's row mean from one C-ordered (n, T d) copy of
-the rows, summed row by row per column in ``np.add.reduce(G, 1)``'s order,
-so each trial keeps the bits of its own mean.  A full-batch rgd descent
-starts each step's M-estimates from an extrapolation of the trial's last
-three (theta, log sigma).
+each svrg snapshot builds its n one-row gradients in one call.  In a
+full-batch rgd descent, and in an erm descent of more than one trial, the
+linear kernel writes the rows in (T, d, n) memory, against a (T, F, n) copy
+of the inputs made once per descent, so the robust solve reads them as
+C-ordered (T d, n) rows without a copy.  An rgd descent lends all its
+solves one buffer set, allocated at its first solve, and takes no row
+means: a trial whose rows are finite is solved, and one with a non-finite
+row entry descends on its row mean and stops as diverged.  A full-batch
+rgd descent starts each step's M-estimates from an extrapolation of the
+trial's last three (theta, log sigma).  erm takes every trial's row mean
+from one C-ordered (n, T d) copy of the rows, summed row by row per column
+in ``np.add.reduce(G, 1)``'s order, so each trial keeps the bits of its own
+mean.
 Median-of-means steps and svrg's snapshot gradients evaluate through
 ``loss_and_grad_rows``.  The median-of-means aggregate, ``geometric_median``,
 takes safeguarded Newton steps, in the points' affine hull when there are no
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import loss_and_grad_rows, row_arrays
+from .models import LinearModel, loss_and_grad_rows, row_arrays
 # column_scales is unused here but stays importable: perfbench's tracer hooks it
 from .robust_grad import column_scales, robust_gradient
 
@@ -187,25 +191,26 @@ def _stack_datasets(model, datasets):
     return np.stack([X for X, _ in arrays]), np.stack([y for _, y in arrays])
 
 
-def _trial_rows(model, Xs, ys):
+def _trial_rows(model, Xs, ys, transposed):
     """``rows(live, W)``: the (T, n, d) gradient rows of the trials ``live``
     at their iterates W, on the stacked data of ``_stack_datasets``, in one
     kernel call over the trial axis.
 
-    With T > 1 the inputs are kept in two memory orders: the C-ordered
-    (T, n, F) stack, which the kernel's matmul reads, and a C-ordered
-    (T, F, n) copy made here once, against which the linear kernel writes
-    the rows in (T, d, n) memory.  The rows come back as the (T, n, d) view
-    of that memory, so the solver's C-ordered (T d, n) matrix is a free
-    view of them (``_robust_descent``).  The logistic kernel ignores the
-    copy and writes C-ordered rows.  A lone trial's rows are written
-    C-ordered, as its row means then need no copy (``_row_means``): a lone
-    erm step at n = 500, d = 128 took 89 us C-ordered and 389 us through
-    the copy, on a 2-core Xeon.  Once trials leave, both stacks are
-    re-indexed to the live trials, once per departure rather than every
-    step (``live`` only shrinks).
+    With ``transposed`` set and the linear model, the inputs are kept in two
+    memory orders: the C-ordered (T, n, F) stack, which the kernel's matmul
+    reads, and a C-ordered (T, F, n) copy made here once, against which the
+    kernel writes the rows in (T, d, n) memory.  The rows come back as the
+    (T, n, d) view of that memory, so the solver's C-ordered (T d, n)
+    matrix is a free view of them (``_robust_descent``).  Otherwise no copy
+    is made and the rows are C-ordered: the logistic kernel reads none, and
+    a lone erm trial's row means need no copy of C-ordered rows
+    (``_row_means``), where a lone erm step at n = 500, d = 128 took 89 us
+    C-ordered and 389 us through the copy, on a 2-core Xeon.  Once trials
+    leave, both stacks are re-indexed to the live trials, once per
+    departure rather than every step (``live`` only shrinks).
     """
-    Xts = np.ascontiguousarray(Xs.transpose(0, 2, 1)) if Xs.shape[0] > 1 else None
+    Xts = (np.ascontiguousarray(Xs.transpose(0, 2, 1))
+           if transposed and isinstance(model, LinearModel) else None)
     data = [Xs.shape[0], Xs, ys, Xts]  # the live trials' count and stacks
 
     def rows(live, W):
@@ -219,7 +224,8 @@ def _trial_rows(model, Xs, ys):
 def _row_means(G):
     """The (T, d) row means of T trials' (T, n, d) gradient rows G, bit for
     bit ``np.add.reduce(np.ascontiguousarray(G), 1) / n``, whatever G's
-    memory order.
+    memory order: erm's step, and the step of an rgd trial with a
+    non-finite row entry.
 
     For d > 1 numpy sums each column of a C-ordered G row by row, one
     accumulator per column starting from +0.0, but over the middle axis its
@@ -265,35 +271,43 @@ def _robust_descent(rows, cfg, state, stop, record_every, cost, draw_cols=None,
 
     The rows' (T d, n) matrix is their transpose-and-reshape: a free view of
     the rows ``_trial_rows`` writes in (T, d, n) memory, and one copy of
-    C-ordered rows (a lone trial's, a mini-batch's or logistic ones).  The
-    row means come from ``_row_means``, each column summed row by row in
-    ``np.add.reduce(G, 1)``'s order, so each trial's mean has the bits of
-    its own.  The rows of every trial whose row mean is finite are solved,
-    all their columns, in one ``robust_gradient`` call on the (T d, n)
-    matrix's transpose, which ``robust_gradient`` reads as C-ordered (d, n)
-    rows without a copy and reduces column by column, so each trial's
-    estimate has the bits of its own solve; a trial whose row mean is not
-    finite descends on it, so the loop stops it as "diverged".  ``warm``
-    keeps each trial's (theta, log sigma) of its last three steps and starts
-    its next solve from their extrapolation (``_extrapolated_start``), which
-    reads that trial's rows alone.  The first step starts cold; every later
-    step of a live trial has its rows, since a trial left unsolved by a step
-    has left the loop as "diverged".  ``draw_cols()``, when given, draws a
-    lone trial's coordinate subset for each step that reaches the
-    solver.  Per-column solver fallbacks are tallied per trial, never raised.
+    C-ordered rows (a mini-batch's or logistic ones).  Every trial whose
+    row entries are all finite, tested on the rows in place, is solved, all
+    its columns, in one ``robust_gradient`` call on the (T d, n) matrix's
+    transpose, which ``robust_gradient`` reads as C-ordered (d, n) rows
+    without a copy and reduces column by column, so each trial's estimate
+    has the bits of its own solve, where its row mean overflows too.  A
+    trial with a non-finite row entry descends on its row mean
+    (``_row_means``, of those trials alone), which is not finite either, so
+    the loop stops it as "diverged".  The solves share one buffer set:
+    three (k, n) arrays allocated at the first solve's shape and lent to
+    every later solve, which uses their leading rows (k only falls as
+    trials leave), so no step maps its buffers in afresh; nothing holds
+    them once the descent returns.  ``warm`` keeps each trial's (theta, log
+    sigma) of its last three steps and starts its next solve from their
+    extrapolation (``_extrapolated_start``), which reads that trial's rows
+    alone.  The first step starts cold; every later step of a live trial
+    has its rows, since a trial left unsolved by a step has left the loop
+    as "diverged".  ``draw_cols()``, when given, draws a lone trial's
+    coordinate subset for each step that reaches the solver.  Per-column
+    solver fallbacks are tallied per trial, never raised.
     """
     diags = [{"locate_fallbacks": 0, "scale_fallbacks": 0} for _ in state.w]
     # when warm, every trial's (theta, log sigma) of its last three steps
     hist = np.empty((3, 2) + state.w.shape) if warm else None
+    work = []  # the solves' buffer set, allocated at the first solve
 
     def grad_fn(W, t, live):
         G = rows(live, W)
         n = G.shape[1]
+        finite = np.isfinite(G).all(axis=(1, 2))
+        ok = finite.nonzero()[0]
+        if ok.size < live.size:
+            g = np.empty((live.size, G.shape[2]))
+            g[~finite] = _row_means(G[~finite])
+            if not ok.size:
+                return g
         Dt = G.transpose(0, 2, 1).reshape(-1, n)
-        g = _row_means(G)
-        ok = np.isfinite(g).all(axis=1).nonzero()[0]
-        if not ok.size:
-            return g
         if ok.size < live.size:
             Dt = Dt.reshape(live.size, -1, n)[ok].reshape(-1, n)
         solved = live[ok]
@@ -301,16 +315,22 @@ def _robust_descent(rows, cfg, state, stop, record_every, cost, draw_cols=None,
         if hist is not None and t > 0:
             start = _extrapolated_start(hist, t, solved)
         cols = None if draw_cols is None else draw_cols()
-        theta, info = robust_gradient(Dt.T, cfg, cols, start)
-        g[ok] = theta.reshape(ok.size, -1)
+        if not work:
+            k = Dt.shape[0] if cols is None else cols.size
+            work.extend(np.empty((k, n)) for _ in range(3))
+        theta, info = robust_gradient(Dt.T, cfg, cols, start, work=work)
+        theta = theta.reshape(ok.size, -1)
         if hist is not None:
-            hist[t % 3, 0, solved] = g[ok]
+            hist[t % 3, 0, solved] = theta
             hist[t % 3, 1, solved] = np.log(info["sigma"]).reshape(ok.size, -1)
         for key, mask in (("scale_fallbacks", info["scale_fallback"]),
                           ("locate_fallbacks", info["locate_fallback"])):
             if mask.any():
-                for k, count in zip(live[ok], mask.reshape(ok.size, -1).sum(axis=1)):
+                for k, count in zip(solved, mask.reshape(ok.size, -1).sum(axis=1)):
                     diags[k][key] += int(count)
+        if ok.size == live.size:
+            return theta
+        g[ok] = theta
         return g
 
     trajs = _batch_descent(grad_fn, lambda t: cost, state, stop, record_every)
@@ -336,7 +356,7 @@ def rgd_run(model, dataset, cfg, state, stop, rng=None, batch_size=None,
     """
     n = dataset.n
     if batch_size is None:
-        rows = _trial_rows(model, *_stack_datasets(model, [dataset]))
+        rows = _trial_rows(model, *_stack_datasets(model, [dataset]), True)
     else:
         if not 1 <= batch_size <= n:
             raise ValueError("batch_size must lie in [1, n]")
@@ -376,7 +396,7 @@ def rgd_stacked_run(model, datasets, cfg, state, stop, record_every=1):
     ``rgd_run``.
     """
     Xs, ys = _stack_datasets(model, datasets)
-    return _robust_descent(_trial_rows(model, Xs, ys), cfg, state, stop,
+    return _robust_descent(_trial_rows(model, Xs, ys, True), cfg, state, stop,
                            record_every, Xs.shape[1], warm=True)
 
 
@@ -390,7 +410,7 @@ def erm_gd_stacked_run(model, datasets, state, stop, record_every=1):
     """``erm_gd_run`` of T trials at once, as ``rgd_stacked_run`` stacks
     ``rgd_run``."""
     Xs, ys = _stack_datasets(model, datasets)
-    rows = _trial_rows(model, Xs, ys)
+    rows = _trial_rows(model, Xs, ys, Xs.shape[0] > 1)
     return _batch_descent(lambda W, t, live: _row_means(rows(live, W)),
                           lambda t: Xs.shape[1], state, stop, record_every)
 

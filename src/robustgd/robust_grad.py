@@ -44,7 +44,7 @@ class RobustConfig:
             raise ValueError("delta must lie in (0, 1)")
 
 
-def column_scales(D, cfg, start=None):
+def column_scales(D, cfg, start=None, *, work=None):
     """Per-column truncation scales (sigma_hat, s) of a validated gradient
     sample, the scale stage of ``robust_gradient``.
 
@@ -54,18 +54,21 @@ def column_scales(D, cfg, start=None):
     pivot sum(x_i / n) instead, which is bounded by max |x_i|; every other
     pivot keeps its bits.  It sets no error state: under
     ``robust_gradient``'s, the overflows of such a column's sum and of an s
-    past 1.8e308 warn nothing.  Returns (sigma_hat, s, scale_fallback_mask).
+    past 1.8e308 warn nothing.  ``work`` lends the dispersion solve its
+    buffers (``rescale_columns``).  Returns (sigma_hat, s,
+    scale_fallback_mask).
     """
     n = D.shape[0]
     pivots = column_means(D)
     big = (~np.isfinite(pivots)).nonzero()[0]
     if big.size:
         pivots[big] = np.add.reduce(np.ascontiguousarray(D.T[big]) / n, 1)
-    sigma, fell_back = rescale_columns(D, pivots, _CHI, cfg.fp, start, checked=True)
+    sigma, fell_back = rescale_columns(D, pivots, _CHI, cfg.fp, start, checked=True,
+                                       work=work)
     return sigma, confidence_scale(sigma, n, cfg.delta), fell_back
 
 
-def robust_gradient(D, cfg, cols=None, start=None):
+def robust_gradient(D, cfg, cols=None, start=None, *, work=None):
     """Coordinate-wise robust location estimate of the gradient sample rows.
 
     D is checked once (a finite, non-empty (n, d) matrix) and copied once
@@ -80,9 +83,13 @@ def robust_gradient(D, cfg, cols=None, start=None):
     sigma) of guesses for the robustified columns, such as the estimates of
     the previous step of a full-batch descent: the dispersion and location
     solves start from them, clipped into each column's bracket, in place of
-    the mean absolute residual and the column median.  Returns (theta,
-    info): info holds sigma, s and the scale_fallback and locate_fallback
-    masks of the robustified columns.  Estimation never raises on a hard
+    the mean absolute residual and the column median.  ``work``, when
+    given, is a buffer set the caller lends both root solves (see
+    ``robustgd.mest``): three float (K, n) arrays sharing no memory with D,
+    K at least the number of robustified columns, such as a descent
+    allocates once for all its steps; the estimate does not depend on it.
+    Returns (theta, info): info holds sigma, s and the scale_fallback and
+    locate_fallback masks of the robustified columns.  Estimation never raises on a hard
     column: a root still open after ``cfg.fp.max_iters`` Newton steps is
     finished by bisection and flagged, and a finite column whose residuals
     or scale s overflow is estimated, from no start, scaled down by 2^-512,
@@ -99,15 +106,17 @@ def robust_gradient(D, cfg, cols=None, start=None):
     sub = (Dt if cols is None else Dt[cols]).T
     # the one error state of every stage (overflows warn nothing)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sigma, s, scale_fb = column_scales(sub, cfg, sigma0)
+        sigma, s, scale_fb = column_scales(sub, cfg, sigma0, work=work)
         big = (~np.isfinite(s)).nonzero()[0]
         if big.size:
             # a finite column spread past about 1e307 overflows its residuals
-            # or its s: it is estimated on a copy scaled by 2^-512 (s = 1 here)
+            # or its s: it is estimated on a copy scaled by 2^-512 (s = 1
+            # here), with buffers of its own
             theta_b, info_b = robust_gradient(np.ldexp(sub[:, big], -512), cfg)
             s[big] = 1.0
         # s is now positive and finite, as sigma is at least its floor
-        theta, loc_fb = locate_columns(sub, s, cfg.rho, cfg.fp, theta0, checked=True)
+        theta, loc_fb = locate_columns(sub, s, cfg.rho, cfg.fp, theta0, checked=True,
+                                       work=work)
         if big.size:  # a sigma past 1.8e308 reads inf
             theta[big], sigma[big], s[big] = np.ldexp(
                 [theta_b, info_b["sigma"], info_b["s"]], 512)

@@ -13,6 +13,7 @@ from robustgd.models import Dataset, LinearModel, LogisticModel, loss_and_grad_r
 import robustgd.models as models
 import robustgd.optim as optim
 from robustgd.optim import (
+    _as_batch,
     _batch_descent,
     _row_draws,
     _row_means,
@@ -274,11 +275,11 @@ class TestStackedRuns:
 
     def test_solver_reads_the_kernel_rows_without_a_copy(self, monkeypatch):
         # the (T d, n) matrix robust_gradient copies to C order is the
-        # transpose of the linear kernel's own output, already C-ordered
+        # transpose of the linear kernel's own output, already C-ordered,
+        # for a lone trial as for a stack
         rng = np.random.default_rng(3)
-        T, n = 4, 50
+        n = 50
         model = LinearModel(np.zeros(3))
-        datasets = [regression_problem(n=n, seed=k)[0] for k in range(T)]
         outputs, samples = [], []
         grad_rows, solve = LinearModel.grad_rows, optim.robust_gradient
 
@@ -286,19 +287,78 @@ class TestStackedRuns:
             outputs.append(grad_rows(self, *args))
             return outputs[-1]
 
-        def kept_sample(D, *args):
+        def kept_sample(D, *args, **kwargs):
             samples.append(D)
-            return solve(D, *args)
+            return solve(D, *args, **kwargs)
 
         monkeypatch.setattr(LinearModel, "grad_rows", kept_rows)
         monkeypatch.setattr(optim, "robust_gradient", kept_sample)
-        rgd_stacked_run(model, datasets, RobustConfig(),
-                        OptimState(rng.normal(size=(T, model.dim)), 0.1),
-                        StoppingRule(max_iters=4))
-        assert len(outputs) == len(samples) == 4
-        for G, D in zip(outputs, samples):
-            assert D.shape == (n, T * model.dim) and D.T.flags.c_contiguous
-            assert np.shares_memory(D.T, G)
+        for T in (1, 4):
+            outputs.clear()
+            samples.clear()
+            datasets = [regression_problem(n=n, seed=k)[0] for k in range(T)]
+            rgd_stacked_run(model, datasets, RobustConfig(),
+                            OptimState(rng.normal(size=(T, model.dim)), 0.1),
+                            StoppingRule(max_iters=4))
+            assert len(outputs) == len(samples) == 4
+            for G, D in zip(outputs, samples):
+                assert D.shape == (n, T * model.dim) and D.T.flags.c_contiguous
+                assert np.shares_memory(D.T, G)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_one_workspace_serves_the_whole_descent(self, monkeypatch):
+        # three (k, n) arrays allocated at the first solve's shape are lent
+        # to every solve, whose k falls as a trial diverges and another
+        # stops at grad_tol; the trajectories keep their solo runs' bits
+        datasets, W0 = alpha5_batch(seed=1)
+        stop = StoppingRule(max_iters=60, grad_norm_tol=1e-3)
+        model, cfg = LinearModel(np.zeros(3)), RobustConfig()
+        lent, solve = [], optim.robust_gradient
+
+        def recorded(D, *args, **kwargs):
+            lent.append((D.shape[1], kwargs["work"]))
+            return solve(D, *args, **kwargs)
+
+        monkeypatch.setattr(optim, "robust_gradient", recorded)
+        got = rgd_stacked_run(model, datasets, cfg, OptimState(W0, 5.0), stop=stop)
+        monkeypatch.undo()
+        work = lent[0][1]
+        assert [a.shape for a in work] == [(12, 60)] * 3
+        assert all(w is work for _, w in lent)
+        assert [k for k, _ in lent] == sorted((k for k, _ in lent), reverse=True)
+        assert {k for k, _ in lent} == {12, 9, 6}
+        want = rgd_stacked_reference_run(model, datasets, cfg, OptimState(W0, 5.0), stop)
+        for a, b, ds, w in zip(got, want, datasets, W0):
+            assert_same_trajectory(a, b)
+            assert_same_trajectory(a, rgd_run(model, ds, cfg, OptimState(w, 5.0), stop=stop))
+
+    @pytest.mark.parametrize("method", ["rgd", "erm"])
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_input_copy_only_where_the_linear_kernel_reads_it(self, monkeypatch, T,
+                                                              method):
+        # the linear kernel writes rgd rows, and erm rows of a stack, against
+        # the inputs' (T, F, n) copy; a lone erm trial's rows and logistic
+        # rows are C-ordered, with no copy made
+        copies = []
+        for cls in (LinearModel, LogisticModel):
+            def recorded(self, w, X, y, Xt=None, _fn=cls.grad_rows):
+                copies.append((type(self), None if Xt is None else Xt.shape))
+                return _fn(self, w, X, y, Xt)
+
+            monkeypatch.setattr(cls, "grad_rows", recorded)
+        stop = StoppingRule(max_iters=2)
+        for kind in ("linear", "logistic_reg"):
+            runs = [stochastic_problem(kind, n=40, seed=k) for k in range(T)]
+            model = runs[0][0]
+            datasets = [ds for _, ds, _ in runs]
+            state = OptimState(np.array([w0 for _, _, w0 in runs]), 0.1)
+            if method == "rgd":
+                rgd_stacked_run(model, datasets, RobustConfig(), state, stop)
+            else:
+                erm_gd_stacked_run(model, datasets, state, stop)
+        linear = None if method == "erm" and T == 1 else (T, 3, 40)
+        assert copies == [(LinearModel, linear)] * 2 + [(LogisticModel, None)] * 2
 
     def test_stacked_trials_must_share_d(self):
         a, _, _ = regression_problem(n=30, d=3)
@@ -353,8 +413,8 @@ class TestRgdRun:
         ds, w_star, rng = regression_problem(heavy=True)
         calls, solve = [], optim.robust_gradient
 
-        def recorded(D, cfg, cols=None, start=None):
-            theta, info = solve(D, cfg, cols, start)
+        def recorded(D, cfg, cols=None, start=None, **kwargs):
+            theta, info = solve(D, cfg, cols, start, **kwargs)
             calls.append((start, theta, info["sigma"]))
             return theta, info
 
@@ -457,6 +517,83 @@ class TestRgdRun:
                     coordinate_subset_size=4)
         with pytest.raises(ValueError, match="need an rng"):
             rgd_run(model, ds, RobustConfig(), state, stop, coordinate_subset_size=2)
+
+
+def overflowing_mean_problem(n=8, d=2, seed=0):
+    """A dataset whose gradient rows at the origin are finite, about 1e308
+    to 1.5e308 in every column, while each column's sum, and so its row
+    mean, overflows: inputs in [1, 1.5] and targets -1e308."""
+    X = np.random.default_rng(seed).uniform(1.0, 1.5, size=(n, d))
+    return Dataset(X, np.full(n, -1e308))
+
+
+class TestFiniteRowsAreSolved:
+    """An rgd trial is solved when its gradient rows are finite, whether or
+    not their mean is; a trial with a non-finite row entry descends on its
+    row mean and stops as "diverged", as before."""
+
+    STOP = StoppingRule(max_iters=6)
+
+    def test_rows_whose_mean_overflows_are_solved(self):
+        ds = overflowing_mean_problem()
+        with np.errstate(over="ignore"):  # the losses and the mean overflow
+            G = loss_and_grad_rows(LinearModel(np.zeros(2)), ds)[1]
+            assert np.isfinite(G).all() and np.isinf(G.mean(axis=0)).all()
+        model, state = LinearModel(np.zeros(2)), OptimState(np.zeros(2), 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = rgd_run(model, ds, RobustConfig(), state, self.STOP)
+        assert traj.stop_reason == "max_iters" and traj.steps.tolist() == list(range(7))
+        assert np.isfinite(traj.iterates).all()
+        # the first step descends on the robust location, inside each
+        # column's range, where the row mean would have been inf
+        g = -traj.iterates[1] / 0.1
+        assert ((G.min(axis=0) <= g) & (g <= G.max(axis=0))).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            old, = rgd_stacked_reference_run(model, [ds], RobustConfig(),
+                                             _as_batch(state), self.STOP)
+        assert old.stop_reason == "diverged"
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_stacked_trials_equal_their_solo_runs(self):
+        # an ordinary trial, one whose row mean overflows and one whose rows
+        # overflow at its start, in one stack
+        rng = np.random.default_rng(4)
+        plain, _, _ = regression_problem(n=8, d=2, seed=3, heavy=True)
+        blown = Dataset(1e200 * rng.normal(size=(8, 2)), np.zeros(8))
+        datasets = [plain, overflowing_mean_problem(), blown]
+        W0 = np.array([[1.0, -1.0], [0.0, 0.0], [1.0, 1.0]])
+        model, cfg = LinearModel(np.zeros(2)), RobustConfig()
+        got = rgd_stacked_run(model, datasets, cfg, OptimState(W0, 0.1), self.STOP)
+        assert [t.stop_reason for t in got] == ["max_iters", "max_iters", "diverged"]
+        for traj, ds, w in zip(got, datasets, W0):
+            assert_same_trajectory(traj, rgd_run(model, ds, cfg, OptimState(w, 0.1),
+                                                 self.STOP))
+        # the trials the row-mean rule also solves, or stops, keep its bits
+        old = rgd_stacked_reference_run(model, datasets, cfg, OptimState(W0, 0.1), self.STOP)
+        assert old[1].stop_reason == "diverged"
+        for k in (0, 2):
+            assert_same_trajectory(got[k], old[k])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_rows_diverge_with_the_row_mean_records(self):
+        # at this step size the rows overflow mid-run, before the iterate
+        # does; the last step descends on the row mean, bit for bit
+        ds, w_star, _ = regression_problem(seed=7)
+        w0 = w_star + 1.0
+        model, cfg = LinearModel(w0), RobustConfig()
+        stop = StoppingRule(max_iters=200)
+        traj = rgd_run(model, ds, cfg, OptimState(w0.copy(), 1e3), stop=stop)
+        old, = rgd_stacked_reference_run(model, [ds], cfg,
+                                         _as_batch(OptimState(w0.copy(), 1e3)), stop)
+        assert traj.stop_reason == "diverged" and 2 < traj.steps[-1] < 200
+        assert_same_trajectory(traj, old)
+        w = traj.iterates[-2]
+        G = loss_and_grad_rows(model.with_weights(w), ds)[1]
+        assert not np.isfinite(G).all()
+        assert same_bits(traj.iterates[-1], w - 1e3 * (np.add.reduce(G, 0) / ds.n))
 
 
 class TestStochasticLoops:

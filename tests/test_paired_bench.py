@@ -1,6 +1,7 @@
 """scripts/paired_bench.py: the paired-run summary on synthetic numbers."""
 
 import importlib.util
+import resource
 from pathlib import Path
 
 import pytest
@@ -13,15 +14,16 @@ _spec.loader.exec_module(paired_bench)
 METRICS = {"wall_norm_s": "lower", "peak_rss_mb": "lower"}
 
 
-def pairs_of(parent, change, reference=None, wall=None):
+def pairs_of(parent, change, reference=None, wall=None, minflt=None):
     """Pairs from per-seed wall_norm_s values; peak_rss_mb ties at 64.
-    ``reference`` and ``wall`` give each side's raw reference_s and wall_s
-    per seed."""
+    ``reference``, ``wall`` and ``minflt`` give each side's raw
+    reference_s, wall_s and page-fault count per seed."""
     out = []
     for i, (p, c) in enumerate(zip(parent, change)):
         pair = {"parent": {"wall_norm_s": p, "peak_rss_mb": 64.0},
                 "change": {"wall_norm_s": c, "peak_rss_mb": 64.0}}
-        for name, raw in (("reference_s", reference), ("wall_s", wall)):
+        for name, raw in (("reference_s", reference), ("wall_s", wall),
+                          ("minflt", minflt)):
             if raw:
                 pair["parent"][name] = raw[0][i]
                 pair["change"][name] = raw[1][i]
@@ -110,6 +112,36 @@ def test_reference_medians_per_side():
         "parent": None, "change": None}
 
 
+def test_page_fault_medians_per_side():
+    pairs = pairs_of([1, 1, 1], [1, 1, 1], minflt=([3000, 2000, 2500], [600, 400, 500]))
+    s = paired_bench.summarize(pairs, METRICS)
+    assert s["minflt"] == {"parent": 2500, "change": 500}
+    # page faults gate nothing: the metrics tie
+    assert s["metrics"]["wall_norm_s"]["change_won"] == 0
+    assert "  minflt median: parent 2500  change 500" in paired_bench.format_summary(
+        "wide_d", s).splitlines()
+    del pairs[0]["change"]["minflt"]
+    assert paired_bench.summarize(pairs, METRICS)["minflt"]["change"] == 450
+    assert paired_bench.summarize(pairs_of([1], [1]), METRICS)["minflt"] == {
+        "parent": None, "change": None}
+
+
+def test_run_once_counts_the_run_page_faults(tmp_path):
+    # a stand-in perfbench/run.py that touches 4 MB: its faults, and its
+    # interpreter's, are the run's
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "b = b'x' * (4 << 20)\n"
+        "print('wall_s = 0.5 s')\n"
+        "print(json.dumps({'metrics': {'wall_norm_s': {'value': 0.4}}}))\n",
+        encoding="utf-8")
+    values, why = paired_bench.run_once(tmp_path, "wide_d", 0, 1)
+    assert why is None
+    assert values["wall_norm_s"] == 0.4 and values["wall_s"] == 0.5
+    assert values["minflt"] >= (4 << 20) // resource.getpagesize()
+
+
 def test_raw_wall_time_summarised_beside_the_reference():
     # the normalised metric ties in every pair, while the raw pass time and
     # the reference kernel both read 10% lower on the change: a moved
@@ -154,6 +186,7 @@ def test_summary_text_names_every_metric():
     assert text.splitlines()[0] == "cls_budget: 2 pairs"
     assert "wall_norm_s:" in text and "peak_rss_mb:" in text
     assert "change won 2 of 2" in text and "reference_s median" in text
+    assert "minflt median" in text
     assert "(gain)" in text and "(tie)" in text
 
 

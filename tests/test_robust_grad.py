@@ -287,3 +287,88 @@ class TestColumnScales:
             RobustConfig(delta=0.0)
         with pytest.raises(ValueError):
             RobustConfig(delta=1.0)
+
+
+def nan_work(k, n):
+    """A lent buffer set of three (k, n) arrays, filled with nan so that a
+    read before a write shows."""
+    return [np.full((k, n), np.nan) for _ in range(3)]
+
+
+def assert_same_estimate(got, want):
+    (theta, info), (w_theta, w_info) = got, want
+    assert theta.tobytes() == w_theta.tobytes()
+    for key in ("sigma", "s", "scale_fallback", "locate_fallback"):
+        assert info[key].tobytes() == w_info[key].tobytes()
+
+
+class TestLentWorkspace:
+    """``work`` lends both root solves their buffers; it never moves a bit."""
+
+    @pytest.mark.parametrize("kind", ["gudermannian", "log_cosh", "pseudo_huber"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_nan_filled_workspace_gives_the_same_bits(self, kind, warm):
+        D = heavy_matrix(n=80, d=6, seed=4)
+        cfg = RobustConfig(rho=RhoFunction(kind))
+        start = None
+        if warm:
+            theta, info = robust_gradient(D, cfg)
+            start = (theta + 0.1, 1.5 * info["sigma"])
+        assert_same_estimate(robust_gradient(D, cfg, start=start, work=nan_work(6, 80)),
+                             robust_gradient(D, cfg, start=start))
+
+    def test_leading_rows_serve_as_k_shrinks(self):
+        # one set sized for the first solve serves every smaller one, and
+        # a solve leaves the rows past its own k alone
+        D = heavy_matrix(n=60, d=8, seed=2)
+        work = nan_work(8, 60)
+        for k in (8, 5, 1):
+            rest = [a[k:].copy() for a in work]
+            got = robust_gradient(D[:, :k], RobustConfig(), work=work)
+            assert_same_estimate(got, robust_gradient(D[:, :k], RobustConfig()))
+            assert all(np.array_equal(a[k:], r, equal_nan=True) for a, r in zip(work, rest))
+
+    def test_column_subset(self):
+        D = heavy_matrix(n=60, d=6, seed=3)
+        cols = np.array([0, 2, 5])
+        assert_same_estimate(robust_gradient(D, RobustConfig(), cols, work=nan_work(3, 60)),
+                             robust_gradient(D, RobustConfig(), cols))
+
+    def test_solvers_take_the_lent_buffers(self):
+        x = heavy_matrix(n=50, d=4, seed=6)
+        work = nan_work(7, 50)
+        s = np.full(4, 3.0)
+        rho, chi = RhoFunction("gudermannian"), ChiFunction()
+        theta, fb = locate_columns(x, s, rho, work=work)
+        want_theta, want_fb = locate_columns(x, s, rho)
+        assert theta.tobytes() == want_theta.tobytes() and np.array_equal(fb, want_fb)
+        sigma, fb = rescale_columns(x, x.mean(axis=0), chi, work=nan_work(4, 50))
+        want_sigma, want_fb = rescale_columns(x, x.mean(axis=0), chi)
+        assert sigma.tobytes() == want_sigma.tobytes() and np.array_equal(fb, want_fb)
+        # the location solve wrote into the leading rows of all three
+        assert all(not np.isnan(a[:4]).any() and np.isnan(a[4:]).all() for a in work)
+
+    def test_overflow_re_solve_takes_buffers_of_its_own(self, monkeypatch):
+        # columns 1 and 3 overflow their residuals or s and are re-solved
+        # scaled down by 2^-512; that inner call lends nothing, so the outer
+        # call's buffers keep what its own solves wrote
+        import robustgd.robust_grad as robust_grad
+
+        rng = np.random.default_rng(8)
+        D = heavy_matrix(n=40, d=5)
+        D[:, 1] = 1.7e308 * rng.uniform(0.9, 1.0, 40) * np.repeat([1.0, -1.0], [24, 16])
+        D[:, 3] = 1e308 * rng.uniform(0.5, 1.0, 40) * np.tile([1.0, -1.0], 20)
+        work = nan_work(5, 40)
+        lent = []
+        for name in ("rescale_columns", "locate_columns"):
+            def spy(x, *args, _fn=getattr(robust_grad, name), _name=name, **kwargs):
+                w = kwargs.get("work")
+                lent.append((_name, x.shape[1], "outer" if w is work else w))
+                return _fn(x, *args, **kwargs)
+
+            monkeypatch.setattr(robust_grad, name, spy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = robust_gradient(D, GUD_CFG, work=work)
+            assert lent == [("rescale_columns", 5, "outer"), ("rescale_columns", 2, None),
+                            ("locate_columns", 2, None), ("locate_columns", 5, "outer")]
+            assert_same_estimate(got, robust_gradient(D, GUD_CFG))

@@ -43,7 +43,7 @@ MODULES = {"mest": mest, "robust_grad": robust_grad, "optim": optim,
 # psi and chi are (evaluations, elements), grad_rows (calls, rows)
 LEDGER = {
     "poc_heavy": {
-        "np": {"mest": 4403, "robust_grad": 300, "optim": 586, "models": 380,
+        "np": {"mest": 4153, "robust_grad": 300, "optim": 489, "models": 380,
                "bench": 102},
         "psi": (102, 2035000), "chi": (123, 2173000),
         "robust_gradient": {"500x40": 50},
@@ -51,7 +51,7 @@ LEDGER = {
         "median_iterations": 0,
     },
     "wide_d": {
-        "np": {"mest": 13213, "robust_grad": 900, "optim": 4401, "models": 1242,
+        "np": {"mest": 12463, "robust_grad": 900, "optim": 4263, "models": 1242,
                "bench": 21},
         "psi": (306, 8183500), "chi": (369, 9070000),
         "robust_gradient": {"500x2": 50, "500x32": 50, "500x128": 50},
@@ -59,7 +59,7 @@ LEDGER = {
         "median_iterations": 327,
     },
     "cls_budget": {
-        "np": {"mest": 87212, "robust_grad": 3618, "optim": 9871, "models": 56230,
+        "np": {"mest": 84197, "robust_grad": 3618, "optim": 9274, "models": 56230,
                "bench": 6},
         "psi": (2408, 1334470), "chi": (3158, 1815780),
         "robust_gradient": {"10x40": 600, "2000x40": 3},
